@@ -95,9 +95,12 @@ def autocov_matrix(model, k):
     """QuadForm C = A^T B^k A, so that eps^T C eps = n gamma_n(k)."""
     if k < 0:
         raise ValueError("need k >= 0")
+    n = model.n
+    if k >= n:
+        return QuadForm(n=n, entries=np.zeros((n, n)))
     a = build_a(model)
-    c = a.T @ shift_pow(model.n, k) @ a
-    return QuadForm(n=model.n, entries=c)
+    # row i of B^k A is row i-k of A, so A^T B^k A pairs rows k.. with rows ..n-k
+    return QuadForm(n=n, entries=a[k:].T @ a[:n - k])
 
 
 def test_matrix(a, a0, n):
@@ -105,8 +108,9 @@ def test_matrix(a, a0, n):
     for an AR(1) model with coefficient a."""
     model = ArModel((float(a),), n)
     amat = build_a(model)
-    ba = shift_pow(n, 1) @ amat
-    c = amat.T @ ba - float(a0) * (ba.T @ ba)
+    # B A is A shifted down one row: A^T B A and (B A)^T (B A) by row slicing
+    lag = amat[:-1]
+    c = amat[1:].T @ lag - float(a0) * (lag.T @ lag)
     return QuadForm(n=n, entries=c)
 
 

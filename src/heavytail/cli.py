@@ -8,8 +8,8 @@ of alternatives), dist (innovation-law queries).
 Every run echoes its resolved configuration as a '#'-prefixed header line,
 reals carry 17 significant digits, and line endings are LF.  Exit codes:
 0 on success, 2 on usage errors, 1 on domain errors (the message names the
-violated precondition).  HEAVYTAIL_THREADS caps the worker pool; results do
-not depend on it.
+violated precondition) and on output files that cannot be written.
+HEAVYTAIL_THREADS caps the worker pool; results do not depend on it.
 """
 
 import argparse
@@ -259,7 +259,7 @@ def main(argv=None):
         with _open_out(args) as fh:
             args.handler(args, fh)
         return 0
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

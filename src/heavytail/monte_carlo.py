@@ -1,11 +1,15 @@
 """Reproducible Monte Carlo oracle for the tail approximations.
 
-Replica r draws its innovations from an independent substream keyed by
-(seed, r), so every statistic is a pure function of (seed, r) and results
-are bit-identical for any worker count and any chunk schedule.  The
-empirical survival function comes from one sort of the replica statistics;
-theory curves are the first-order coefficients evaluated on the same
-threshold grid.
+RNG scheme block-v1: replicas are split into fixed blocks of
+max(1, BLOCK_DRAWS // n) rows, and block b draws its (rows, n) innovations
+in one call from the substream keyed SeedSequence([seed, b]).  The layout
+depends only on (replicas, n), so every statistic is a pure function of
+(seed, replicas, n) and results are bit-identical for any worker count and
+any block schedule.  Each block is reduced with one matrix product; the
+risk calibration reuses every block for the whole grid of alternatives
+(common random numbers).  The empirical survival function comes from one
+sort of the replica statistics; theory curves are the first-order
+coefficients evaluated on the same threshold grid.
 """
 
 import math
@@ -19,6 +23,9 @@ from .ar_quadform import ArModel, autocov_matrix, test_matrix
 from .student_dist import StudentLaw, make_law, sample
 from .tail_formulas import (COEF_REGIMES, POWER_LOG, ZERO, classify,
                             critical_value, evaluate, test_stat_tail)
+
+# innovations per replica block: 512 KiB of doubles, whatever n is
+BLOCK_DRAWS = 1 << 16
 
 # risk-calibration grid: dense around the unit root, coarser in the wings
 DEFAULT_A_GRID = (
@@ -114,51 +121,47 @@ def worker_count():
     return os.cpu_count() or 1
 
 
-def _replica_rng(seed, r):
-    """Independent substream for replica r: seed material mixed from (seed, r)."""
-    return np.random.default_rng(np.random.SeedSequence([int(seed), int(r)]))
+def replica_blocks(replicas, n):
+    """Block layout (b, lo, hi): block b holds replica rows [lo, hi).
+
+    Every block but the last has max(1, BLOCK_DRAWS // n) rows, so the
+    layout depends only on (replicas, n) and never on the worker count.
+    """
+    replicas = int(replicas)
+    rows = max(1, BLOCK_DRAWS // int(n))
+    return [(b, lo, min(lo + rows, replicas))
+            for b, lo in enumerate(range(0, replicas, rows))]
 
 
-def _draw_block(law, n, seed, lo, hi):
-    """Innovation rows for replica indices [lo, hi)."""
-    block = np.empty((hi - lo, n))
-    for r in range(lo, hi):
-        block[r - lo] = sample(law, _replica_rng(seed, r), size=n)
-    return block
+def block_innovations(law, n, seed, block):
+    """Innovation rows of one block, drawn in one call from the substream
+    keyed (seed, b); row i is replica lo + i."""
+    b, lo, hi = block
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), int(b)]))
+    return sample(law, rng, size=(hi - lo, int(n)))
 
 
-def _stat_block(entries, law, n, seed, lo, hi):
-    """Statistics eps_r^T C eps_r for replica indices [lo, hi)."""
-    out = np.empty(hi - lo)
-    for r in range(lo, hi):
-        eps = sample(law, _replica_rng(seed, r), size=n)
-        out[r - lo] = eps @ entries @ eps
-    return out
+def row_stats(eps, entries):
+    """Row statistics eps_r^T C eps_r of an innovation block, one matmul."""
+    return np.einsum("ri,ri->r", eps @ entries, eps)
 
 
-def _spans(replicas, workers):
-    """Contiguous index spans covering range(replicas) for the worker pool."""
-    chunk = max(1, -(-replicas // max(1, workers * 8)))
-    return [(lo, min(lo + chunk, replicas)) for lo in range(0, replicas, chunk)]
-
-
-def _run_chunked(fn, spans, workers):
-    """Run fn over spans, in parallel when asked, concatenated in span order;
-    the per-replica substreams make the outcome independent of the schedule."""
-    if workers <= 1 or len(spans) <= 1:
-        parts = [fn(lo, hi) for lo, hi in spans]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda span: fn(span[0], span[1]), spans))
-    return np.concatenate(parts)
+def _map_blocks(fn, blocks, workers):
+    """fn over every block, results in block order; blocks are keyed
+    substreams, so the outcome does not depend on the schedule."""
+    if workers <= 1 or len(blocks) <= 1:
+        return [fn(block) for block in blocks]
+    with ThreadPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
+        return list(pool.map(fn, blocks))
 
 
 def collect_stats(entries, law, n, seed, replicas, workers=None):
     """Vector of all replica statistics, in replica-index order."""
     workers = worker_count() if workers is None else int(workers)
-    spans = _spans(int(replicas), workers)
-    return _run_chunked(lambda lo, hi: _stat_block(entries, law, n, seed, lo, hi),
-                        spans, workers)
+    parts = _map_blocks(
+        lambda block: row_stats(block_innovations(law, n, seed, block), entries),
+        replica_blocks(replicas, n), workers)
+    return np.concatenate(parts)
 
 
 def run_tail_experiment(cfg, workers=None):
@@ -202,10 +205,11 @@ def run_tail_experiment(cfg, workers=None):
 def calibrate_risk(a_grid, a0, n, alpha, eta, replicas=100_000, seed=0, workers=None):
     """Estimated rejection risk along a grid of alternatives a.
 
-    One shared innovation sample (common random numbers) is reused for every
-    grid value: for each a > a0 the threshold t_eta comes from
-    critical_value and risk_hat is the fraction of replicas whose statistic
-    eps^T C_a eps reaches it.  Grid values with a <= a0 come back skipped.
+    Common random numbers: each innovation block is drawn once and every
+    grid value a > a0 is tested on it, counting the replicas whose statistic
+    eps^T C_a eps reaches the threshold t_eta from critical_value; risk_hat
+    is the total count over replicas.  Grid values with a <= a0 come back
+    skipped.
     """
     a0 = float(a0)
     n = int(n)
@@ -216,23 +220,27 @@ def calibrate_risk(a_grid, a0, n, alpha, eta, replicas=100_000, seed=0, workers=
         raise ValueError("need a 64-bit unsigned seed")
     law = make_law(alpha)
     workers = worker_count() if workers is None else int(workers)
-    spans = _spans(replicas, workers)
-    eps = _run_chunked(lambda lo, hi: _draw_block(law, n, int(seed), lo, hi),
-                       spans, workers)
+    grid = [float(a) for a in a_grid]
+    tests = [(test_matrix(a, a0, n).entries, critical_value(a, a0, n, law.alpha, eta))
+             for a in grid if a > a0]
 
+    def block_hits(block):
+        eps = block_innovations(law, n, seed, block)
+        return [np.count_nonzero(row_stats(eps, entries) >= t_eta)
+                for entries, t_eta in tests]
+
+    counts = np.sum(_map_blocks(block_hits, replica_blocks(replicas, n), workers),
+                    axis=0, dtype=np.int64)
+    tested = iter(zip(tests, counts))
     rows = []
-    for a in a_grid:
-        a = float(a)
+    for a in grid:
         if not a > a0:
             rows.append(RiskRow(a=a, t_eta=math.nan, risk_hat=math.nan,
                                 se=math.nan, skipped=True))
             continue
-        t_eta = critical_value(a, a0, n, law.alpha, eta)
-        entries = test_matrix(a, a0, n).entries
-        stats = np.einsum("ri,ij,rj->r", eps, entries, eps)
-        risk = float(np.count_nonzero(stats >= t_eta)) / replicas
-        rows.append(RiskRow(a=a, t_eta=t_eta,
-                            risk_hat=risk,
+        (_, t_eta), count = next(tested)
+        risk = int(count) / replicas
+        rows.append(RiskRow(a=a, t_eta=t_eta, risk_hat=risk,
                             se=math.sqrt(risk * (1.0 - risk) / replicas)))
     return rows
 

@@ -37,6 +37,16 @@ def test_domain_error_names_precondition(capsys):
     assert "need finite alpha > 0" in err
 
 
+def test_unwritable_out_is_one_line_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = run(capsys, "dist", "--alpha", "1", "--out", str(target))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(target) in err
+    assert not target.exists()
+
+
 def test_tail_command_output(capsys):
     code, out, _ = run(capsys, "tail", "--alpha", "1", "--a", "0.5",
                        "--n", "10", "--k", "1", "--t", "1e4")

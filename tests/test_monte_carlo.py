@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from heavytail.ar_quadform import ArModel, autocov_matrix
-from heavytail.monte_carlo import (DEFAULT_A_GRID, McConfig, calibrate_risk,
-                                   collect_stats, run_tail_experiment,
-                                   worker_count, write_risk_csv,
-                                   write_tail_csv)
+from heavytail.ar_quadform import test_matrix as statistic_matrix
+from heavytail.monte_carlo import (BLOCK_DRAWS, DEFAULT_A_GRID, McConfig,
+                                   block_innovations, calibrate_risk,
+                                   collect_stats, replica_blocks, row_stats,
+                                   run_tail_experiment, worker_count,
+                                   write_risk_csv, write_tail_csv)
 from heavytail.student_dist import make_law, sample
 from heavytail.tail_formulas import evaluate
 
@@ -54,14 +56,46 @@ def test_replica_stats_reproducible_and_scheduler_free():
 
 
 def test_replica_stats_match_direct_recomputation():
-    cfg = small_config(replicas=50)
-    form = autocov_matrix(cfg.model, cfg.k)
-    got = collect_stats(form.entries, cfg.law, cfg.model.n, cfg.seed,
-                        cfg.replicas, workers=2)
-    for r in (0, 17, 49):
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, r]))
-        eps = sample(cfg.law, rng, size=cfg.model.n)
-        assert got[r] == eps @ form.entries @ eps
+    cfg = small_config(replicas=14_000)
+    n = cfg.model.n
+    entries = autocov_matrix(cfg.model, cfg.k).entries
+    rows = max(1, BLOCK_DRAWS // n)
+    assert cfg.replicas > 2 * rows  # three blocks, the last one partial
+    got = collect_stats(entries, cfg.law, n, cfg.seed, cfg.replicas, workers=2)
+    assert got.shape == (cfg.replicas,)
+    for r in (0, rows - 1, rows, 2 * rows + 5, cfg.replicas - 1):
+        b = r // rows
+        lo, hi = b * rows, min((b + 1) * rows, cfg.replicas)
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, b]))
+        eps = sample(cfg.law, rng, size=(hi - lo, n))
+        assert np.array_equal(got[lo:hi], row_stats(eps, entries))
+        direct = np.array([e @ entries @ e for e in eps])
+        assert np.all(np.abs(got[lo:hi] - direct) <= 1e-12 * np.abs(direct))
+
+
+@pytest.mark.parametrize("replicas,n", [(1, 1), (5, 10), (14_000, 10),
+                                        (4000, 1000), (3, BLOCK_DRAWS + 1)])
+def test_replica_blocks_cover_each_replica_once(replicas, n):
+    blocks = replica_blocks(replicas, n)
+    assert [b for b, _, _ in blocks] == list(range(len(blocks)))
+    covered = [r for _, lo, hi in blocks for r in range(lo, hi)]
+    assert covered == list(range(replicas))
+    rows = max(1, BLOCK_DRAWS // n)
+    assert all(hi - lo == rows for _, lo, hi in blocks[:-1])
+    assert 1 <= blocks[-1][2] - blocks[-1][1] <= rows
+
+
+def test_block_order_does_not_change_stats():
+    cfg = small_config(replicas=14_000)
+    n = cfg.model.n
+    entries = autocov_matrix(cfg.model, cfg.k).entries
+    forward = collect_stats(entries, cfg.law, n, cfg.seed, cfg.replicas,
+                            workers=1)
+    blocks = replica_blocks(cfg.replicas, n)
+    assert len(blocks) >= 2
+    backward = [row_stats(block_innovations(cfg.law, n, cfg.seed, block), entries)
+                for block in reversed(blocks)]
+    assert np.concatenate(backward[::-1]).tobytes() == forward.tobytes()
 
 
 def test_run_tail_experiment_survival_curve():
@@ -155,6 +189,16 @@ def test_calibrate_risk_deterministic_across_workers():
     one = calibrate_risk(*args, replicas=5000, seed=1, workers=1)
     many = calibrate_risk(*args, replicas=5000, seed=1, workers=4)
     assert one == many
+
+
+def test_calibrate_risk_reuses_the_simulation_blocks():
+    # common random numbers: every grid value reads the blocks collect_stats draws
+    law = make_law(1.0)
+    rows = calibrate_risk((0.6, 1.0), 0.5, 8, 1.0, 0.05, replicas=20_000, seed=5)
+    for row in rows:
+        stats = collect_stats(statistic_matrix(row.a, 0.5, 8).entries, law, 8, 5,
+                              20_000, workers=1)
+        assert row.risk_hat == np.count_nonzero(stats >= row.t_eta) / 20_000
 
 
 def test_default_grid_shape():
