@@ -15,9 +15,16 @@ provides the membership scan over k, low-order polynomial forms of d_k, a
 trigonometric closed form on the negative-discriminant half-plane, the
 sufficient condition for coverage, the stability triangle, and the tail
 classification on the stable region.
+
+Membership, stability and the coverage condition are array kernels
+(first_covering_k, stable_mask, theorem_region_mask); the scalar tests
+region_membership, stability_check and theorem_region_test are their
+one-point case.  region_grid scans the whole lattice at once: one
+recursion step over k for every still-uncovered point, in the operation
+order of the one-point recursion, so the rows (and the CSV bytes) are
+those of a point-by-point scan.
 """
 
-import cmath
 import math
 
 import numpy as np
@@ -55,32 +62,57 @@ def diag_seq(a, b, kmax):
     return np.cumsum(col[1:] * col[:-1])
 
 
+def first_covering_k(a, b, kmax=200):
+    """Array kernel of region_membership: for each point of the 1-D arrays
+    a, b, the smallest k in [2, kmax] with d_{k-1} > 0, or 0 when no region
+    up to kmax covers the point.
+
+    One recursion over k runs on every still-uncovered point at once, with
+    the scalar operation order of the recurrence.  Each point's state is
+    rescaled on its own, by 1/max(|prev|, |cur|) once that maximum passes
+    _RESCALE_AT (a positive rescale preserves every sign), so explosive
+    points cannot overflow.  Covered points leave the active set, and the
+    scan stops once none is left.
+    """
+    kmax = int(kmax)
+    if kmax < 2:
+        raise ValueError("need kmax >= 2")
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.ndim != 1 or a.shape != b.shape:
+        raise ValueError("need 1-D a and b of equal length")
+    first = np.zeros(a.size, dtype=np.int64)
+    idx = np.arange(a.size)
+    prev = np.ones_like(a)  # A_{1,1}, A_{2,1}, possibly rescaled
+    cur = a.copy()
+    d = np.zeros_like(a)
+    for k in range(2, kmax + 1):
+        d += cur * prev  # now a positive multiple of d_{k-1}
+        covered = d > 0.0
+        if covered.any():
+            first[idx[covered]] = k
+            keep = ~covered
+            if not keep.any():
+                break
+            idx, a, b, prev, cur, d = (v[keep] for v in (idx, a, b, prev, cur, d))
+        prev, cur = cur, a * cur + b * prev
+        m = np.maximum(np.abs(prev), np.abs(cur))
+        big = m > _RESCALE_AT
+        if big.any():
+            s = 1.0 / m[big]
+            prev[big] *= s
+            cur[big] *= s
+            d[big] *= s * s
+    return first
+
+
 def region_membership(a, b, kmax=200):
     """Smallest k in [2, kmax] whose region contains (a, b), meaning
     d_{k-1} > 0 strictly; None when no region up to kmax covers the point.
-
-    The scan tracks a uniformly rescaled copy of the recursion (a positive
-    rescale preserves every sign), so explosive parameter points cannot
-    overflow.
+    The one-point case of first_covering_k.
     """
-    if int(kmax) < 2:
-        raise ValueError("need kmax >= 2")
-    a = float(a)
-    b = float(b)
-    prev, cur = 1.0, a  # A_{1,1}, A_{2,1}, possibly rescaled
-    d = 0.0
-    for k in range(2, int(kmax) + 1):
-        d += cur * prev  # now a positive multiple of d_{k-1}
-        if d > 0.0:
-            return k
-        prev, cur = cur, a * cur + b * prev
-        m = max(abs(prev), abs(cur))
-        if m > _RESCALE_AT:
-            s = 1.0 / m
-            prev *= s
-            cur *= s
-            d *= s * s
-    return None
+    k = int(first_covering_k([float(a)], [float(b)], kmax)[0])
+    return k if k else None
 
 
 def region_polynomials(a, b):
@@ -130,6 +162,15 @@ def closed_form_diag(r, phi, k):
     return num / den
 
 
+def theorem_region_mask(a, b):
+    """Array kernel of theorem_region_test: a > 0, or b < -a^2 - 1, or
+    b < min(-a^2/4, a - 1), elementwise over arrays a, b."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    return ((a > 0.0) | (b < -a * a - 1.0)
+            | (b < np.minimum(-a * a / 4.0, a - 1.0)))
+
+
 def theorem_region_test(a, b):
     """True when (a, b) is in the proven-coverage region: a > 0, or a <= 0
     with b < -a^2 - 1, or a <= 0 with b < min(-a^2/4, a - 1).
@@ -138,20 +179,27 @@ def theorem_region_test(a, b):
     closure of the regions while no strict region contains them; everywhere
     else membership at some finite k follows.
     """
-    a = float(a)
-    b = float(b)
-    if a > 0.0:
-        return True
-    return b < -a * a - 1.0 or b < min(-a * a / 4.0, a - 1.0)
+    return bool(theorem_region_mask(float(a), float(b)))
+
+
+def stable_mask(a, b):
+    """Array kernel of stability_check: both roots (a +- sqrt(a^2 + 4 b)) / 2
+    of z^2 - a z - b strictly inside the unit disk, elementwise."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    root = np.sqrt((a * a + 4.0 * b).astype(complex))
+    # hypot, as the scalar abs(complex) takes it: np.abs of a complex array
+    # can round the other way, which flips points on the unit circle
+    plus = (a + root) / 2.0
+    minus = (a - root) / 2.0
+    top = np.maximum(np.hypot(plus.real, plus.imag),
+                     np.hypot(minus.real, minus.imag))
+    return top < 1.0
 
 
 def stability_check(a, b):
     """True when both roots of z^2 - a z - b lie strictly inside the unit disk."""
-    a = float(a)
-    b = float(b)
-    root = cmath.sqrt(complex(a * a + 4.0 * b))
-    top = max(abs((a + root) / 2.0), abs((a - root) / 2.0))
-    return top < 1.0
+    return bool(stable_mask(float(a), float(b)))
 
 
 def stable_tail_class(a, b, n, alpha):
@@ -193,23 +241,38 @@ def region_grid(a_min, a_max, b_min, b_max, steps, kmax=200):
         raise ValueError("need steps >= 2")
     if not (float(a_min) < float(a_max) and float(b_min) < float(b_max)):
         raise ValueError("need a_min < a_max and b_min < b_max")
-    rows = []
-    for a in np.linspace(float(a_min), float(a_max), steps):
-        for b in np.linspace(float(b_min), float(b_max), steps):
-            first = region_membership(a, b, kmax=kmax)
-            rows.append((float(a), float(b), stability_check(a, b), first,
-                         theorem_region_test(a, b),
-                         POWER_HALF if first is not None else POWER_LOG))
-    return rows
+    a = np.repeat(np.linspace(float(a_min), float(a_max), steps), steps)
+    b = np.tile(np.linspace(float(b_min), float(b_max), steps), steps)
+    first = first_covering_k(a, b, kmax=kmax)
+    return [(a_v, b_v, stable, k or None, covered, POWER_HALF if k else POWER_LOG)
+            for a_v, b_v, stable, k, covered
+            in zip(a.tolist(), b.tolist(), stable_mask(a, b).tolist(),
+                   first.tolist(), theorem_region_mask(a, b).tolist())]
+
+
+class _Digits17(dict):
+    """Real -> its text with 17 significant digits, formatted on first lookup.
+
+    Keys compare by value, so 0.0 and -0.0 would share one entry: callers
+    format zeros directly.  (A float.hex() key keeps them apart too, but
+    costs about as much as the formatting it saves.)
+    """
+
+    def __missing__(self, v):
+        text = self[v] = format(v, ".17g")
+        return text
 
 
 def write_region_csv(rows, fh, header_lines=()):
     """Write region_grid rows as CSV: booleans as 1/0, missing k as an empty
-    field, reals with 17 significant digits, LF line endings."""
+    field, reals with 17 significant digits, LF line endings.  Each distinct
+    nonzero coordinate is formatted once."""
+    text = _Digits17()
     for line in header_lines:
         fh.write("# %s\n" % line)
     fh.write("a,b,stable,first_covering_k,in_theorem_region,regime\n")
-    for a, b, stable, first, covered, regime in rows:
-        fh.write("%s,%s,%d,%s,%d,%s\n"
-                 % (format(a, ".17g"), format(b, ".17g"), int(stable),
-                    "" if first is None else str(int(first)), int(covered), regime))
+    fh.writelines(["%s,%s,%d,%s,%d,%s\n"
+                   % (text[a] if a else format(a, ".17g"),
+                      text[b] if b else format(b, ".17g"), stable,
+                      "" if first is None else "%d" % first, covered, regime)
+                   for a, b, stable, first, covered, regime in rows])

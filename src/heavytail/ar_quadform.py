@@ -114,15 +114,25 @@ def test_matrix(a, a0, n):
     return QuadForm(n=n, entries=c)
 
 
+def power_sums(x, m):
+    """Prefix geometric sums [power_sum(x, 1), ..., power_sum(x, m)] in one
+    pass of the same Horner recurrence p_j = p_{j-1} x + 1, so every entry
+    has the bits power_sum gives."""
+    sums = []
+    total = 0.0
+    for _ in range(max(0, int(m))):
+        total = total * x + 1.0
+        sums.append(total)
+    return sums
+
+
 def power_sum(x, m):
     """Finite geometric sum 1 + x + ... + x^(m-1), with the empty sum 0.
 
     Horner evaluation; exact at x = 1 (gives m), no ratio formed.
     """
-    total = 0.0
-    for _ in range(max(0, int(m))):
-        total = total * x + 1.0
-    return total
+    sums = power_sums(x, m)
+    return sums[-1] if sums else 0.0
 
 
 def ar1_diag_closed(a, n, k, i):

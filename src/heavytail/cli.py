@@ -8,7 +8,8 @@ of alternatives), dist (innovation-law queries).
 Every run echoes its resolved configuration as a '#'-prefixed header line,
 reals carry 17 significant digits, and line endings are LF.  Exit codes:
 0 on success, 2 on usage errors, 1 on domain errors (the message names the
-violated precondition) and on output files that cannot be written.
+violated precondition), on floating-point overflow and on output files that
+cannot be written.
 HEAVYTAIL_THREADS caps the worker pool; results do not depend on it.
 """
 
@@ -259,7 +260,7 @@ def main(argv=None):
         with _open_out(args) as fh:
             args.handler(args, fh)
         return 0
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, OverflowError, FloatingPointError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

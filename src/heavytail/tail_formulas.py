@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ar_quadform import (QuadForm, ar1_offdiag_closed, power_sum, shift_pow,
+from .ar_quadform import (QuadForm, ar1_offdiag_closed, power_sums, shift_pow,
                           test_matrix)
 from .student_dist import make_law
 
@@ -62,6 +62,9 @@ class TailLaw:
         if self.regime in COEF_REGIMES:
             if self.coef is None or not self.coef > 0.0:
                 raise ValueError("need coef > 0 in regime %s" % self.regime)
+            if not math.isfinite(self.coef):
+                raise ValueError("coef overflows a double in regime %s"
+                                 % self.regime)
         elif self.coef is not None:
             raise ValueError("regime %s carries no coefficient" % self.regime)
 
@@ -130,6 +133,12 @@ def coef_degenerate_case(c, alpha):
     return law.k_s ** 2 * alpha ** alpha * total
 
 
+def _upper_pairs(mask):
+    """Index pairs (i, j), i < j, where the square mask holds, row-major."""
+    rows, cols = np.nonzero(np.triu(mask, 1))
+    return tuple(zip(rows.tolist(), cols.tolist()))
+
+
 def classify(c, alpha):
     """DegeneracyClass and TailLaw of P{eps^T C eps >= t}.
 
@@ -145,7 +154,6 @@ def classify(c, alpha):
     alpha = float(alpha)
     if not alpha > 0.0:
         raise ValueError("need alpha > 0")
-    n = m.shape[0]
     diag = np.diag(m)
     tol = _diag_zero_tol(diag)
 
@@ -159,15 +167,15 @@ def classify(c, alpha):
         return (DegeneracyClass("gt2", ()),
                 TailLaw(ZERO, alpha, note="the form is identically zero"))
 
-    zero_rows = np.flatnonzero(np.abs(diag) <= tol)
+    zero = np.abs(diag) <= tol
+    zero_rows = np.flatnonzero(zero)
     if zero_rows.size:
         sym = m + m.T
         coupled = float(np.sum(np.abs(sym[zero_rows, :]) ** alpha))
         if coupled > 0.0:
-            pairs = sorted({tuple(sorted((int(i), int(j))))
-                            for i in zero_rows for j in range(n)
-                            if j != i and sym[i, j] != 0.0})
-            return (DegeneracyClass(2, tuple(pairs)),
+            # sym is symmetric, so the upper triangle lists each pair once
+            pairs = _upper_pairs((zero[:, None] | zero[None, :]) & (sym != 0.0))
+            return (DegeneracyClass(2, pairs),
                     TailLaw(POWER_LOG, alpha, coef=coef_degenerate_case(m, alpha)))
         return (DegeneracyClass("gt2", ()),
                 TailLaw(SUB_POWER, alpha,
@@ -176,10 +184,11 @@ def classify(c, alpha):
 
     # all diagonal entries strictly negative
     sym = (m + m.T) / 2.0
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
-             if sym[i, j] ** 2 > sym[i, i] * sym[j, j]]
+    half = np.diag(sym)
+    # float_power is libm pow, the square the scalar test sym[i, j] ** 2 takes
+    pairs = _upper_pairs(np.float_power(sym, 2.0) > np.multiply.outer(half, half))
     if pairs:
-        return (DegeneracyClass(2, tuple(pairs)),
+        return (DegeneracyClass(2, pairs),
                 TailLaw(ORDER_ONLY, alpha,
                         note="negative diagonals with an indefinite coordinate "
                              "pair; exact order t^(-alpha), no closed coefficient"))
@@ -220,7 +229,7 @@ def ar1_upper_tail(a, n, k, alpha):
         return TailLaw(POWER_LOG, alpha,
                        coef=coef_degenerate_case(shift_pow(n, k), alpha))
     if k % 2 == 0 or a > 0.0:
-        body = sum(power_sum(a * a, i) ** (alpha / 2.0) for i in range(1, n - k + 1))
+        body = sum(p ** (alpha / 2.0) for p in power_sums(a * a, n - k))
         coef = _power_half_scale(law) * 2.0 * abs(a) ** (k * alpha / 2.0) * body
         return TailLaw(POWER_HALF, alpha, coef=coef)
     # odd lag, a < 0: diagonal entries vanish on the last k rows
@@ -249,7 +258,7 @@ def ar1_lower_tail(a, n, alpha):
     law = make_law(alpha)
     if n == 1:
         return TailLaw(ZERO, alpha, note="lag 1 at path length 1; the form is zero")
-    body = sum(power_sum(a * a, n - i) ** (alpha / 2.0) for i in range(1, n))
+    body = sum(p ** (alpha / 2.0) for p in reversed(power_sums(a * a, n - 1)))
     coef = _power_half_scale(law) * 2.0 * abs(a) ** (alpha / 2.0) * body
     return TailLaw(POWER_HALF, alpha, coef=coef)
 
@@ -280,7 +289,7 @@ def test_stat_tail(a, a0, n, alpha):
         raise ValueError("need n >= 2")
     law = make_law(alpha)
     if a > a0:
-        body = sum(power_sum(a * a, n - i) ** (alpha / 2.0) for i in range(1, n))
+        body = sum(p ** (alpha / 2.0) for p in reversed(power_sums(a * a, n - 1)))
         coef = _power_half_scale(law) * 2.0 * (a - a0) ** (alpha / 2.0) * body
         return TailLaw(POWER_HALF, alpha, coef=coef)
     if a == a0:

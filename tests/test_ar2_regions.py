@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heavytail.ar_quadform import ArModel, autocov_matrix
-from heavytail.ar2_regions import (a_col, closed_form_diag, diag_seq,
-                                   region_grid, region_membership,
-                                   region_polynomials, stability_check,
-                                   stable_tail_class, theorem_region_test,
-                                   write_region_csv)
+from heavytail.ar2_regions import (_RESCALE_AT, a_col, closed_form_diag,
+                                   diag_seq, first_covering_k, region_grid,
+                                   region_membership, region_polynomials,
+                                   stability_check, stable_mask,
+                                   stable_tail_class, theorem_region_mask,
+                                   theorem_region_test, write_region_csv)
 from heavytail.student_dist import make_law
 from heavytail.tail_formulas import (POWER_HALF, POWER_LOG,
                                      coef_degenerate_case)
@@ -228,3 +229,104 @@ def test_region_grid_rows_and_csv(tmp_path):
         assert stable_s in ("0", "1") and covered_s in ("0", "1")
         assert first_s == "" or int(first_s) >= 2
         assert regime_s in (POWER_HALF, POWER_LOG)
+
+
+# Scalar reference implementations the array kernels replaced; the kernels
+# keep their operation order, so they must agree bit for bit.
+
+def membership_oracle(a, b, kmax):
+    prev, cur = 1.0, a
+    d = 0.0
+    for k in range(2, kmax + 1):
+        d += cur * prev
+        if d > 0.0:
+            return k
+        prev, cur = cur, a * cur + b * prev
+        m = max(abs(prev), abs(cur))
+        if m > _RESCALE_AT:
+            s = 1.0 / m
+            prev *= s
+            cur *= s
+            d *= s * s
+    return None
+
+
+def stability_oracle(a, b):
+    root = cmath.sqrt(complex(a * a + 4.0 * b))
+    return max(abs((a + root) / 2.0), abs((a - root) / 2.0)) < 1.0
+
+
+def theorem_oracle(a, b):
+    if a > 0.0:
+        return True
+    return b < -a * a - 1.0 or b < min(-a * a / 4.0, a - 1.0)
+
+
+def assert_kernels_match_oracles(a, b, kmax):
+    first = first_covering_k(a, b, kmax)
+    stable = stable_mask(a, b)
+    covered = theorem_region_mask(a, b)
+    for i, (av, bv) in enumerate(zip(a.tolist(), b.tolist())):
+        want = membership_oracle(av, bv, kmax)
+        assert (int(first[i]) or None) == want, (av, bv, kmax)
+        assert bool(stable[i]) == stability_oracle(av, bv), (av, bv)
+        assert bool(covered[i]) == theorem_oracle(av, bv), (av, bv)
+
+
+@given(a_lo=st.floats(-10.0, 9.99), a_span=st.floats(1e-3, 10.0),
+       b_lo=st.floats(-1000.0, 5.0), b_span=st.floats(1e-3, 1000.0),
+       steps=st.integers(2, 7), kmax=st.integers(2, 2000))
+@settings(max_examples=60, deadline=None)
+def test_kernels_match_scalar_oracles_on_lattices(a_lo, a_span, b_lo, b_span,
+                                                  steps, kmax):
+    # |a| <= 10 and b >= -1000 reach the explosive points that need rescaling
+    a_hi = min(10.0, a_lo + a_span)
+    a = np.repeat(np.linspace(a_lo, a_hi, steps), steps)
+    b = np.tile(np.linspace(b_lo, b_lo + b_span, steps), steps)
+    assert_kernels_match_oracles(a, b, kmax)
+    rows = region_grid(a_lo, a_hi, b_lo, b_lo + b_span, steps, kmax=kmax)
+    assert [row[:5] for row in rows] == [
+        (av, bv, stability_oracle(av, bv), membership_oracle(av, bv, kmax),
+         theorem_oracle(av, bv)) for av, bv in zip(a.tolist(), b.tolist())]
+
+
+@given(a=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=8),
+       kmax=st.integers(2, 400))
+@settings(max_examples=60, deadline=None)
+def test_kernels_match_scalar_oracles_on_triangle_edges(a, kmax):
+    # the stability-triangle edges b = -1, a + b = 1, b - a = 1 and the
+    # double-root parabola a^2 + 4 b = 0, where every strict test is tight
+    a = np.array(a)
+    edges = (np.full_like(a, -1.0), 1.0 - a, 1.0 + a, -a * a / 4.0)
+    assert_kernels_match_oracles(np.tile(a, len(edges)), np.concatenate(edges), kmax)
+
+
+def test_first_covering_k_marks_uncovered_points_zero():
+    a = np.array([0.5, -0.5, -3.0, 0.0])
+    b = np.array([-0.3, 0.2, -50.0, 0.5])
+    assert first_covering_k(a, b, 200).tolist() == [2, 0, 3, 0]
+    with pytest.raises(ValueError):
+        first_covering_k(a, b[:2], 200)
+    with pytest.raises(ValueError):
+        first_covering_k(a.reshape(2, 2), b.reshape(2, 2), 200)
+    with pytest.raises(ValueError):
+        first_covering_k(a, b, 1)
+
+
+def test_write_region_csv_keeps_signed_zeros_apart_and_nans(tmp_path):
+    rows = [(0.0, -0.0, True, 2, True, POWER_HALF),
+            (-0.0, 0.0, False, None, False, POWER_LOG),
+            (0.0, 0.0, False, None, False, POWER_LOG),
+            (-0.0, -0.0, True, 3, False, POWER_HALF),
+            (math.nan, 2.5, False, None, False, POWER_LOG),
+            (math.nan, 2.5, False, None, False, POWER_LOG)]
+    out = tmp_path / "zeros.csv"
+    with open(out, "w", newline="\n") as fh:
+        write_region_csv(rows, fh)
+    assert out.read_text().splitlines()[1:] == [
+        "0,-0,1,2,1,PowerHalf",
+        "-0,0,0,,0,PowerLog",
+        "0,0,0,,0,PowerLog",
+        "-0,-0,1,3,0,PowerHalf",
+        "nan,2.5,0,,0,PowerLog",
+        "nan,2.5,0,,0,PowerLog"]

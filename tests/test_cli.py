@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -45,6 +46,19 @@ def test_unwritable_out_is_one_line_error(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(target) in err
     assert not target.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("tail", "--alpha", "1.5", "--a", "3", "--n", "400"),
+    ("dist", "--alpha", "1e6"),
+    ("simulate", "--alpha", "1e6", "--a", "0.5", "--n", "10", "--replicas", "100"),
+    ("calibrate", "--alpha", "1e6", "--replicas", "100"),
+])
+def test_overflow_is_one_line_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert "inf" not in out
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_tail_command_output(capsys):
@@ -118,6 +132,17 @@ def test_regions_command_to_file(tmp_path, capsys):
     assert lines[0].startswith("# config cmd=regions ")
     assert lines[1] == "a,b,stable,first_covering_k,in_theorem_region,regime"
     assert len(lines) == 2 + 9
+
+
+# sha256 of `regions --steps 201`: the scan uses no RNG, so any change to
+# these bytes is a change in the scan or the CSV format
+REGIONS_201_SHA256 = "f55b0dc3cf12bbb072c8ea648a69586f4999028317ee04264adb8648b8162a1f"
+
+
+def test_regions_default_plane_bytes_are_pinned(tmp_path):
+    out_path = tmp_path / "regions.csv"
+    assert main(["regions", "--steps", "201", "--out", str(out_path)]) == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == REGIONS_201_SHA256
 
 
 def test_simulate_command_and_determinism(tmp_path, capsys):

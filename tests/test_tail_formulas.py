@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heavytail.ar_quadform import ArModel, autocov_matrix, shift_pow
+from heavytail.ar_quadform import ArModel, autocov_matrix, power_sum, shift_pow
 from heavytail.ar_quadform import test_matrix as statistic_matrix
 from heavytail.student_dist import make_law
 from heavytail.tail_formulas import (ORDER_ONLY, POWER_HALF, POWER_LOG,
@@ -245,3 +245,105 @@ def test_tail_law_validation():
         TailLaw(POWER_HALF, -1.0, coef=1.0)
     with pytest.raises(ValueError):
         DegeneracyClass(3, ())
+
+
+# The closed forms once called power_sum(a * a, m) for every m; they now
+# read one prefix sequence of the same recurrence, summed in the same order,
+# so the coefficients must keep every bit.
+
+def old_upper_coef(a, n, k, alpha):
+    law = make_law(alpha)
+    body = sum(power_sum(a * a, i) ** (alpha / 2.0) for i in range(1, n - k + 1))
+    return (law.k_s * alpha ** ((alpha - 1.0) / 2.0) * 2.0
+            * abs(a) ** (k * alpha / 2.0) * body)
+
+
+def old_descending_coef(a, lead, n, alpha):
+    law = make_law(alpha)
+    body = sum(power_sum(a * a, n - i) ** (alpha / 2.0) for i in range(1, n))
+    return (law.k_s * alpha ** ((alpha - 1.0) / 2.0) * 2.0
+            * lead ** (alpha / 2.0) * body)
+
+
+@given(a=st.floats(-1.5, 1.5), a0=st.floats(-1.0, 1.0), n=st.integers(2, 300),
+       k=st.sampled_from([0, 1, 2, 4]), alpha=st.floats(0.2, 6.0))
+@settings(max_examples=150, deadline=None)
+def test_closed_form_power_sums_keep_every_bit(a, a0, n, k, alpha):
+    # leads below 1e-6 can underflow the coefficient to 0, which TailLaw rejects
+    if k < n and abs(a) > 1e-6 and (k % 2 == 0 or a > 0.0):
+        assert ar1_upper_tail(a, n, k, alpha).coef == old_upper_coef(a, n, k, alpha)
+    if a < -1e-6:
+        assert ar1_lower_tail(a, n, alpha).coef == old_descending_coef(a, abs(a), n, alpha)
+    if a - a0 > 1e-6:
+        assert stat_tail(a, a0, n, alpha).coef == old_descending_coef(a, a - a0, n, alpha)
+
+
+def test_closed_form_power_sums_keep_every_bit_at_n_1000():
+    for a in (-0.9, 0.5, 1.0):
+        assert ar1_upper_tail(a, 1000, 2, 1.5).coef == old_upper_coef(a, 1000, 2, 1.5)
+        assert stat_tail(a, -0.95, 1000, 1.5).coef == old_descending_coef(
+            a, a + 0.95, 1000, 1.5)
+    assert ar1_lower_tail(-0.9, 1000, 1.5).coef == old_descending_coef(-0.9, 0.9, 1000, 1.5)
+
+
+# classify once enumerated its witness pairs with Python comprehensions; the
+# numpy masks must give the same tuples in the same order.
+
+def old_power_log_pairs(m):
+    diag = np.diag(m)
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(diag))))
+    zero_rows = np.flatnonzero(np.abs(diag) <= tol)
+    sym = m + m.T
+    return tuple(sorted({tuple(sorted((int(i), int(j))))
+                         for i in zero_rows for j in range(m.shape[0])
+                         if j != i and sym[i, j] != 0.0}))
+
+
+def old_order_only_pairs(m):
+    n = m.shape[0]
+    sym = (m + m.T) / 2.0
+    return tuple((i, j) for i in range(n) for j in range(i + 1, n)
+                 if sym[i, j] ** 2 > sym[i, i] * sym[j, j])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_classify_pairs_match_the_comprehensions(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 40))
+    # negative diagonal, sparse couplings of either strength
+    m = rng.normal(scale=rng.uniform(0.2, 2.0), size=(n, n))
+    m[rng.random((n, n)) < 0.5] = 0.0
+    np.fill_diagonal(m, -rng.uniform(0.5, 2.0, n))
+    dc, law = classify(m, 1.5)
+    want = old_order_only_pairs(m)
+    assert dc.j_sets == want
+    assert law.regime == (ORDER_ONLY if want else SUB_POWER)
+    # now zero some diagonal entries, with couplings on only some of them
+    zero = rng.choice(n, size=max(1, n // 4), replace=False)
+    m[zero, zero] = 0.0
+    dc, law = classify(m, 1.5)
+    want = old_power_log_pairs(m)
+    if law.regime == POWER_LOG:
+        assert dc.j_sets == want
+    else:
+        assert law.regime == SUB_POWER and want == ()
+
+
+def test_classify_pairs_match_the_comprehensions_at_n_800():
+    rng = np.random.default_rng(800)
+    m = rng.normal(scale=0.8, size=(800, 800))
+    np.fill_diagonal(m, -2.0)
+    dc, law = classify(m, 1.5)
+    assert law.regime == ORDER_ONLY
+    assert dc.j_sets == old_order_only_pairs(m)
+    c = statistic_matrix(-0.62, -0.4, 800).entries
+    dc, law = classify(c, 1.5)
+    assert law.regime == POWER_LOG
+    assert dc.j_sets == old_power_log_pairs(c)
+
+
+def test_tail_law_rejects_an_overflowing_coefficient():
+    with pytest.raises(ValueError, match="overflows"):
+        TailLaw(POWER_HALF, 1.5, coef=math.inf)
+    with pytest.raises(ValueError, match="overflows"):
+        ar1_upper_tail(3.0, 400, 1, 1.5)
