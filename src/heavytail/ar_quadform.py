@@ -62,6 +62,11 @@ class QuadForm:
         object.__setattr__(self, "entries", entries)
 
 
+# longest path ar_paths runs step by step; past it the doubling scan's
+# log2(n) passes over a Monte Carlo block cost less than n single-slice steps
+SEQUENTIAL_MAX_N = 32
+
+
 def build_a(model):
     """Unit lower triangular A with X = A eps for every innovation vector.
 
@@ -91,27 +96,51 @@ def shift_pow(n, k):
     return b
 
 
+def _solve_form(theta, y):
+    """C = A^T Y without a matrix product, overwriting y.  With L = A^{-1}
+    the banded AR filter, L^T C = Y reads bottom-up
+
+        C[r] = Y[r] + theta_1 C[r+1] + ... + theta_p C[r+p],
+
+    which costs O(n^2 p) instead of the O(n^3) product."""
+    n = y.shape[0]
+    for r in range(n - 2, -1, -1):
+        for i, t in enumerate(theta[:n - 1 - r], start=1):
+            if t != 0.0:
+                y[r] += t * y[r + i]
+    return y
+
+
 def autocov_matrix(model, k):
-    """QuadForm C = A^T B^k A, so that eps^T C eps = n gamma_n(k)."""
+    """QuadForm C = A^T B^k A, so that eps^T C eps = n gamma_n(k).
+
+    Overflowing entries reach QuadForm's finiteness check without a numpy
+    warning."""
     if k < 0:
         raise ValueError("need k >= 0")
     n = model.n
     if k >= n:
         return QuadForm(n=n, entries=np.zeros((n, n)))
-    a = build_a(model)
-    # row i of B^k A is row i-k of A, so A^T B^k A pairs rows k.. with rows ..n-k
-    return QuadForm(n=n, entries=a[k:].T @ a[:n - k])
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = build_a(model)
+        # row r of B^k A is row r-k of A
+        y = np.zeros((n, n))
+        y[k:] = a[:n - k]
+        return QuadForm(n=n, entries=_solve_form(model.theta, y))
 
 
 def test_matrix(a, a0, n):
     """QuadForm of the studentized statistic n (gamma_n(1) - a0 hat_gamma_n(0))
     for an AR(1) model with coefficient a."""
     model = ArModel((float(a),), n)
-    amat = build_a(model)
-    # B A is A shifted down one row: A^T B A and (B A)^T (B A) by row slicing
-    lag = amat[:-1]
-    c = amat[1:].T @ lag - float(a0) * (lag.T @ lag)
-    return QuadForm(n=n, entries=c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        amat = build_a(model)
+        # B A - a0 B^T B A: A shifted down one row, minus a0 times A with its
+        # last row cleared
+        y = np.zeros((n, n))
+        y[1:] = amat[:-1]
+        y[:-1] -= float(a0) * amat[:-1]
+        return QuadForm(n=n, entries=_solve_form(model.theta, y))
 
 
 def power_sums(x, m):
@@ -167,19 +196,70 @@ def ar1_offdiag_closed(a, n, k, i, j):
     return float(a) ** abs(i - j - k) * power_sum(a * a, m)
 
 
+def ar_paths(theta, eps):
+    """AR paths X = A eps of a time-major innovation block eps, shape (n, ...),
+    as a new C-contiguous array.
+
+    Paths of at most SEQUENTIAL_MAX_N steps run the recursion step by step,
+    each step one elementwise update of a whole time slice.  Longer paths
+    use a Hillis-Steele doubling scan on the companion state
+    z[t] = (x[t], ..., x[t-p+1]) with companion matrix M: z[t] starts at
+    (eps[t], 0, ..., 0), and the pass with stride s = 1, 2, 4, ... adds
+    M^s z[t-s], after which z[t] sums the innovations eps[t-2s+1..t].
+    Elementwise numpy only, O(n log n p^2) per column.  Explosive models may
+    overflow to inf or nan; callers check finiteness.
+    """
+    theta = [float(t) for t in theta]
+    p = len(theta)
+    eps = np.asarray(eps, dtype=float)
+    n = eps.shape[0]
+    if n <= SEQUENTIAL_MAX_N:
+        x = np.empty(eps.shape)
+        step = np.empty((1,) + eps.shape[1:])
+        for t in range(n):
+            row, acc = x[t:t + 1], eps[t:t + 1]
+            for i, c in enumerate(theta[:t], start=1):
+                if c != 0.0:
+                    prev = x[t - i:t - i + 1]
+                    if c != 1.0:  # a unit coefficient adds its slice as is
+                        prev = np.multiply(prev, c, out=step)
+                    np.add(acc, prev, out=row)
+                    acc = row
+            if acc is not row:
+                np.copyto(row, acc)
+        return x
+    z = [np.array(eps, order="C")] + [np.zeros(eps.shape) for _ in range(p - 1)]
+    updates = [np.empty(eps.shape) for _ in range(p)]
+    power = [theta] + [[float(j == i - 1) for j in range(p)] for i in range(1, p)]
+    s = 1
+    while s < n:
+        m = n - s
+        # every update reads z before this pass changes it
+        live = []
+        for row, update in zip(power, updates):
+            terms = [(c, zj[:m]) for c, zj in zip(row, z) if c != 0.0]
+            if terms:
+                (c, src), rest = terms[0], terms[1:]
+                np.multiply(src, c, out=update[:m])
+                for c, src in rest:
+                    update[:m] += c * src
+            live.append(bool(terms))
+        for zi, update, add in zip(z, updates, live):
+            if add:
+                np.add(zi[s:], update[:m], out=zi[s:])
+        power = [[sum(row[q] * power[q][j] for q in range(p)) for j in range(p)]
+                 for row in power]
+        s *= 2
+    return z[0]
+
+
 def simulate_path(model, eps):
     """Run the AR recursion on one innovation vector; equals build_a(model) @ eps
     up to rounding."""
     eps = np.asarray(eps, dtype=float)
     if eps.shape != (model.n,):
         raise ValueError("need eps of length n")
-    x = np.zeros(model.n)
-    for r in range(model.n):
-        acc = eps[r]
-        for i, t in enumerate(model.theta[:r], start=1):
-            acc += t * x[r - i]
-        x[r] = acc
-    return x
+    return ar_paths(model.theta, eps)
 
 
 def empirical_autocov(x, k):

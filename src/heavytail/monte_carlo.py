@@ -5,9 +5,10 @@ max(1, BLOCK_DRAWS // n) rows, and block b draws its (rows, n) innovations
 in one call from the substream keyed SeedSequence([seed, b]).  The layout
 depends only on (replicas, n), so every statistic is a pure function of
 (seed, replicas, n) and results are bit-identical for any worker count and
-any block schedule.  Each block is reduced with one matrix product; the
-risk calibration reuses every block for the whole grid of alternatives
-(common random numbers).  The empirical survival function comes from one
+any block schedule.  The tail experiment reduces each block along its AR
+paths, as lagged products of X = A eps; the risk calibration tests every
+block against the dense form of each grid alternative (common random
+numbers).  The empirical survival function comes from one
 sort of the replica statistics; theory curves are the first-order
 coefficients evaluated on the same threshold grid.
 """
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ar_quadform import ArModel, autocov_matrix, test_matrix
+from .ar_quadform import ArModel, ar_paths, autocov_matrix, test_matrix
 from .student_dist import StudentLaw, make_law, sample
 from .tail_formulas import (COEF_REGIMES, POWER_LOG, ZERO, classify,
                             critical_value, evaluate, test_stat_tail)
@@ -146,6 +147,23 @@ def row_stats(eps, entries):
     return np.einsum("ri,ri->r", eps @ entries, eps)
 
 
+def path_stats(eps, theta, k=None, a0=None):
+    """Statistics of an innovation block eps, shape (rows, n), reduced along
+    the time-major AR paths X = A eps: n gamma_n(k), the lagged product sum
+    of x[t] x[t-k], for lag k, or the pivot
+    n (gamma_n(1) - a0 hat_gamma_n(0)) = sum of (x[t] - a0 x[t-1]) x[t-1]
+    for reference a0.  Exactly one of k and a0 is set.
+    """
+    rows, n = eps.shape
+    if k is not None and k >= n:
+        return np.zeros(rows)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = ar_paths(theta, eps.T)
+        if a0 is None:
+            return np.einsum("ir,ir->r", x[k:], x[:n - k])
+        return np.einsum("ir,ir->r", x[1:] - a0 * x[:-1], x[:-1])
+
+
 def _map_blocks(fn, blocks, workers):
     """fn over every block, results in block order; blocks are keyed
     substreams, so the outcome does not depend on the schedule."""
@@ -155,28 +173,42 @@ def _map_blocks(fn, blocks, workers):
         return list(pool.map(fn, blocks))
 
 
-def collect_stats(entries, law, n, seed, replicas, workers=None):
-    """Vector of all replica statistics, in replica-index order."""
+def collect_stats(cfg, workers=None):
+    """Vector of all replica statistics of a tail experiment, in
+    replica-index order, reduced block by block along the AR paths.
+
+    Raises OverflowError when a statistic is not finite (explosive models).
+    """
     workers = worker_count() if workers is None else int(workers)
-    parts = _map_blocks(
-        lambda block: row_stats(block_innovations(law, n, seed, block), entries),
-        replica_blocks(replicas, n), workers)
-    return np.concatenate(parts)
+    n = cfg.model.n
+    k = None if cfg.k is None else int(cfg.k)
+    a0 = None if cfg.a0 is None else float(cfg.a0)
+
+    def block_stats(block):
+        eps = block_innovations(cfg.law, n, cfg.seed, block)
+        return path_stats(eps, cfg.model.theta, k=k, a0=a0)
+
+    stats = np.concatenate(_map_blocks(block_stats, replica_blocks(cfg.replicas, n),
+                                       workers))
+    if not np.all(np.isfinite(stats)):
+        raise OverflowError("replica statistics overflow; the model is too "
+                            "explosive for n=%d" % n)
+    return stats
 
 
 def run_tail_experiment(cfg, workers=None):
     """Monte Carlo tail experiment for one configuration.
 
-    Classifies the configured quadratic form, draws all replica statistics,
-    and returns the empirical survival curve on a log-spaced threshold grid
-    next to the first-order theory curve (absent when the regime has no
-    coefficient).  The PowerLog approximation needs every threshold above e.
+    Classifies the configured statistic (the lag-k form through the general
+    classifier, the test statistic through its closed form), draws all
+    replica statistics, and returns the empirical survival curve on a
+    log-spaced threshold grid next to the first-order theory curve (absent
+    when the regime has no coefficient).  The PowerLog approximation needs
+    every threshold above e.
     """
     if cfg.k is not None:
-        form = autocov_matrix(cfg.model, int(cfg.k))
-        tail = classify(form, cfg.law.alpha)[1]
+        tail = classify(autocov_matrix(cfg.model, int(cfg.k)), cfg.law.alpha)[1]
     else:
-        form = test_matrix(cfg.model.theta[0], float(cfg.a0), cfg.model.n)
         tail = test_stat_tail(cfg.model.theta[0], float(cfg.a0),
                               cfg.model.n, cfg.law.alpha)
     t = np.logspace(math.log10(float(cfg.t_min)), math.log10(float(cfg.t_max)),
@@ -184,9 +216,7 @@ def run_tail_experiment(cfg, workers=None):
     if tail.regime == POWER_LOG and not float(cfg.t_min) > math.e:
         raise ValueError("need t_min > e in the PowerLog regime")
 
-    stats = collect_stats(form.entries, cfg.law, cfg.model.n, int(cfg.seed),
-                          int(cfg.replicas), workers=workers)
-    stats = np.sort(stats)
+    stats = np.sort(collect_stats(cfg, workers=workers))
     replicas = int(cfg.replicas)
     exceed = replicas - np.searchsorted(stats, t, side="left")
     p_emp = exceed / replicas

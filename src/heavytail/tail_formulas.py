@@ -326,18 +326,23 @@ def evaluate(tail, t):
 
     PowerHalf needs t > 0, PowerLog needs t > e (so log t > 1), Zero returns
     0.0 for any t > 0; OrderOnly and SubPower carry no coefficient and raise.
+    A value too large for a double raises OverflowError.
     """
     t = float(t)
     if tail.regime == POWER_HALF:
         if not t > 0.0:
             raise ValueError("need t > 0")
-        return tail.coef * t ** (-tail.alpha / 2.0)
-    if tail.regime == POWER_LOG:
+        value = tail.coef * t ** (-tail.alpha / 2.0)
+    elif tail.regime == POWER_LOG:
         if not t > math.e:
             raise ValueError("need t > e in the PowerLog regime")
-        return tail.coef * math.log(t) * t ** (-tail.alpha)
-    if tail.regime == ZERO:
+        value = tail.coef * math.log(t) * t ** (-tail.alpha)
+    elif tail.regime == ZERO:
         if not t > 0.0:
             raise ValueError("need t > 0")
         return 0.0
-    raise ValueError("regime %s carries no coefficient" % tail.regime)
+    else:
+        raise ValueError("regime %s carries no coefficient" % tail.regime)
+    if not math.isfinite(value):
+        raise OverflowError("tail approximation overflows at t=%r" % t)
+    return value

@@ -1,8 +1,12 @@
 import hashlib
+import io
 import math
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heavytail.ar_quadform import ArModel, autocov_matrix
 from heavytail.cli import main
@@ -59,6 +63,36 @@ def test_overflow_is_one_line_error(capsys, argv):
     assert code == 1
     assert "inf" not in out
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv", [
+    ("matrix", "--a", "3", "--n", "400"),
+    ("simulate", "--alpha", "1.5", "--a", "3", "--n", "350", "--replicas", "100"),
+    ("tail", "--alpha", "1.5", "--a", "3", "--n", "200", "--t", "1e-300"),
+])
+def test_overflow_is_one_line_error_without_warnings(capsys, argv):
+    # every warning is an exception here, so a numpy RuntimeWarning ahead of
+    # the error line fails the test instead of going unseen
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert "inf" not in out
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(a=st.floats(2.5, 4.0), negative=st.booleans(), a0=st.floats(-1.0, 1.0),
+       n=st.integers(400, 800))
+@settings(max_examples=12, deadline=None)
+def test_explosive_pivot_simulate_is_one_line_error(a, negative, a0, n):
+    argv = ["simulate", "--alpha", "1.5", "--a=%r" % (-a if negative else a),
+            "--a0=%r" % a0, "--n", str(n), "--replicas", "50", "--points", "3"]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code == 1
+    assert "inf" not in out.getvalue()
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 def test_tail_command_output(capsys):

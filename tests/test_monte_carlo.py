@@ -8,7 +8,7 @@ from heavytail.ar_quadform import ArModel, autocov_matrix
 from heavytail.ar_quadform import test_matrix as statistic_matrix
 from heavytail.monte_carlo import (BLOCK_DRAWS, DEFAULT_A_GRID, McConfig,
                                    block_innovations, calibrate_risk,
-                                   collect_stats, replica_blocks, row_stats,
+                                   collect_stats, path_stats, replica_blocks,
                                    run_tail_experiment, worker_count,
                                    write_risk_csv, write_tail_csv)
 from heavytail.student_dist import make_law, sample
@@ -44,14 +44,10 @@ def test_config_validation():
 
 def test_replica_stats_reproducible_and_scheduler_free():
     cfg = small_config()
-    form = autocov_matrix(cfg.model, cfg.k)
-    one = collect_stats(form.entries, cfg.law, cfg.model.n, cfg.seed,
-                        cfg.replicas, workers=1)
-    many = collect_stats(form.entries, cfg.law, cfg.model.n, cfg.seed,
-                         cfg.replicas, workers=5)
+    one = collect_stats(cfg, workers=1)
+    many = collect_stats(cfg, workers=5)
     assert np.array_equal(one, many)
-    again = collect_stats(form.entries, cfg.law, cfg.model.n, cfg.seed,
-                          cfg.replicas, workers=3)
+    again = collect_stats(cfg, workers=3)
     assert np.array_equal(one, again)
 
 
@@ -61,16 +57,23 @@ def test_replica_stats_match_direct_recomputation():
     entries = autocov_matrix(cfg.model, cfg.k).entries
     rows = max(1, BLOCK_DRAWS // n)
     assert cfg.replicas > 2 * rows  # three blocks, the last one partial
-    got = collect_stats(entries, cfg.law, n, cfg.seed, cfg.replicas, workers=2)
+    got = collect_stats(cfg, workers=2)
     assert got.shape == (cfg.replicas,)
     for r in (0, rows - 1, rows, 2 * rows + 5, cfg.replicas - 1):
         b = r // rows
         lo, hi = b * rows, min((b + 1) * rows, cfg.replicas)
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, b]))
         eps = sample(cfg.law, rng, size=(hi - lo, n))
-        assert np.array_equal(got[lo:hi], row_stats(eps, entries))
+        assert np.array_equal(got[lo:hi], path_stats(eps, cfg.model.theta, k=cfg.k))
         direct = np.array([e @ entries @ e for e in eps])
         assert np.all(np.abs(got[lo:hi] - direct) <= 1e-12 * np.abs(direct))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_collect_stats_rejects_overflowing_statistics():
+    cfg = small_config(model=ArModel((-3.0,), 400), k=None, a0=0.5, replicas=50)
+    with pytest.raises(OverflowError):
+        collect_stats(cfg, workers=2)
 
 
 @pytest.mark.parametrize("replicas,n", [(1, 1), (5, 10), (14_000, 10),
@@ -88,12 +91,11 @@ def test_replica_blocks_cover_each_replica_once(replicas, n):
 def test_block_order_does_not_change_stats():
     cfg = small_config(replicas=14_000)
     n = cfg.model.n
-    entries = autocov_matrix(cfg.model, cfg.k).entries
-    forward = collect_stats(entries, cfg.law, n, cfg.seed, cfg.replicas,
-                            workers=1)
+    forward = collect_stats(cfg, workers=1)
     blocks = replica_blocks(cfg.replicas, n)
     assert len(blocks) >= 2
-    backward = [row_stats(block_innovations(cfg.law, n, cfg.seed, block), entries)
+    backward = [path_stats(block_innovations(cfg.law, n, cfg.seed, block),
+                           cfg.model.theta, k=cfg.k)
                 for block in reversed(blocks)]
     assert np.concatenate(backward[::-1]).tobytes() == forward.tobytes()
 
@@ -196,8 +198,9 @@ def test_calibrate_risk_reuses_the_simulation_blocks():
     law = make_law(1.0)
     rows = calibrate_risk((0.6, 1.0), 0.5, 8, 1.0, 0.05, replicas=20_000, seed=5)
     for row in rows:
-        stats = collect_stats(statistic_matrix(row.a, 0.5, 8).entries, law, 8, 5,
-                              20_000, workers=1)
+        cfg = McConfig(model=ArModel((row.a,), 8), law=law, a0=0.5,
+                       replicas=20_000, seed=5)
+        stats = collect_stats(cfg, workers=1)
         assert row.risk_hat == np.count_nonzero(stats >= row.t_eta) / 20_000
 
 
