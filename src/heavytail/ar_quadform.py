@@ -200,20 +200,23 @@ def ar_paths(theta, eps):
     """AR paths X = A eps of a time-major innovation block eps, shape (n, ...),
     as a new C-contiguous array.
 
-    Paths of at most SEQUENTIAL_MAX_N steps run the recursion step by step,
-    each step one elementwise update of a whole time slice.  Longer paths
-    use a Hillis-Steele doubling scan on the companion state
-    z[t] = (x[t], ..., x[t-p+1]) with companion matrix M: z[t] starts at
-    (eps[t], 0, ..., 0), and the pass with stride s = 1, 2, 4, ... adds
-    M^s z[t-s], after which z[t] sums the innovations eps[t-2s+1..t].
-    Elementwise numpy only, O(n log n p^2) per column.  Explosive models may
-    overflow to inf or nan; callers check finiteness.
+    Paths of at most SEQUENTIAL_MAX_N steps, and every path of order p >= 3,
+    run the recursion step by step, each step one elementwise update of a
+    whole time slice.  Longer AR(1)/AR(2) paths use a Hillis-Steele doubling
+    scan on the companion state z[t] = (x[t], ..., x[t-p+1]) with companion
+    matrix M: z[t] starts at (eps[t], 0, ..., 0), and the pass with stride
+    s = 1, 2, 4, ... adds M^s z[t-s], after which z[t] sums the innovations
+    eps[t-2s+1..t].
+    Elementwise numpy only, O(n log n p^2) per column.  The scan is kept to
+    p <= 2: near a repeated root of order >= 3 the companion powers grow
+    polynomially and the scan loses digits the step recursion keeps.
+    Explosive models may overflow to inf or nan; callers check finiteness.
     """
     theta = [float(t) for t in theta]
     p = len(theta)
     eps = np.asarray(eps, dtype=float)
     n = eps.shape[0]
-    if n <= SEQUENTIAL_MAX_N:
+    if n <= SEQUENTIAL_MAX_N or p > 2:
         x = np.empty(eps.shape)
         step = np.empty((1,) + eps.shape[1:])
         for t in range(n):

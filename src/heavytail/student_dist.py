@@ -12,14 +12,17 @@ a symmetric law whose upper tail satisfies
 Besides density / CDF / quantile / sampling, the module carries the large-x
 expansions of the compositions Phi_inv(S_alpha(x)) and log S_alpha_inv(Phi(x))
 (Phi is the standard normal CDF) that the tail formulas rely on.
+
+scipy is imported inside the functions that need it (survival, and through
+it cdf; upper_quantile, normal_quantile and the two compositions), never at
+module level: importing the package, and every subcommand but `dist`, loads
+numpy only.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
-from scipy.optimize import brentq
 
 # below this x the large-x expansion of Phi_inv(S_alpha(x)) is not usable
 # (it takes log log x, which needs x > e to be positive)
@@ -60,6 +63,8 @@ def survival(law, x):
     For x >= 0 the tail equals I_y(alpha/2, 1/2) / 2 with y = alpha/(alpha+x^2)
     and I the regularized incomplete beta function; x < 0 goes through symmetry.
     """
+    from scipy import special
+
     x = np.asarray(x, dtype=float)
     with np.errstate(over="ignore"):
         y = law.alpha / (law.alpha + x * x)
@@ -97,6 +102,8 @@ def upper_quantile(law, u):
     Bracket around the first-order quantile, then Brent refinement on the
     cancellation-free survival function.
     """
+    from scipy.optimize import brentq
+
     u = float(u)
     if not 0.0 < u < 0.5:
         raise ValueError("need 0 < u < 1/2")
@@ -112,6 +119,8 @@ def upper_quantile(law, u):
 
 def normal_quantile(u):
     """Standard normal quantile Phi_inv(u), exact."""
+    from scipy import special
+
     u = float(u)
     if not 0.0 < u < 1.0:
         raise ValueError("need 0 < u < 1")
@@ -143,6 +152,8 @@ def phi_inv_compose_s(law, x):
     through the upper tail, so it stays accurate far beyond the range where
     1 - S_alpha(x) would round to 0 in double precision.
     """
+    from scipy import special
+
     x = float(x)
     u = survival(law, abs(x))
     exact = -math.copysign(1.0, x) * float(special.ndtri(u)) if x != 0.0 else 0.0
@@ -166,6 +177,8 @@ def s_inv_compose_phi_log(law, x):
     upper tail at u = 1 - Phi(x), so it needs Phi(x) < 1 in double precision
     (x below about 38).
     """
+    from scipy import special
+
     x = float(x)
     if x <= 0.0:
         raise ValueError("need x > 0")

@@ -60,8 +60,11 @@ class TailLaw:
         if not self.alpha > 0.0:
             raise ValueError("need alpha > 0")
         if self.regime in COEF_REGIMES:
-            if self.coef is None or not self.coef > 0.0:
+            if self.coef is None or not self.coef >= 0.0:
                 raise ValueError("need coef > 0 in regime %s" % self.regime)
+            if self.coef == 0.0:
+                raise ValueError("coef underflows a double in regime %s"
+                                 % self.regime)
             if not math.isfinite(self.coef):
                 raise ValueError("coef overflows a double in regime %s"
                                  % self.regime)

@@ -1,7 +1,11 @@
 import hashlib
 import io
 import math
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -93,6 +97,50 @@ def test_explosive_pivot_simulate_is_one_line_error(a, negative, a0, n):
     assert code == 1
     assert "inf" not in out.getvalue()
     assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+def test_underflowed_coefficient_is_one_line_error(capsys):
+    # a^(alpha/2) summed over the path underflows to 0 at a = 1e-200
+    code, _, err = run(capsys, "tail", "--alpha", "4", "--a", "1e-200",
+                       "--n", "50", "--k", "1")
+    assert code == 1
+    assert err == "error: coef underflows a double in regime PowerHalf\n"
+
+
+# Only `dist` needs scipy; importing the package and every other subcommand
+# must leave it unloaded, so one-shot CLI processes do not pay for it.
+STARTUP_PROBE = """
+import sys
+from pathlib import Path
+
+import heavytail
+import heavytail.cli
+
+out = Path(sys.argv[1])
+for name, argv in [
+    ("tail", ["tail", "--alpha", "1.5", "--a", "0.5", "--n", "20", "--t", "100"]),
+    ("matrix", ["matrix", "--a", "0.5", "--n", "5"]),
+    ("regions", ["regions", "--steps", "5"]),
+    ("simulate", ["simulate", "--alpha", "1.5", "--a", "0.5", "--n", "10",
+                  "--k", "1", "--replicas", "200", "--points", "3"]),
+    ("calibrate", ["calibrate", "--alpha", "1", "--n", "6", "--replicas", "200"]),
+]:
+    assert heavytail.cli.main(argv + ["--out", str(out / name)]) == 0, name
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+assert heavytail.cli.main(["dist", "--alpha", "2", "--x", "5", "--u", "0.01",
+                           "--out", str(out / "dist")]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")[:1])
+"""
+
+
+def test_only_dist_loads_scipy(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", STARTUP_PROBE, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "['scipy']"]
+    for name in ("tail", "matrix", "regions", "simulate", "calibrate", "dist"):
+        assert (tmp_path / name).read_text().startswith("# config cmd=%s " % name)
 
 
 def test_tail_command_output(capsys):

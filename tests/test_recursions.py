@@ -1,7 +1,8 @@
 """The AR recursion three ways: the path kernel (step by step for short
-paths, a doubling scan for long ones) against the matrix action A eps, the
-O(n^2 p) form builders against the dense products A^T B^k A, and the Monte
-Carlo path reductions against eps^T C eps.
+paths and for order p >= 3, a doubling scan for long AR(1)/AR(2) paths)
+against the matrix action A eps, the O(n^2 p) form builders against the
+dense products A^T B^k A, and the Monte Carlo path reductions against
+eps^T C eps.
 
 Bounds are relative to the scale each computation rounds at (absolute
 values throughout), times the growth G of the companion powers M^s: the
@@ -66,6 +67,29 @@ def test_ar_paths_match_matrix_action(model, cols, seed):
     assert x.shape == eps.shape
     bound = RTOL * companion_growth(model.theta, model.n) ** 2
     assert np.all(np.abs(x - a @ eps) <= bound * (np.abs(a) @ np.abs(eps)))
+
+
+def longdouble_paths(theta, eps):
+    """The AR recursion step by step in long double, as a reference."""
+    theta = np.array(theta, dtype=np.longdouble)
+    eps = eps.astype(np.longdouble)
+    x = np.zeros_like(eps)
+    for t in range(eps.shape[0]):
+        x[t] = eps[t]
+        for i in range(1, min(len(theta), t) + 1):
+            x[t] += theta[i - 1] * x[t - i]
+    return x
+
+
+def test_ar_paths_stay_accurate_at_a_triple_root():
+    # (z + 0.95)^3: the companion powers grow like s^2 0.95^s, and a doubling
+    # scan would lose ~5e-10 of |A| |eps| here; order-3 paths run step by
+    # step, so the plain 1e-12 of the AR(1) case holds
+    model = ArModel(tuple(float(v) for v in -np.poly([-0.95] * 3)[1:]), 653)
+    eps = np.random.default_rng(7).standard_normal((model.n, 20))
+    x = ar_paths(model.theta, eps)
+    scale = np.abs(build_a(model)) @ np.abs(eps)
+    assert np.all(np.abs(x - longdouble_paths(model.theta, eps)) <= RTOL * scale)
 
 
 @pytest.mark.parametrize("n", [30, 70])  # step by step, doubling scan

@@ -342,6 +342,18 @@ def test_classify_pairs_match_the_comprehensions_at_n_800():
     assert dc.j_sets == old_power_log_pairs(c)
 
 
+def test_tail_law_names_an_underflowed_coefficient():
+    # (a - a0)^(alpha/2) = (1.1e-187)^2 underflows to 0: no precondition of
+    # the caller is broken, so the message must not name one
+    with pytest.raises(ValueError, match="coef underflows a double in regime PowerHalf"):
+        stat_tail(0.0, -1.1e-187, 2, 4.0)
+    with pytest.raises(ValueError, match="underflows"):
+        TailLaw(POWER_HALF, 1.5, coef=0.0)
+    for bad in (None, -1.0, math.nan):
+        with pytest.raises(ValueError, match="need coef > 0"):
+            TailLaw(POWER_HALF, 1.5, coef=bad)
+
+
 def test_tail_law_rejects_an_overflowing_coefficient():
     with pytest.raises(ValueError, match="overflows"):
         TailLaw(POWER_HALF, 1.5, coef=math.inf)
