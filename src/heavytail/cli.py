@@ -10,7 +10,8 @@ reals carry 17 significant digits, and line endings are LF.  Exit codes:
 0 on success, 2 on usage errors, 1 on domain errors (the message names the
 violated precondition), on floating-point overflow and on output files that
 cannot be written.
-HEAVYTAIL_THREADS caps the worker pool; results do not depend on it.
+HEAVYTAIL_THREADS caps the worker pool of simulate (calibrate runs its
+blocks serially); results do not depend on it.
 """
 
 import argparse

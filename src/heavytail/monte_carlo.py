@@ -1,16 +1,20 @@
 """Reproducible Monte Carlo oracle for the tail approximations.
 
-RNG scheme block-v1: replicas are split into fixed blocks of
+RNG scheme block-v2: replicas are split into fixed blocks of
 max(1, BLOCK_DRAWS // n) rows, and block b draws its (rows, n) innovations
-in one call from the substream keyed SeedSequence([seed, b]).  The layout
+in one call from the substream keyed SeedSequence([seed, b]); alpha = 1
+takes the tangent transform of uniforms and every other alpha Bailey's
+polar method (R. W. Bailey, Math. Comp. 62 (1994) 779-781).  The layout
 depends only on (replicas, n), so every statistic is a pure function of
 (seed, replicas, n) and results are bit-identical for any worker count and
-any block schedule.  The tail experiment reduces each block along its AR
-paths, as lagged products of X = A eps; the risk calibration tests every
-block against the dense form of each grid alternative (common random
-numbers).  The empirical survival function comes from one
-sort of the replica statistics; theory curves are the first-order
-coefficients evaluated on the same threshold grid.
+any block schedule.  The tail experiment spreads its blocks over a
+thread pool and reduces each along its AR paths, as lagged products of
+X = A eps; the risk calibration runs its blocks serially (its dense
+products already use the BLAS threads) and tests every block against the
+dense form of each grid alternative (common random numbers).  The
+empirical survival function comes from one sort of the replica
+statistics; theory curves are the first-order coefficients evaluated on
+the same threshold grid.
 """
 
 import math
@@ -232,14 +236,15 @@ def run_tail_experiment(cfg, workers=None):
                       se=se, replicas=replicas, seed=int(cfg.seed), tail=tail)
 
 
-def calibrate_risk(a_grid, a0, n, alpha, eta, replicas=100_000, seed=0, workers=None):
+def calibrate_risk(a_grid, a0, n, alpha, eta, replicas=100_000, seed=0):
     """Estimated rejection risk along a grid of alternatives a.
 
     Common random numbers: each innovation block is drawn once and every
     grid value a > a0 is tested on it, counting the replicas whose statistic
     eps^T C_a eps reaches the threshold t_eta from critical_value; risk_hat
-    is the total count over replicas.  Grid values with a <= a0 come back
-    skipped.
+    is the total count over replicas.  Blocks run serially: the dense
+    products use the BLAS threads, and a pool on top only oversubscribes
+    the cores.  Grid values with a <= a0 come back skipped.
     """
     a0 = float(a0)
     n = int(n)
@@ -249,18 +254,15 @@ def calibrate_risk(a_grid, a0, n, alpha, eta, replicas=100_000, seed=0, workers=
     if not 0 <= int(seed) < 2 ** 64:
         raise ValueError("need a 64-bit unsigned seed")
     law = make_law(alpha)
-    workers = worker_count() if workers is None else int(workers)
     grid = [float(a) for a in a_grid]
     tests = [(test_matrix(a, a0, n).entries, critical_value(a, a0, n, law.alpha, eta))
              for a in grid if a > a0]
 
-    def block_hits(block):
+    counts = np.zeros(len(tests), dtype=np.int64)
+    for block in replica_blocks(replicas, n):
         eps = block_innovations(law, n, seed, block)
-        return [np.count_nonzero(row_stats(eps, entries) >= t_eta)
-                for entries, t_eta in tests]
-
-    counts = np.sum(_map_blocks(block_hits, replica_blocks(replicas, n), workers),
-                    axis=0, dtype=np.int64)
+        counts += [np.count_nonzero(row_stats(eps, entries) >= t_eta)
+                   for entries, t_eta in tests]
     tested = iter(zip(tests, counts))
     rows = []
     for a in grid:

@@ -13,6 +13,11 @@ Besides density / CDF / quantile / sampling, the module carries the large-x
 expansions of the compositions Phi_inv(S_alpha(x)) and log S_alpha_inv(Phi(x))
 (Phi is the standard normal CDF) that the tail formulas rely on.
 
+Sampling, part of the Monte Carlo RNG scheme block-v2: alpha = 1 is the
+tangent transform of a uniform, every other alpha Bailey's polar method
+(R. W. Bailey, "Polar generation of random variates with the
+t-distribution", Math. Comp. 62 (1994) 779-781), which needs only uniforms.
+
 scipy is imported inside the functions that need it (survival, and through
 it cdf; upper_quantile, normal_quantile and the two compositions), never at
 module level: importing the package, and every subcommand but `dist`, loads
@@ -192,18 +197,56 @@ def s_inv_compose_phi_log(law, x):
     return exact, expansion
 
 
+def _polar_draws(alpha, stream, m):
+    """m draws by Bailey's polar method (R. W. Bailey, Math. Comp. 62 (1994)
+    779-781): for (U, V) uniform on the unit disc and W = U^2 + V^2,
+
+        T = U sqrt(alpha (W^(-2/alpha) - 1) / W)
+
+    has the law exactly, for every alpha > 0.  Pairs come from one
+    stream.random((2, m + m // 3 + 64)) call mapped to [-1, 1)^2 (rows U and
+    V); the first m pairs with 0 < W <= 1 are kept in order, about pi/4 of
+    them, and the rare shortfall is topped up by the same rule.  expm1 and
+    log keep W^(-2/alpha) - 1 free of cancellation for large alpha.  For
+    alpha below about 0.23 a W near 0 can overflow T to inf, with
+    probability about exp(-710 alpha / (2 + alpha)) per draw.
+    """
+    parts, have = [], 0
+    while have < m:
+        need = m - have
+        uv = stream.random((2, need + need // 3 + 64))
+        uv *= 2.0
+        uv -= 1.0
+        u, v = uv
+        w = u * u
+        w += v * v
+        keep = np.flatnonzero((w <= 1.0) & (w > 0.0))[:need]
+        w = w[keep]
+        t = np.log(w)
+        t *= -2.0 / alpha
+        np.expm1(t, out=t)
+        t *= alpha
+        t /= w
+        np.sqrt(t, out=t)
+        t *= u[keep]
+        parts.append(t)
+        have += t.size
+    if len(parts) == 1:
+        return parts[0]  # the usual case, without a copy
+    return np.concatenate([np.empty(0)] + parts)
+
+
 def sample(law, stream, size=None):
     """Draw from the law using the numpy Generator `stream`.
 
-    alpha = 1 is the tangent transform of a uniform; other alpha divide a
-    standard normal by sqrt(chisquare(alpha)/alpha).  Both are exact in
+    alpha = 1 is the tangent transform of a uniform; other alpha use
+    Bailey's polar method (see _polar_draws).  Both are exact in
     distribution, and the draws are a pure function of the generator state.
+    Returns an array of shape `size`, or a float when size is None.
     """
     if law.alpha == 1.0:
         u = stream.random(size)
         out = np.tan(np.pi * (u - 0.5))
-    else:
-        z = stream.standard_normal(size)
-        v = stream.chisquare(law.alpha, size)
-        out = z / np.sqrt(v / law.alpha)
-    return out if size is not None else float(out)
+        return out if size is not None else float(out)
+    out = _polar_draws(law.alpha, stream, 1 if size is None else int(np.prod(size)))
+    return out.reshape(size) if size is not None else float(out[0])

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ar_quadform import (QuadForm, ar1_offdiag_closed, power_sums, shift_pow,
+from .ar_quadform import (QuadForm, ar1_offdiag_closed, power_sums,
                           test_matrix)
 from .student_dist import make_law
 
@@ -211,8 +211,9 @@ def ar1_upper_tail(a, n, k, alpha):
     """TailLaw of P{n gamma_n(k) >= t} for an AR(1) model with coefficient a.
 
     Closed forms throughout: even lag or a > 0 is PowerHalf with the
-    power-sum diagonal entries; a = 0 with k >= 1 and odd lag with a < 0 are
-    PowerLog with the closed-form entries fed into the degenerate-case sum;
+    power-sum diagonal entries; a = 0 with k >= 1 is PowerLog with 2 (n - k)
+    unit couplings, and odd lag with a < 0 is PowerLog with the closed-form
+    entries fed into the degenerate-case sum;
     k >= n makes the form identically zero.
     """
     a = float(a)
@@ -229,8 +230,9 @@ def ar1_upper_tail(a, n, k, alpha):
     if a == 0.0 and k == 0:
         return TailLaw(POWER_HALF, alpha, coef=_power_half_scale(law) * 2.0 * n)
     if a == 0.0:
-        return TailLaw(POWER_LOG, alpha,
-                       coef=coef_degenerate_case(shift_pow(n, k), alpha))
+        # the form is the lag-k shift: every diagonal entry vanishes and
+        # C + C^T holds 2 (n - k) unit couplings
+        return TailLaw(POWER_LOG, alpha, coef=_power_log_scale(law) * 2.0 * (n - k))
     if k % 2 == 0 or a > 0.0:
         body = sum(p ** (alpha / 2.0) for p in power_sums(a * a, n - k))
         coef = _power_half_scale(law) * 2.0 * abs(a) ** (k * alpha / 2.0) * body

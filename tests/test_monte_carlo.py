@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from heavytail import monte_carlo
 from heavytail.ar_quadform import ArModel, autocov_matrix
 from heavytail.ar_quadform import test_matrix as statistic_matrix
 from heavytail.monte_carlo import (BLOCK_DRAWS, DEFAULT_A_GRID, McConfig,
@@ -186,11 +187,14 @@ def test_calibrate_risk_rows():
         assert 0.0 < row.se < 0.01
 
 
-def test_calibrate_risk_deterministic_across_workers():
-    args = ((0.6, 1.0), 0.5, 8, 1.0, 0.05)
-    one = calibrate_risk(*args, replicas=5000, seed=1, workers=1)
-    many = calibrate_risk(*args, replicas=5000, seed=1, workers=4)
-    assert one == many
+def test_calibrate_risk_independent_of_block_order(monkeypatch):
+    args = ((0.6, 1.0), 0.5, 40, 1.5, 0.05)
+    forward = calibrate_risk(*args, replicas=5000, seed=1)
+    assert len(replica_blocks(5000, 40)) >= 3
+    monkeypatch.setattr(monte_carlo, "replica_blocks",
+                        lambda replicas, n: replica_blocks(replicas, n)[::-1])
+    backward = calibrate_risk(*args, replicas=5000, seed=1)
+    assert backward == forward
 
 
 def test_calibrate_risk_reuses_the_simulation_blocks():

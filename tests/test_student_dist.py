@@ -203,3 +203,111 @@ def test_sample_scalar_mode():
     law = make_law(2.0)
     one = sample(law, np.random.default_rng(0))
     assert isinstance(one, float)
+
+
+def test_sample_polar_matches_cdf_across_alpha():
+    # same quantile/CDF gap check on the polar branch, heavy to near-normal
+    grid = np.linspace(0.001, 0.999, 999)
+    for alpha, seed in ((0.5, 1), (1.5, 2), (3.0, 3), (40.0, 4)):
+        law = make_law(alpha)
+        draws = sample(law, np.random.default_rng(seed), size=100_000)
+        emp = np.quantile(draws, grid)
+        gap = np.max(np.abs(cdf(law, emp) - grid))
+        assert gap < 0.01, (alpha, gap)
+
+
+def test_sample_tail_ratio_near_tail_constant():
+    # x^alpha P(|T| > x) / (2 tail_constant) -> 1; at these x the exact
+    # ratio is within 0.3% of 1, the sampling error about 1%
+    for alpha, x, seed in ((0.5, 100.0, 5), (1.5, 20.0, 6)):
+        law = make_law(alpha)
+        draws = sample(law, np.random.default_rng(seed), size=1_000_000)
+        p_emp = np.count_nonzero(np.abs(draws) > x) / draws.size
+        ratio = x ** alpha * p_emp / (2.0 * tail_constant(law))
+        assert abs(ratio - 1.0) < 0.06, (alpha, ratio)
+        p_exact = 2.0 * survival(law, x)
+        assert abs(p_emp - p_exact) < 5.0 * math.sqrt(p_exact / draws.size)
+
+
+def test_sample_large_alpha_is_finite_and_near_normal():
+    from scipy.special import ndtr
+
+    law = make_law(1e4)
+    draws = sample(law, np.random.default_rng(8), size=100_000)
+    assert np.all(np.isfinite(draws))
+    assert abs(np.mean(draws)) < 0.02
+    assert abs(np.std(draws) - 1.0) < 0.02
+    grid = np.linspace(0.001, 0.999, 999)
+    assert np.max(np.abs(ndtr(np.quantile(draws, grid)) - grid)) < 0.01
+
+
+def test_sample_same_state_same_bytes():
+    for alpha in (0.7, 1.0, 2.5):
+        law = make_law(alpha)
+        g1 = np.random.default_rng(np.random.SeedSequence([9, 3]))
+        g2 = np.random.default_rng(np.random.SeedSequence([9, 3]))
+        for size in ((300, 7), 1, (5,)):
+            assert sample(law, g1, size).tobytes() == sample(law, g2, size).tobytes()
+        # both generators are left in the same state
+        assert g1.random() == g2.random()
+
+
+def test_sample_keeps_size_shapes():
+    for alpha in (1.0, 1.5):
+        law = make_law(alpha)
+        assert isinstance(sample(law, np.random.default_rng(0)), float)
+        assert sample(law, np.random.default_rng(0), size=17).shape == (17,)
+        assert sample(law, np.random.default_rng(0), size=(0,)).shape == (0,)
+        block = sample(law, np.random.default_rng(0), size=(40, 9))
+        assert block.shape == (40, 9)
+        # a block is the flat draw in row-major order
+        flat = sample(law, np.random.default_rng(0), size=360)
+        assert np.array_equal(block.ravel(), flat)
+
+
+def test_sample_cauchy_is_tangent_of_the_stream_uniforms():
+    law = make_law(1.0)
+    u = np.random.default_rng(21).random((50, 6))
+    got = sample(law, np.random.default_rng(21), size=(50, 6))
+    assert np.array_equal(got, np.tan(np.pi * (u - 0.5)))
+
+
+class _RejectFirst:
+    """Generator wrapper whose first random() call has every pair from
+    column `start` on mapped to the rejected corner (U, V) = (-1, -1)."""
+
+    def __init__(self, seed, start):
+        self.rng = np.random.default_rng(seed)
+        self.start = start
+        self.calls = []
+
+    def random(self, size):
+        out = self.rng.random(size)
+        if not self.calls:
+            out[:, self.start:] = 0.0
+        self.calls.append(size)
+        return out
+
+
+def test_sample_polar_tops_up_a_short_draw():
+    law = make_law(1.5)
+    m = 1000
+    fresh = sample(law, np.random.default_rng(4), size=m)
+    # nothing accepted at first: the top-up asks for as many pairs again,
+    # so it returns what a stream one call further on returns
+    stream = _RejectFirst(4, 0)
+    got = sample(law, stream, size=m)
+    assert len(stream.calls) == 2 and stream.calls[0] == stream.calls[1]
+    later = np.random.default_rng(4)
+    later.random(stream.calls[0])
+    assert np.array_equal(got, sample(law, later, size=m))
+    # half the pairs rejected: the accepted prefix is kept in order, the
+    # rest comes from a second, smaller call
+    stream = _RejectFirst(4, m // 2)
+    got = sample(law, stream, size=m)
+    uv = 2.0 * np.random.default_rng(4).random(stream.calls[0])[:, :m // 2] - 1.0
+    w = uv[0] ** 2 + uv[1] ** 2
+    kept = np.count_nonzero((w <= 1.0) & (w > 0.0))
+    assert len(stream.calls) == 2 and stream.calls[1] == (2, (m - kept) + (m - kept) // 3 + 64)
+    assert got.shape == (m,) and np.all(np.isfinite(got))
+    assert np.array_equal(got[:kept], fresh[:kept])

@@ -153,6 +153,16 @@ def test_ar1_upper_tail_matches_general_classifier():
                                                             rel=1e-10)
 
 
+def test_ar1_upper_tail_white_noise_lag_matches_dense_route():
+    # a = 0, k >= 1: the closed coefficient equals the degenerate-case sum
+    # over the dense lag-k shift, bit for bit
+    for n, k, alpha in ((10, 1, 1.5), (50, 3, 0.7), (2, 1, 1.0), (200, 199, 4.0),
+                        (33, 7, 0.3), (1000, 1, 2.0)):
+        law = ar1_upper_tail(0.0, n, k, alpha)
+        assert law.regime == POWER_LOG
+        assert law.coef == coef_degenerate_case(shift_pow(n, k), alpha)
+
+
 def test_ar1_upper_tail_zero_beyond_path_length():
     law = ar1_upper_tail(0.7, 5, 5, 1.0)
     assert law.regime == ZERO
