@@ -261,8 +261,8 @@ def calibrate_risk(a_grid, a0, n, alpha, eta, replicas=100_000, seed=0):
     counts = np.zeros(len(tests), dtype=np.int64)
     for block in replica_blocks(replicas, n):
         eps = block_innovations(law, n, seed, block)
-        counts += [np.count_nonzero(row_stats(eps, entries) >= t_eta)
-                   for entries, t_eta in tests]
+        counts += np.array([np.count_nonzero(row_stats(eps, entries) >= t_eta)
+                            for entries, t_eta in tests], dtype=np.int64)
     tested = iter(zip(tests, counts))
     rows = []
     for a in grid:

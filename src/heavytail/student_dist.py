@@ -217,18 +217,23 @@ def _polar_draws(alpha, stream, m):
         uv = stream.random((2, need + need // 3 + 64))
         uv *= 2.0
         uv -= 1.0
-        u, v = uv
-        w = u * u
-        w += v * v
-        keep = np.flatnonzero((w <= 1.0) & (w > 0.0))[:need]
+        u, w = uv
+        w *= w  # W = V^2 + U^2 overwrites the V row
+        w += u * u
+        keep = w <= 1.0
+        keep &= w > 0.0
+        keep = np.flatnonzero(keep)[:need]
         w = w[keep]
+        # the kept U go to the spent V row; mode="clip" skips a buffered copy
+        u = np.take(u, keep, out=uv[1, :keep.size], mode="clip")
+        del keep
         t = np.log(w)
         t *= -2.0 / alpha
         np.expm1(t, out=t)
         t *= alpha
         t /= w
         np.sqrt(t, out=t)
-        t *= u[keep]
+        t *= u
         parts.append(t)
         have += t.size
     if len(parts) == 1:

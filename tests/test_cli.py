@@ -288,6 +288,18 @@ def test_calibrate_custom_grid(capsys):
     assert grid == pytest.approx([0.6, 0.8, 1.0])
 
 
+def test_calibrate_grid_below_a0_writes_skipped_rows(capsys):
+    code, out, _ = run(capsys, "calibrate", "--alpha", "1.5", "--n", "6",
+                       "--a0", "0.5", "--replicas", "400", "--a-min", "0.1",
+                       "--a-max", "0.4", "--steps", "2")
+    assert code == 0
+    rows = [ln for ln in out.splitlines() if ln and not ln.startswith("#")]
+    assert rows[0] == "a,t_eta,risk_hat,se"
+    assert len(rows) == 3
+    for row in rows[1:]:
+        assert row.split(",")[1:] == ["nan", "nan", "nan"]
+
+
 def test_help_exits_zero(capsys):
     code, _, _ = run(capsys, "--help")
     assert code == 0

@@ -187,6 +187,16 @@ def test_calibrate_risk_rows():
         assert 0.0 < row.se < 0.01
 
 
+def test_calibrate_risk_grid_entirely_at_or_below_a0():
+    rows = calibrate_risk((0.1, 0.3, 0.5), 0.5, 10, 1.5, 0.05,
+                          replicas=1000, seed=1)
+    assert [r.a for r in rows] == [0.1, 0.3, 0.5]
+    for row in rows:
+        assert row.skipped
+        assert math.isnan(row.t_eta) and math.isnan(row.risk_hat)
+        assert math.isnan(row.se)
+
+
 def test_calibrate_risk_independent_of_block_order(monkeypatch):
     args = ((0.6, 1.0), 0.5, 40, 1.5, 0.05)
     forward = calibrate_risk(*args, replicas=5000, seed=1)
