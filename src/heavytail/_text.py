@@ -1,0 +1,32 @@
+"""Text forms shared by every output: one number format, the cached lattice
+formatter and the '#'-prefixed header lines."""
+
+
+def fmt(value):
+    """Text of one value: none / 1-0 / integer / real with 17 significant
+    digits, which round-trips every finite double."""
+    if value is None:
+        return "none"
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, int):
+        return "%d" % value
+    return format(float(value), ".17g")
+
+
+class LatticeText(dict):
+    """Real -> fmt(real), formatted on first lookup, for lattices whose
+    coordinates repeat.  Keys compare by value, so 0.0 and -0.0 would share
+    one entry: zeros are formatted on every lookup and never stored."""
+
+    def __missing__(self, v):
+        text = fmt(v)
+        if v:
+            self[v] = text
+        return text
+
+
+def write_header(fh, lines):
+    """Each line as a '#'-prefixed header line."""
+    for line in lines:
+        fh.write("# %s\n" % line)

@@ -29,9 +29,9 @@ import math
 
 import numpy as np
 
+from ._text import LatticeText, write_header
 from .ar_quadform import ArModel, autocov_matrix
-from .tail_formulas import (POWER_HALF, POWER_LOG, TailLaw, classify,
-                            coef_degenerate_case, coef_positive_case)
+from .tail_formulas import POWER_HALF, POWER_LOG, classify
 
 # entry magnitude that triggers a uniform positive rescale of the scan state
 _RESCALE_AT = 1e100
@@ -203,26 +203,17 @@ def stability_check(a, b):
 
 
 def stable_tail_class(a, b, n, alpha):
-    """TailLaw of P{n gamma_n(1) >= t} for a stable AR(2) model.
+    """TailLaw of P{n gamma_n(1) >= t} for a stable AR(2) model, n >= 3.
 
-    On the stable region the regime depends only on the sign of a:
+    The general classifier on the lag-1 form: on the stable region it gives
     PowerHalf for a > 0 and PowerLog for a < 0 (no diagonal entry is then
-    positive, so the degenerate-case coefficient applies); a = 0 falls back
-    to the general classifier.
+    positive, so the degenerate-case coefficient applies).
     """
-    a = float(a)
-    b = float(b)
-    n = int(n)
-    if n < 3:
+    if int(n) < 3:
         raise ValueError("need n >= 3")
     if not stability_check(a, b):
         raise ValueError("need a stable pair (a, b)")
-    c = autocov_matrix(ArModel((a, b), n), 1)
-    if a > 0.0:
-        return TailLaw(POWER_HALF, float(alpha), coef=coef_positive_case(c, alpha))
-    if a < 0.0:
-        return TailLaw(POWER_LOG, float(alpha), coef=coef_degenerate_case(c, alpha))
-    return classify(c, alpha)[1]
+    return classify(autocov_matrix(ArModel((a, b), n), 1), alpha)[1]
 
 
 def region_grid(a_min, a_max, b_min, b_max, steps, kmax=200):
@@ -250,29 +241,14 @@ def region_grid(a_min, a_max, b_min, b_max, steps, kmax=200):
                    first.tolist(), theorem_region_mask(a, b).tolist())]
 
 
-class _Digits17(dict):
-    """Real -> its text with 17 significant digits, formatted on first lookup.
-
-    Keys compare by value, so 0.0 and -0.0 would share one entry: callers
-    format zeros directly.  (A float.hex() key keeps them apart too, but
-    costs about as much as the formatting it saves.)
-    """
-
-    def __missing__(self, v):
-        text = self[v] = format(v, ".17g")
-        return text
-
-
 def write_region_csv(rows, fh, header_lines=()):
     """Write region_grid rows as CSV: booleans as 1/0, missing k as an empty
     field, reals with 17 significant digits, LF line endings.  Each distinct
     nonzero coordinate is formatted once."""
-    text = _Digits17()
-    for line in header_lines:
-        fh.write("# %s\n" % line)
+    text = LatticeText()
+    write_header(fh, header_lines)
     fh.write("a,b,stable,first_covering_k,in_theorem_region,regime\n")
     fh.writelines(["%s,%s,%d,%s,%d,%s\n"
-                   % (text[a] if a else format(a, ".17g"),
-                      text[b] if b else format(b, ".17g"), stable,
+                   % (text[a], text[b], stable,
                       "" if first is None else "%d" % first, covered, regime)
                    for a, b, stable, first, covered, regime in rows])

@@ -167,16 +167,11 @@ def power_sum(x, m):
 def ar1_diag_closed(a, n, k, i):
     """Diagonal entry C_{i,i} of A^T B^k A for AR(1), 1-based index i:
 
-        C_{i,i} = a^k * sum_{j=0}^{n-i-k} a^(2j),    zero once i > n - k.
+        C_{i,i} = a^k * sum_{j=0}^{n-i-k} a^(2j),    zero once i > n - k;
+
+    the case i = j of ar1_offdiag_closed.
     """
-    if not 1 <= i <= n:
-        raise ValueError("need 1 <= i <= n")
-    if k < 0:
-        raise ValueError("need k >= 0")
-    m = n - i - k + 1
-    if m <= 0:
-        return 0.0
-    return float(a) ** k * power_sum(a * a, m)
+    return ar1_offdiag_closed(a, n, k, i, i)
 
 
 def ar1_offdiag_closed(a, n, k, i, j):

@@ -5,8 +5,10 @@ matrix (dump a quadratic-form matrix), regions (scan the AR(2) parameter
 plane), simulate (Monte Carlo tail experiment), calibrate (risk along a grid
 of alternatives), dist (innovation-law queries).
 
-Every run echoes its resolved configuration as a '#'-prefixed header line,
-reals carry 17 significant digits, and line endings are LF.  Exit codes:
+Every run echoes its configuration as a '#'-prefixed header line (every
+option in parser order, then the values it resolved), reals carry 17
+significant digits, and line endings are LF; the number format and header
+lines come from the shared text module _text.  Exit codes:
 0 on success, 2 on usage errors, 1 on domain errors (the message names the
 violated precondition), on floating-point overflow and on output files that
 cannot be written.
@@ -20,6 +22,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from ._text import fmt, write_header
 from .ar_quadform import ArModel, autocov_matrix, test_matrix
 from .ar2_regions import region_grid, write_region_csv
 from .monte_carlo import (DEFAULT_A_GRID, McConfig, calibrate_risk,
@@ -30,20 +33,13 @@ from .student_dist import (cdf, density, make_law, normal_quantile,
 from .tail_formulas import ar1_upper_tail, classify, evaluate
 
 
-def _fmt(value):
-    """Echo form of one resolved value: none / integer / 17-digit real."""
-    if value is None:
-        return "none"
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, int):
-        return "%d" % value
-    return format(float(value), ".17g")
-
-
-def _config_line(cmd, pairs):
-    return "config cmd=%s %s" % (cmd, " ".join("%s=%s" % (k, _fmt(v))
-                                               for k, v in pairs))
+def _config_line(args, **resolved):
+    """'config cmd=<name> option=value ...': every option of the parsed args
+    in parser order, with resolved values replacing theirs or appended."""
+    echo = {k: v for k, v in vars(args).items() if k not in ("cmd", "handler", "out")}
+    echo.update(resolved)
+    return "config cmd=%s %s" % (args.cmd, " ".join(
+        "%s=%s" % (k.replace("_", "-"), fmt(v)) for k, v in echo.items()))
 
 
 @contextmanager
@@ -62,29 +58,22 @@ def _model(args):
 
 
 def _cmd_tail(args, fh):
-    line = _config_line("tail", [("alpha", args.alpha), ("a", args.a),
-                                 ("b", args.b), ("n", args.n), ("k", args.k),
-                                 ("t", args.t)])
-    fh.write("# %s\n" % line)
+    write_header(fh, [_config_line(args)])
     if args.b is None:
         tail = ar1_upper_tail(args.a, args.n, args.k, args.alpha)
     else:
         tail = classify(autocov_matrix(_model(args), args.k), args.alpha)[1]
-    coef = "none" if tail.coef is None else _fmt(tail.coef)
-    fh.write("regime=%s coef=%s\n" % (tail.regime, coef))
+    fh.write("regime=%s coef=%s\n" % (tail.regime, fmt(tail.coef)))
     if tail.note:
         fh.write("# note: %s\n" % tail.note)
     if args.t is not None:
         raw = evaluate(tail, args.t)
         fh.write("t=%s p=%s raw=%s\n"
-                 % (_fmt(args.t), _fmt(min(max(raw, 0.0), 1.0)), _fmt(raw)))
+                 % (fmt(args.t), fmt(min(max(raw, 0.0), 1.0)), fmt(raw)))
 
 
 def _cmd_matrix(args, fh):
-    line = _config_line("matrix", [("a", args.a), ("b", args.b),
-                                   ("a0", args.a0), ("n", args.n),
-                                   ("k", args.k)])
-    fh.write("# %s\n" % line)
+    write_header(fh, [_config_line(args)])
     if args.a0 is not None:
         if args.b is not None:
             raise ValueError("need an order-1 model with a reference a0")
@@ -92,35 +81,24 @@ def _cmd_matrix(args, fh):
     else:
         form = autocov_matrix(_model(args), args.k)
     for row in form.entries:
-        fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+        fh.write(",".join(fmt(v) for v in row) + "\n")
 
 
 def _cmd_regions(args, fh):
-    line = _config_line("regions", [("a-min", args.a_min), ("a-max", args.a_max),
-                                    ("b-min", args.b_min), ("b-max", args.b_max),
-                                    ("steps", args.steps), ("kmax", args.kmax)])
     rows = region_grid(args.a_min, args.a_max, args.b_min, args.b_max,
                        args.steps, kmax=args.kmax)
-    write_region_csv(rows, fh, header_lines=[line])
+    write_region_csv(rows, fh, header_lines=[_config_line(args)])
 
 
 def _cmd_simulate(args, fh):
     k = args.k
     if k is None and args.a0 is None:
         k = 1
-    line = _config_line("simulate", [("alpha", args.alpha), ("a", args.a),
-                                     ("b", args.b), ("a0", args.a0),
-                                     ("n", args.n), ("k", k),
-                                     ("replicas", args.replicas),
-                                     ("seed", args.seed),
-                                     ("t-min", args.t_min),
-                                     ("t-max", args.t_max),
-                                     ("points", args.points)])
     cfg = McConfig(model=_model(args), law=make_law(args.alpha), k=k,
                    a0=args.a0, replicas=args.replicas, seed=args.seed,
                    t_min=args.t_min, t_max=args.t_max, points=args.points)
     est = run_tail_experiment(cfg)
-    write_tail_csv(est, fh, header_lines=[line])
+    write_tail_csv(est, fh, header_lines=[_config_line(args, k=k)])
 
 
 def _cmd_calibrate(args, fh):
@@ -137,36 +115,26 @@ def _cmd_calibrate(args, fh):
                 np.linspace(args.a_min, args.a_max, args.steps)]
     else:
         grid = list(DEFAULT_A_GRID)
-    line = _config_line("calibrate", [("alpha", args.alpha), ("a0", args.a0),
-                                      ("n", args.n), ("eta", args.eta),
-                                      ("replicas", args.replicas),
-                                      ("seed", args.seed),
-                                      ("a-min", args.a_min),
-                                      ("a-max", args.a_max),
-                                      ("steps", args.steps),
-                                      ("grid-size", len(grid))])
     rows = calibrate_risk(grid, args.a0, args.n, args.alpha, args.eta,
                           replicas=args.replicas, seed=args.seed)
-    write_risk_csv(rows, fh, header_lines=[line])
+    write_risk_csv(rows, fh, header_lines=[_config_line(args, grid_size=len(grid))])
 
 
 def _cmd_dist(args, fh):
-    line = _config_line("dist", [("alpha", args.alpha), ("x", args.x),
-                                 ("u", args.u)])
-    fh.write("# %s\n" % line)
+    write_header(fh, [_config_line(args)])
     law = make_law(args.alpha)
-    fh.write("alpha=%s\n" % _fmt(law.alpha))
-    fh.write("k_s=%s\n" % _fmt(law.k_s))
-    fh.write("tail_constant=%s\n" % _fmt(tail_constant(law)))
+    fh.write("alpha=%s\n" % fmt(law.alpha))
+    fh.write("k_s=%s\n" % fmt(law.k_s))
+    fh.write("tail_constant=%s\n" % fmt(tail_constant(law)))
     if args.x is not None:
-        fh.write("density=%s\n" % _fmt(density(law, args.x)))
-        fh.write("cdf=%s\n" % _fmt(cdf(law, args.x)))
-        fh.write("survival=%s\n" % _fmt(survival(law, args.x)))
+        fh.write("density=%s\n" % fmt(density(law, args.x)))
+        fh.write("cdf=%s\n" % fmt(cdf(law, args.x)))
+        fh.write("survival=%s\n" % fmt(survival(law, args.x)))
     if args.u is not None:
-        fh.write("quantile_tail=%s\n" % _fmt(quantile_tail(law, args.u)))
+        fh.write("quantile_tail=%s\n" % fmt(quantile_tail(law, args.u)))
         if args.u < 0.5:
-            fh.write("upper_quantile=%s\n" % _fmt(upper_quantile(law, args.u)))
-        fh.write("normal_quantile=%s\n" % _fmt(normal_quantile(args.u)))
+            fh.write("upper_quantile=%s\n" % fmt(upper_quantile(law, args.u)))
+        fh.write("normal_quantile=%s\n" % fmt(normal_quantile(args.u)))
 
 
 def _add_out(sub):

@@ -14,7 +14,8 @@ products already use the BLAS threads) and tests every block against the
 dense form of each grid alternative (common random numbers).  The
 empirical survival function comes from one sort of the replica
 statistics; theory curves are the first-order coefficients evaluated on
-the same threshold grid.
+the same threshold grid.  The CSV writers take their number format and
+header lines from the shared text module _text.
 """
 
 import math
@@ -24,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._text import fmt, write_header
 from .ar_quadform import ArModel, ar_paths, autocov_matrix, test_matrix
 from .student_dist import StudentLaw, make_law, sample
 from .tail_formulas import (COEF_REGIMES, POWER_LOG, ZERO, classify,
@@ -277,11 +279,6 @@ def calibrate_risk(a_grid, a0, n, alpha, eta, replicas=100_000, seed=0):
     return rows
 
 
-def _fmt(x):
-    """17-significant-digit decimal form; round-trips every finite double."""
-    return format(float(x), ".17g")
-
-
 def _log10_or_ninf(p):
     return -math.inf if p <= 0.0 else math.log10(p)
 
@@ -295,9 +292,8 @@ def write_tail_csv(est, fh, header_lines=()):
     keeps the unclamped approximation.  '#'-prefixed header lines come
     first, reals carry 17 significant digits, line endings are LF.
     """
-    for line in header_lines:
-        fh.write("# %s\n" % line)
-    coef = "none" if est.tail.coef is None else _fmt(est.tail.coef)
+    write_header(fh, header_lines)
+    coef = fmt(est.tail.coef)
     fh.write("# replicas=%d seed=%d regime=%s coef=%s\n"
              % (est.replicas, est.seed, est.tail.regime, coef))
     if est.p_theory is None:
@@ -312,7 +308,7 @@ def write_tail_csv(est, fh, header_lines=()):
             p_th = float(est.p_theory[i])
             raw = float(est.raw_theory[i])
             log_th = _log10_or_ninf(p_th)
-        fh.write(",".join(_fmt(v) for v in (
+        fh.write(",".join(fmt(v) for v in (
             t, math.log10(t), p_emp, _log10_or_ninf(p_emp),
             p_th, log_th, float(est.se[i]), raw)) + "\n")
 
@@ -322,12 +318,10 @@ def write_risk_csv(rows, fh, header_lines=()):
     NaN slots on skipped rows; '#' header lines first, 17 significant
     digits, LF line endings."""
     skipped = [row.a for row in rows if row.skipped]
-    for line in header_lines:
-        fh.write("# %s\n" % line)
+    write_header(fh, header_lines)
     if skipped:
-        fh.write("# skipped (need a > a0): %s\n"
-                 % " ".join(_fmt(a) for a in skipped))
+        fh.write("# skipped (need a > a0): %s\n" % " ".join(fmt(a) for a in skipped))
     fh.write(",".join(RISK_CSV_COLUMNS) + "\n")
     for row in rows:
-        fh.write(",".join(_fmt(v) for v in (row.a, row.t_eta, row.risk_hat, row.se))
+        fh.write(",".join(fmt(v) for v in (row.a, row.t_eta, row.risk_hat, row.se))
                  + "\n")

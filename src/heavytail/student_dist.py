@@ -208,8 +208,8 @@ def _polar_draws(alpha, stream, m):
     V); the first m pairs with 0 < W <= 1 are kept in order, about pi/4 of
     them, and the rare shortfall is topped up by the same rule.  expm1 and
     log keep W^(-2/alpha) - 1 free of cancellation for large alpha.  For
-    alpha below about 0.23 a W near 0 can overflow T to inf, with
-    probability about exp(-710 alpha / (2 + alpha)) per draw.
+    alpha below about 0.23 a W near 0 can overflow T, with probability about
+    exp(-710 alpha / (2 + alpha)) per draw; that raises OverflowError.
     """
     parts, have = [], 0
     while have < m:
@@ -227,13 +227,18 @@ def _polar_draws(alpha, stream, m):
         # the kept U go to the spent V row; mode="clip" skips a buffered copy
         u = np.take(u, keep, out=uv[1, :keep.size], mode="clip")
         del keep
-        t = np.log(w)
-        t *= -2.0 / alpha
-        np.expm1(t, out=t)
-        t *= alpha
-        t /= w
-        np.sqrt(t, out=t)
-        t *= u
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                t = np.log(w)
+                t *= -2.0 / alpha
+                np.expm1(t, out=t)
+                t *= alpha
+                t /= w
+                np.sqrt(t, out=t)
+                t *= u
+        except FloatingPointError:
+            raise OverflowError("innovations overflow a double at alpha=%r"
+                                % alpha) from None
         parts.append(t)
         have += t.size
     if len(parts) == 1:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .ar_quadform import (QuadForm, ar1_offdiag_closed, power_sums,
                           test_matrix)
-from .student_dist import make_law
+from .student_dist import make_law, tail_constant
 
 POWER_HALF = "PowerHalf"
 POWER_LOG = "PowerLog"
@@ -100,40 +100,34 @@ def _entries(c):
     return m
 
 
-def _diag_zero_tol(diag):
-    """Absolute tolerance deciding which diagonal entries count as zero."""
-    top = float(np.max(np.abs(diag))) if diag.size else 0.0
-    return 1e-12 * max(1.0, top)
+def _diag_signs(m):
+    """(positive mask, zero mask, tol) of the diagonal of m: entries within
+    the absolute tolerance tol = 1e-12 max(1, max |C_ii|) count as zero."""
+    diag = np.diag(m)
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(diag))) if diag.size else 0.0)
+    return diag > tol, np.abs(diag) <= tol, tol
 
 
 def coef_positive_case(c, alpha):
     """PowerHalf coefficient 2 k_s alpha^((alpha-1)/2) sum_{j: C_jj>0} C_jj^(alpha/2)."""
     m = _entries(c)
     alpha = float(alpha)
-    diag = np.diag(m)
-    pos = diag[diag > _diag_zero_tol(diag)]
+    pos = np.diag(m)[_diag_signs(m)[0]]
     if pos.size == 0:
         raise ValueError("need a positive diagonal entry")
-    law = make_law(alpha)
-    scale = law.k_s * alpha ** ((alpha - 1.0) / 2.0)
-    return 2.0 * scale * float(np.sum(pos ** (alpha / 2.0)))
+    return 2.0 * tail_constant(make_law(alpha)) * float(np.sum(pos ** (alpha / 2.0)))
 
 
 def coef_degenerate_case(c, alpha):
     """PowerLog coefficient k_s^2 alpha^alpha sum_{i: C_ii=0} sum_j |C_ij+C_ji|^alpha."""
     m = _entries(c)
-    alpha = float(alpha)
-    diag = np.diag(m)
-    tol = _diag_zero_tol(diag)
-    if np.any(diag > tol):
+    pos, zero, _ = _diag_signs(m)
+    if pos.any():
         raise ValueError("need no positive diagonal entry")
-    zero_rows = np.flatnonzero(np.abs(diag) <= tol)
-    if zero_rows.size == 0:
+    if not zero.any():
         raise ValueError("need a vanishing diagonal entry")
-    sym = m + m.T
-    total = float(np.sum(np.abs(sym[zero_rows, :]) ** alpha))
-    law = make_law(alpha)
-    return law.k_s ** 2 * alpha ** alpha * total
+    total = float(np.sum(np.abs((m + m.T)[zero, :]) ** float(alpha)))
+    return _power_log_scale(make_law(alpha)) * total
 
 
 def _upper_pairs(mask):
@@ -157,12 +151,9 @@ def classify(c, alpha):
     alpha = float(alpha)
     if not alpha > 0.0:
         raise ValueError("need alpha > 0")
-    diag = np.diag(m)
-    tol = _diag_zero_tol(diag)
-
-    pos = np.flatnonzero(diag > tol)
-    if pos.size:
-        witnesses = tuple((int(j),) for j in pos)
+    pos, zero, tol = _diag_signs(m)
+    if pos.any():
+        witnesses = tuple((int(j),) for j in np.flatnonzero(pos))
         return (DegeneracyClass(1, witnesses),
                 TailLaw(POWER_HALF, alpha, coef=coef_positive_case(m, alpha)))
 
@@ -170,11 +161,9 @@ def classify(c, alpha):
         return (DegeneracyClass("gt2", ()),
                 TailLaw(ZERO, alpha, note="the form is identically zero"))
 
-    zero = np.abs(diag) <= tol
-    zero_rows = np.flatnonzero(zero)
-    if zero_rows.size:
+    if zero.any():
         sym = m + m.T
-        coupled = float(np.sum(np.abs(sym[zero_rows, :]) ** alpha))
+        coupled = float(np.sum(np.abs(sym[zero, :]) ** alpha))
         if coupled > 0.0:
             # sym is symmetric, so the upper triangle lists each pair once
             pairs = _upper_pairs((zero[:, None] | zero[None, :]) & (sym != 0.0))
@@ -199,12 +188,16 @@ def classify(c, alpha):
             TailLaw(SUB_POWER, alpha, note="no coordinate pair carries positive energy"))
 
 
-def _power_half_scale(law):
-    return law.k_s * law.alpha ** ((law.alpha - 1.0) / 2.0)
-
-
 def _power_log_scale(law):
     return law.k_s ** 2 * law.alpha ** law.alpha
+
+
+def _power_half_sum(law, lead, sums):
+    """PowerHalf TailLaw with coefficient 2 tail_constant lead sum_p p^(alpha/2)
+    over the power sums in the order given; lead comes already raised, as
+    (|a|^k)^(alpha/2) and |a|^(k alpha/2) differ in the last bits."""
+    body = sum(p ** (law.alpha / 2.0) for p in sums)
+    return TailLaw(POWER_HALF, law.alpha, coef=tail_constant(law) * 2.0 * lead * body)
 
 
 def ar1_upper_tail(a, n, k, alpha):
@@ -227,16 +220,14 @@ def ar1_upper_tail(a, n, k, alpha):
     law = make_law(alpha)
     if k >= n:
         return TailLaw(ZERO, alpha, note="lag at or beyond the path length")
-    if a == 0.0 and k == 0:
-        return TailLaw(POWER_HALF, alpha, coef=_power_half_scale(law) * 2.0 * n)
-    if a == 0.0:
+    if a == 0.0 and k > 0:
         # the form is the lag-k shift: every diagonal entry vanishes and
         # C + C^T holds 2 (n - k) unit couplings
         return TailLaw(POWER_LOG, alpha, coef=_power_log_scale(law) * 2.0 * (n - k))
     if k % 2 == 0 or a > 0.0:
-        body = sum(p ** (alpha / 2.0) for p in power_sums(a * a, n - k))
-        coef = _power_half_scale(law) * 2.0 * abs(a) ** (k * alpha / 2.0) * body
-        return TailLaw(POWER_HALF, alpha, coef=coef)
+        # at a = 0, k = 0 every power sum is 1 and the lead 0^0 = 1
+        return _power_half_sum(law, abs(a) ** (k * alpha / 2.0),
+                               power_sums(a * a, n - k))
     # odd lag, a < 0: diagonal entries vanish on the last k rows
     total = 0.0
     for i in range(n - k + 1, n + 1):
@@ -263,9 +254,8 @@ def ar1_lower_tail(a, n, alpha):
     law = make_law(alpha)
     if n == 1:
         return TailLaw(ZERO, alpha, note="lag 1 at path length 1; the form is zero")
-    body = sum(p ** (alpha / 2.0) for p in reversed(power_sums(a * a, n - 1)))
-    coef = _power_half_scale(law) * 2.0 * abs(a) ** (alpha / 2.0) * body
-    return TailLaw(POWER_HALF, alpha, coef=coef)
+    return _power_half_sum(law, abs(a) ** (alpha / 2.0),
+                           reversed(power_sums(a * a, n - 1)))
 
 
 def test_stat_tail(a, a0, n, alpha):
@@ -294,9 +284,8 @@ def test_stat_tail(a, a0, n, alpha):
         raise ValueError("need n >= 2")
     law = make_law(alpha)
     if a > a0:
-        body = sum(p ** (alpha / 2.0) for p in reversed(power_sums(a * a, n - 1)))
-        coef = _power_half_scale(law) * 2.0 * (a - a0) ** (alpha / 2.0) * body
-        return TailLaw(POWER_HALF, alpha, coef=coef)
+        return _power_half_sum(law, (a - a0) ** (alpha / 2.0),
+                               reversed(power_sums(a * a, n - 1)))
     if a == a0:
         body = sum((n - m) * abs(a) ** ((m - 1) * alpha) for m in range(1, n))
         return TailLaw(POWER_LOG, alpha, coef=_power_log_scale(law) * 2.0 * body)

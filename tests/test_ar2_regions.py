@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from heavytail.ar_quadform import ArModel, autocov_matrix
@@ -14,7 +14,7 @@ from heavytail.ar2_regions import (_RESCALE_AT, a_col, closed_form_diag,
                                    stable_tail_class, theorem_region_mask,
                                    theorem_region_test, write_region_csv)
 from heavytail.student_dist import make_law
-from heavytail.tail_formulas import (POWER_HALF, POWER_LOG,
+from heavytail.tail_formulas import (POWER_HALF, POWER_LOG, classify,
                                      coef_degenerate_case)
 
 
@@ -188,6 +188,41 @@ def test_stable_tail_class_dichotomy():
     assert law.regime == POWER_LOG
     with pytest.raises(ValueError):
         stable_tail_class(1.0, 0.5, 10, alpha)  # unstable
+
+
+def stable_tail_class_oracle(a, b, n, alpha):
+    # the sign-of-a dispatch stable_tail_class had before it became the
+    # general classifier, with both coefficients and the zero tolerance
+    # written out as they were
+    c = autocov_matrix(ArModel((a, b), n), 1).entries
+    diag = np.diag(c)
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(diag))))
+    law = make_law(alpha)
+    if a > 0.0:
+        scale = law.k_s * alpha ** ((alpha - 1.0) / 2.0)
+        return POWER_HALF, 2.0 * scale * float(np.sum(diag[diag > tol] ** (alpha / 2.0)))
+    assert not np.any(diag > tol)
+    zero_rows = np.flatnonzero(np.abs(diag) <= tol)
+    total = float(np.sum(np.abs((c + c.T)[zero_rows, :]) ** alpha))
+    return POWER_LOG, law.k_s ** 2 * alpha ** alpha * total
+
+
+@given(mag=st.floats(1e-6, 2.0), negative=st.booleans(), b=st.floats(-1.0, 1.0),
+       n=st.integers(3, 60), alpha=st.floats(0.3, 6.0))
+@settings(max_examples=80, deadline=None)
+def test_stable_tail_class_matches_sign_of_a_oracle(mag, negative, b, n, alpha):
+    a = -mag if negative else mag
+    assume(stability_check(a, b))
+    law = stable_tail_class(a, b, n, alpha)
+    assert (law.regime, law.coef) == stable_tail_class_oracle(a, b, n, alpha)
+
+
+def test_stable_tail_class_inside_zero_tolerance_is_the_classifier():
+    # 0 < a within the 1e-12 zero tolerance: every diagonal entry counts as
+    # zero, so the form is PowerLog like any other zero-diagonal form
+    law = stable_tail_class(1e-13, 0.3, 10, 1.5)
+    assert law.regime == POWER_LOG
+    assert law == classify(autocov_matrix(ArModel((1e-13, 0.3), 10), 1), 1.5)[1]
 
 
 def test_stable_negative_a_coefficient_closed_form():

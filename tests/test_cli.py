@@ -74,6 +74,10 @@ def test_overflow_is_one_line_error(capsys, argv):
     ("matrix", "--a", "3", "--n", "400"),
     ("simulate", "--alpha", "1.5", "--a", "3", "--n", "350", "--replicas", "100"),
     ("tail", "--alpha", "1.5", "--a", "3", "--n", "200", "--t", "1e-300"),
+    # innovations that overflow a double at tiny alpha
+    ("simulate", "--alpha", "0.02", "--a", "0.5", "--n", "10", "--k", "1",
+     "--replicas", "100000"),
+    ("calibrate", "--alpha", "0.02", "--replicas", "20000"),
 ])
 def test_overflow_is_one_line_error_without_warnings(capsys, argv):
     # every warning is an exception here, so a numpy RuntimeWarning ahead of
@@ -141,6 +145,59 @@ def test_only_dist_loads_scipy(tmp_path):
     assert proc.stdout.splitlines() == ["[]", "['scipy']"]
     for name in ("tail", "matrix", "regions", "simulate", "calibrate", "dist"):
         assert (tmp_path / name).read_text().startswith("# config cmd=%s " % name)
+
+
+# The config echo of each subcommand, pinned: every option in parser order
+# (defaults, `none` slots, 17-digit reals), then the resolved values.
+CONFIG_ECHO = [
+    ("tail --alpha 1.5 --a 0.5 --n 20",
+     "# config cmd=tail alpha=1.5 a=0.5 b=none n=20 k=1 t=none"),
+    ("tail --alpha 0.7 --a -0.3 --b 0.1 --n 12 --k 2 --t 1e6",
+     "# config cmd=tail alpha=0.69999999999999996 a=-0.29999999999999999 "
+     "b=0.10000000000000001 n=12 k=2 t=1000000"),
+    ("matrix --a 0.5 --n 4",
+     "# config cmd=matrix a=0.5 b=none a0=none n=4 k=1"),
+    ("matrix --a 0.9 --b -0.2 --a0 0.3 --n 4 --k 0",
+     "# config cmd=matrix a=0.90000000000000002 b=-0.20000000000000001 "
+     "a0=0.29999999999999999 n=4 k=0"),
+    ("regions --steps 3",
+     "# config cmd=regions a-min=-2 a-max=2 b-min=-2 b-max=1 steps=3 kmax=200"),
+    ("regions --a-min -0.1 --a-max 0.7 --b-min -0.9 --b-max 0.3 --steps 2 --kmax 5",
+     "# config cmd=regions a-min=-0.10000000000000001 a-max=0.69999999999999996 "
+     "b-min=-0.90000000000000002 b-max=0.29999999999999999 steps=2 kmax=5"),
+    # k resolves to 1 without --a0 and stays none with it
+    ("simulate --alpha 1.5 --a 0.5 --n 10 --replicas 200 --points 3",
+     "# config cmd=simulate alpha=1.5 a=0.5 b=none a0=none n=10 k=1 replicas=200 "
+     "seed=0 t-min=10 t-max=100000000 points=3"),
+    ("simulate --alpha 0.7 --a 0.9 --a0 0.1 --n 10 --replicas 200 --seed 7 "
+     "--t-min 30 --t-max 3e5 --points 3",
+     "# config cmd=simulate alpha=0.69999999999999996 a=0.90000000000000002 b=none "
+     "a0=0.10000000000000001 n=10 k=none replicas=200 seed=7 t-min=30 t-max=300000 "
+     "points=3"),
+    ("simulate --alpha 1.5 --a 0.5 --b -0.3 --n 10 --k 0 --replicas 200 --points 3",
+     "# config cmd=simulate alpha=1.5 a=0.5 b=-0.29999999999999999 a0=none n=10 k=0 "
+     "replicas=200 seed=0 t-min=10 t-max=100000000 points=3"),
+    # grid-size is resolved: the default grid, then a custom one
+    ("calibrate --alpha 1.5 --n 6 --replicas 200",
+     "# config cmd=calibrate alpha=1.5 a0=0.5 n=6 eta=0.050000000000000003 "
+     "replicas=200 seed=0 a-min=none a-max=none steps=none grid-size=38"),
+    ("calibrate --alpha 0.7 --a0 0.1 --n 6 --eta 0.1 --replicas 200 --seed 3 "
+     "--a-min 0.3 --a-max 0.9 --steps 4",
+     "# config cmd=calibrate alpha=0.69999999999999996 a0=0.10000000000000001 n=6 "
+     "eta=0.10000000000000001 replicas=200 seed=3 a-min=0.29999999999999999 "
+     "a-max=0.90000000000000002 steps=4 grid-size=4"),
+    ("dist --alpha 1.5",
+     "# config cmd=dist alpha=1.5 x=none u=none"),
+    ("dist --alpha 0.7 --x 3.3 --u 0.1",
+     "# config cmd=dist alpha=0.69999999999999996 x=3.2999999999999998 "
+     "u=0.10000000000000001"),
+]
+
+
+@pytest.mark.parametrize("argv, line", CONFIG_ECHO)
+def test_config_echo_is_pinned(capsys, argv, line):
+    _, out, _ = run(capsys, *argv.split())
+    assert out.splitlines()[0] == line
 
 
 def test_tail_command_output(capsys):

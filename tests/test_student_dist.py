@@ -311,3 +311,10 @@ def test_sample_polar_tops_up_a_short_draw():
     assert len(stream.calls) == 2 and stream.calls[1] == (2, (m - kept) + (m - kept) // 3 + 64)
     assert got.shape == (m,) and np.all(np.isfinite(got))
     assert np.array_equal(got[:kept], fresh[:kept])
+
+
+@pytest.mark.filterwarnings("error")
+def test_sample_overflow_at_small_alpha_raises_without_warnings():
+    # at alpha = 0.02 about one draw in a thousand overflows a double
+    with pytest.raises(OverflowError, match="innovations overflow a double at alpha=0.02"):
+        sample(make_law(0.02), np.random.default_rng(0), size=20_000)
