@@ -1,5 +1,5 @@
-"""Text forms shared by every output: one number format, the cached lattice
-formatter and the '#'-prefixed header lines."""
+"""Text forms shared by every output: one number format and the
+'#'-prefixed header lines."""
 
 
 def fmt(value):
@@ -12,18 +12,6 @@ def fmt(value):
     if isinstance(value, int):
         return "%d" % value
     return format(float(value), ".17g")
-
-
-class LatticeText(dict):
-    """Real -> fmt(real), formatted on first lookup, for lattices whose
-    coordinates repeat.  Keys compare by value, so 0.0 and -0.0 would share
-    one entry: zeros are formatted on every lookup and never stored."""
-
-    def __missing__(self, v):
-        text = fmt(v)
-        if v:
-            self[v] = text
-        return text
 
 
 def write_header(fh, lines):

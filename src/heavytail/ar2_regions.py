@@ -22,14 +22,18 @@ region_membership, stability_check and theorem_region_test are their
 one-point case.  region_grid scans the whole lattice at once: one
 recursion step over k for every still-uncovered point, in the operation
 order of the one-point recursion, so the rows (and the CSV bytes) are
-those of a point-by-point scan.
+those of a point-by-point scan.  It returns the scan as columns
+(RegionScan), and write_region_csv goes from those columns straight to
+text: each axis value is formatted once, each distinct (first covering k,
+stable, in theorem region) code names one cached line suffix, and no row
+tuple is built.
 """
 
 import math
 
 import numpy as np
 
-from ._text import LatticeText, write_header
+from ._text import fmt, write_header
 from .ar_quadform import ArModel, autocov_matrix
 from .tail_formulas import POWER_HALF, POWER_LOG, classify
 
@@ -216,39 +220,66 @@ def stable_tail_class(a, b, n, alpha):
     return classify(autocov_matrix(ArModel((a, b), n), 1), alpha)[1]
 
 
-def region_grid(a_min, a_max, b_min, b_max, steps, kmax=200):
-    """Scan an inclusive steps x steps lattice of the (a, b) plane.
+class RegionScan:
+    """One scanned lattice as columns: the axes a and b, and per point, in
+    row-major order with a outermost, the masks stable and covered (in the
+    theorem region) and first, the first covering k (0 when uncovered).
 
-    Returns one row per point, in row-major order with a outermost:
+    As a sequence it holds one row per point,
 
-        (a, b, stable, first_covering_k, in_theorem_region, regime)
+        (a, b, stable, first_covering_k, in_theorem_region, regime),
 
-    where first_covering_k is None when no region up to kmax covers the
-    point, and regime is the n-free dichotomy: PowerHalf when some region
-    covers the point, PowerLog otherwise.
+    with first_covering_k None when no region up to kmax covers the point
+    and regime the n-free dichotomy: PowerHalf when some region covers the
+    point, PowerLog otherwise.
     """
+
+    def __init__(self, a, b, stable, first, covered):
+        self.a, self.b = a, b
+        self.stable, self.first, self.covered = stable, first, covered
+
+    def __len__(self):
+        return self.first.size
+
+    def __getitem__(self, i):
+        i = range(len(self))[i]
+        k = int(self.first[i])
+        return (float(self.a[i // self.b.size]), float(self.b[i % self.b.size]),
+                bool(self.stable[i]), k or None, bool(self.covered[i]),
+                POWER_HALF if k else POWER_LOG)
+
+
+def region_grid(a_min, a_max, b_min, b_max, steps, kmax=200):
+    """RegionScan of an inclusive steps x steps lattice of the (a, b) plane."""
     steps = int(steps)
     if steps < 2:
         raise ValueError("need steps >= 2")
     if not (float(a_min) < float(a_max) and float(b_min) < float(b_max)):
         raise ValueError("need a_min < a_max and b_min < b_max")
-    a = np.repeat(np.linspace(float(a_min), float(a_max), steps), steps)
-    b = np.tile(np.linspace(float(b_min), float(b_max), steps), steps)
-    first = first_covering_k(a, b, kmax=kmax)
-    return [(a_v, b_v, stable, k or None, covered, POWER_HALF if k else POWER_LOG)
-            for a_v, b_v, stable, k, covered
-            in zip(a.tolist(), b.tolist(), stable_mask(a, b).tolist(),
-                   first.tolist(), theorem_region_mask(a, b).tolist())]
+    a_axis = np.linspace(float(a_min), float(a_max), steps)
+    b_axis = np.linspace(float(b_min), float(b_max), steps)
+    a = np.repeat(a_axis, steps)
+    b = np.tile(b_axis, steps)
+    return RegionScan(a_axis, b_axis, stable_mask(a, b),
+                      first_covering_k(a, b, kmax=kmax), theorem_region_mask(a, b))
 
 
-def write_region_csv(rows, fh, header_lines=()):
-    """Write region_grid rows as CSV: booleans as 1/0, missing k as an empty
-    field, reals with 17 significant digits, LF line endings.  Each distinct
-    nonzero coordinate is formatted once."""
-    text = LatticeText()
+def write_region_csv(scan, fh, header_lines=()):
+    """Write a RegionScan as CSV: booleans as 1/0, a missing k as an empty
+    field, reals with 17 significant digits, LF line endings.
+
+    Every line is the text of its a, the text of its b and one of the few
+    suffixes, one per distinct (first, stable, covered) code: each axis
+    value and each suffix is formatted once, and each a-row goes out in one
+    writelines call."""
     write_header(fh, header_lines)
     fh.write("a,b,stable,first_covering_k,in_theorem_region,regime\n")
-    fh.writelines(["%s,%s,%d,%s,%d,%s\n"
-                   % (text[a], text[b], stable,
-                      "" if first is None else "%d" % first, covered, regime)
-                   for a, b, stable, first, covered, regime in rows])
+    codes, inverse = np.unique((scan.first * 2 + scan.stable) * 2 + scan.covered,
+                               return_inverse=True)
+    suffixes = [",%d,%s,%d,%s\n" % ((c >> 1) & 1, "%d" % (c >> 2) if c >> 2 else "",
+                                    c & 1, POWER_HALF if c >> 2 else POWER_LOG)
+                for c in codes.tolist()]
+    b_text = [fmt(v) for v in scan.b.tolist()]
+    for a, row in zip(scan.a.tolist(), inverse.reshape(scan.a.size, -1).tolist()):
+        prefix = fmt(a) + ","
+        fh.writelines([prefix + b + suffixes[j] for b, j in zip(b_text, row)])

@@ -1,9 +1,12 @@
 """Trajectory matrices and quadratic forms for AR(p) sample autocovariances.
 
-An AR(p) path driven by innovations eps is X = A eps with A unit lower
-triangular, built row by row from
+An AR(p) path driven by innovations eps is X = A eps for
 
-    X_r = theta_1 X_{r-1} + ... + theta_p X_{r-p} + eps_r    (X_r = 0, r <= 0).
+    X_r = theta_1 X_{r-1} + ... + theta_p X_{r-p} + eps_r    (X_r = 0, r <= 0),
+
+with A unit lower triangular and Toeplitz in the impulse response psi of the
+recursion: A[r, s] = psi_{r-s}.  The forms below are built as strided copies
+of psi, never row by row.
 
 With B the lag-1 downward shift, the scaled sample autocovariance is the
 quadratic form
@@ -67,20 +70,37 @@ class QuadForm:
 SEQUENTIAL_MAX_N = 32
 
 
-def build_a(model):
-    """Unit lower triangular A with X = A eps for every innovation vector.
+def _impulse_response(model):
+    """Impulse response psi_0, ..., psi_{n-1}: psi_0 = 1 and
 
-    Row r is the running sum of theta_i times row r-i (i <= min(p, r-1))
-    plus the unit at the diagonal.
-    """
-    n = model.n
-    a = np.zeros((n, n))
-    for r in range(n):
-        for i, t in enumerate(model.theta[:r], start=1):
+        psi_r = theta_1 psi_{r-1} + ... + theta_p psi_{r-p},
+
+    summed left to right from 0.0 with zero coefficients skipped.  That
+    order fixes the bits of every form built from psi (inf and nan
+    included): they are those of A accumulated row by row, which ar_paths,
+    with its doubling scan, does not reproduce."""
+    theta = model.theta
+    psi = [1.0]
+    for r in range(1, model.n):
+        acc = 0.0
+        for i, t in enumerate(theta[:r], start=1):
             if t != 0.0:
-                a[r] += t * a[r - i]
-        a[r, r] = 1.0
-    return a
+                acc += t * psi[r - i]
+        psi.append(acc)
+    return np.array(psi)
+
+
+def _toeplitz(v, n):
+    """n x n matrix T[r, s] = v[n - 1 + r - s] from v of length 2n - 1: one
+    strided copy, row r being v[r:r + n] reversed."""
+    return np.lib.stride_tricks.sliding_window_view(v, n)[:, ::-1].copy()
+
+
+def build_a(model):
+    """Unit lower triangular A with X = A eps for every innovation vector:
+    the Toeplitz matrix A[r, s] = psi_{r-s} (zero above the diagonal)."""
+    n = model.n
+    return _toeplitz(np.concatenate((np.zeros(n - 1), _impulse_response(model))), n)
 
 
 def shift_pow(n, k):
@@ -114,32 +134,32 @@ def _solve_form(theta, y):
 def autocov_matrix(model, k):
     """QuadForm C = A^T B^k A, so that eps^T C eps = n gamma_n(k).
 
-    Overflowing entries reach QuadForm's finiteness check without a numpy
-    warning."""
+    Y = B^k A is A shifted down k rows, the Toeplitz matrix of psi delayed
+    by k.  Overflowing entries reach QuadForm's finiteness check without a
+    numpy warning."""
     if k < 0:
         raise ValueError("need k >= 0")
     n = model.n
     if k >= n:
         return QuadForm(n=n, entries=np.zeros((n, n)))
     with np.errstate(over="ignore", invalid="ignore"):
-        a = build_a(model)
-        # row r of B^k A is row r-k of A
-        y = np.zeros((n, n))
-        y[k:] = a[:n - k]
+        psi = _impulse_response(model)
+        y = _toeplitz(np.concatenate((np.zeros(n - 1 + k), psi[:n - k])), n)
         return QuadForm(n=n, entries=_solve_form(model.theta, y))
 
 
 def test_matrix(a, a0, n):
     """QuadForm of the studentized statistic n (gamma_n(1) - a0 hat_gamma_n(0))
-    for an AR(1) model with coefficient a."""
+    for an AR(1) model with coefficient a.
+
+    Y = B A - a0 B^T B A has Y[r, s] = psi_{r-1-s} - a0 psi_{r-s} (psi of a
+    negative index is 0) on every row but the last, which is psi_{n-2-s}."""
     model = ArModel((float(a),), n)
     with np.errstate(over="ignore", invalid="ignore"):
-        amat = build_a(model)
-        # B A - a0 B^T B A: A shifted down one row, minus a0 times A with its
-        # last row cleared
-        y = np.zeros((n, n))
-        y[1:] = amat[:-1]
-        y[:-1] -= float(a0) * amat[:-1]
+        # psi_m at index m + n, for m = -n, ..., n - 1
+        padded = np.concatenate((np.zeros(n), _impulse_response(model)))
+        y = _toeplitz(padded[:-1] - float(a0) * padded[1:], n)
+        y[-1] = padded[n - 1:-1][::-1]
         return QuadForm(n=n, entries=_solve_form(model.theta, y))
 
 

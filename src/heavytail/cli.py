@@ -219,10 +219,16 @@ def build_parser():
     return parser
 
 
+# built on the first main call and reused: parsing leaves the parser as is
+_parser = None
+
+
 def main(argv=None):
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code is None else int(exc.code)
     try:

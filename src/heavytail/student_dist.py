@@ -86,8 +86,13 @@ def cdf(law, x):
 
 
 def tail_constant(law):
-    """Limit of x^alpha * (1 - S_alpha(x)), namely k_s * alpha^((alpha-1)/2)."""
-    return law.k_s * law.alpha ** ((law.alpha - 1.0) / 2.0)
+    """Limit of x^alpha * (1 - S_alpha(x)), namely k_s * alpha^((alpha-1)/2).
+    Past alpha of about 256.8 it overflows a double, which raises OverflowError."""
+    try:
+        return law.k_s * law.alpha ** ((law.alpha - 1.0) / 2.0)
+    except OverflowError:
+        raise OverflowError("tail constant overflows a double at alpha=%r"
+                            % law.alpha) from None
 
 
 def quantile_tail(law, u):
@@ -230,7 +235,9 @@ def _polar_draws(alpha, stream, m):
         try:
             with np.errstate(over="raise", invalid="raise"):
                 t = np.log(w)
-                t *= -2.0 / alpha
+                # a numpy division, so that a subnormal alpha, whose -2/alpha
+                # is already -inf, raises the overflow too
+                t *= np.divide(-2.0, alpha)
                 np.expm1(t, out=t)
                 t *= alpha
                 t /= w

@@ -115,7 +115,9 @@ def coef_positive_case(c, alpha):
     pos = np.diag(m)[_diag_signs(m)[0]]
     if pos.size == 0:
         raise ValueError("need a positive diagonal entry")
-    return 2.0 * tail_constant(make_law(alpha)) * float(np.sum(pos ** (alpha / 2.0)))
+    with np.errstate(over="ignore"):  # an infinite sum reaches TailLaw's check
+        body = float(np.sum(pos ** (alpha / 2.0)))
+    return 2.0 * tail_constant(make_law(alpha)) * body
 
 
 def coef_degenerate_case(c, alpha):
@@ -126,8 +128,14 @@ def coef_degenerate_case(c, alpha):
         raise ValueError("need no positive diagonal entry")
     if not zero.any():
         raise ValueError("need a vanishing diagonal entry")
-    total = float(np.sum(np.abs((m + m.T)[zero, :]) ** float(alpha)))
+    total = float(np.sum(np.abs(_zero_row_couplings(m, zero)) ** float(alpha)))
     return _power_log_scale(make_law(alpha)) * total
+
+
+def _zero_row_couplings(m, zero):
+    """Rows i of C + C^T with C_ii zero, as a C-ordered (count, n) array,
+    without forming C + C^T."""
+    return np.add(m[zero, :], m[:, zero].T, order="C")
 
 
 def _upper_pairs(mask):
@@ -162,11 +170,17 @@ def classify(c, alpha):
                 TailLaw(ZERO, alpha, note="the form is identically zero"))
 
     if zero.any():
-        sym = m + m.T
-        coupled = float(np.sum(np.abs(sym[zero, :]) ** alpha))
+        rows = _zero_row_couplings(m, zero)
+        coupled = float(np.sum(np.abs(rows) ** alpha))
         if coupled > 0.0:
-            # sym is symmetric, so the upper triangle lists each pair once
-            pairs = _upper_pairs((zero[:, None] | zero[None, :]) & (sym != 0.0))
+            # pairs (i, j), i < j, with C_ii or C_jj zero and a nonzero
+            # coupling; a pair of two zero rows shows up twice
+            n = m.shape[0]
+            row, col = np.nonzero(rows != 0.0)
+            i = np.flatnonzero(zero)[row]
+            lo, hi = np.minimum(i, col), np.maximum(i, col)
+            keys = np.unique((lo * n + hi)[lo != hi])
+            pairs = tuple(zip((keys // n).tolist(), (keys % n).tolist()))
             return (DegeneracyClass(2, pairs),
                     TailLaw(POWER_LOG, alpha, coef=coef_degenerate_case(m, alpha)))
         return (DegeneracyClass("gt2", ()),
@@ -196,8 +210,12 @@ def _power_half_sum(law, lead, sums):
     """PowerHalf TailLaw with coefficient 2 tail_constant lead sum_p p^(alpha/2)
     over the power sums in the order given; lead comes already raised, as
     (|a|^k)^(alpha/2) and |a|^(k alpha/2) differ in the last bits."""
-    body = sum(p ** (law.alpha / 2.0) for p in sums)
-    return TailLaw(POWER_HALF, law.alpha, coef=tail_constant(law) * 2.0 * lead * body)
+    scale = tail_constant(law)
+    try:
+        body = sum(p ** (law.alpha / 2.0) for p in sums)
+    except OverflowError:
+        raise OverflowError("coef overflows a double in regime %s" % POWER_HALF) from None
+    return TailLaw(POWER_HALF, law.alpha, coef=scale * 2.0 * lead * body)
 
 
 def ar1_upper_tail(a, n, k, alpha):

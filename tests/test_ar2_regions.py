@@ -1,13 +1,16 @@
 import cmath
+import io
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from heavytail.ar_quadform import ArModel, autocov_matrix
-from heavytail.ar2_regions import (_RESCALE_AT, a_col, closed_form_diag,
+from heavytail._text import fmt
+from heavytail.ar2_regions import (_RESCALE_AT, RegionScan, a_col, closed_form_diag,
                                    diag_seq, first_covering_k, region_grid,
                                    region_membership, region_polynomials,
                                    stability_check, stable_mask,
@@ -152,13 +155,31 @@ def test_no_coverage_above_minus_one(a, pad):
     assert region_membership(a, -1.0 + pad, kmax=50) is None
 
 
+def exact_membership(a, b, kmax):
+    """region_membership in exact rational arithmetic, without rescaling."""
+    a, b = Fraction(a), Fraction(b)
+    prev, cur, d = Fraction(1), a, Fraction(0)
+    for k in range(2, kmax + 1):
+        d += cur * prev
+        if d > 0:
+            return k
+        prev, cur = cur, a * cur + b * prev
+    return None
+
+
 @given(a=st.floats(-4.0, 4.0), b=st.floats(-20.0, 4.0))
+@example(a=-3.653949958317595, b=-13.3515625)
 @settings(max_examples=200, deadline=None)
 def test_theorem_region_implies_coverage(a, b):
     # the line a = 0 is the one boundary case: every d_k vanishes there, so
-    # the point sits in each region's closure but in no strict region
+    # the point sits in each region's closure but in no strict region.
+    # Elsewhere some finite k covers the point, but k has no bound uniform
+    # in (a, b): it grows without limit toward the line b = -a^2, a < 0
+    # (phi = pi/3), and the example is first covered at k = 14760.  A miss
+    # within kmax must then be a miss in exact arithmetic too.
     if a != 0.0 and theorem_region_test(a, b):
-        assert region_membership(a, b, kmax=400) is not None
+        if region_membership(a, b, kmax=400) is None:
+            assert exact_membership(a, b, 400) is None
 
 
 def test_theorem_region_spot_values():
@@ -349,19 +370,60 @@ def test_first_covering_k_marks_uncovered_points_zero():
 
 
 def test_write_region_csv_keeps_signed_zeros_apart_and_nans(tmp_path):
-    rows = [(0.0, -0.0, True, 2, True, POWER_HALF),
-            (-0.0, 0.0, False, None, False, POWER_LOG),
-            (0.0, 0.0, False, None, False, POWER_LOG),
-            (-0.0, -0.0, True, 3, False, POWER_HALF),
-            (math.nan, 2.5, False, None, False, POWER_LOG),
-            (math.nan, 2.5, False, None, False, POWER_LOG)]
+    scan = RegionScan(np.array([0.0, -0.0, math.nan]), np.array([-0.0, 0.0]),
+                      stable=np.array([True, False, True, False, False, False]),
+                      first=np.array([2, 0, 3, 0, 0, 0]),
+                      covered=np.array([True, False, False, False, False, False]))
     out = tmp_path / "zeros.csv"
     with open(out, "w", newline="\n") as fh:
-        write_region_csv(rows, fh)
+        write_region_csv(scan, fh)
     assert out.read_text().splitlines()[1:] == [
         "0,-0,1,2,1,PowerHalf",
-        "-0,0,0,,0,PowerLog",
         "0,0,0,,0,PowerLog",
         "-0,-0,1,3,0,PowerHalf",
-        "nan,2.5,0,,0,PowerLog",
-        "nan,2.5,0,,0,PowerLog"]
+        "-0,0,0,,0,PowerLog",
+        "nan,-0,0,,0,PowerLog",
+        "nan,0,0,,0,PowerLog"]
+
+
+# The tuple-and-% writer write_region_csv replaced, fed the row tuples the
+# old region_grid built from the same kernels.
+
+def region_rows_oracle(a_min, a_max, b_min, b_max, steps, kmax):
+    a = np.repeat(np.linspace(a_min, a_max, steps), steps)
+    b = np.tile(np.linspace(b_min, b_max, steps), steps)
+    first = first_covering_k(a, b, kmax=kmax)
+    return [(a_v, b_v, stable, k or None, covered, POWER_HALF if k else POWER_LOG)
+            for a_v, b_v, stable, k, covered
+            in zip(a.tolist(), b.tolist(), stable_mask(a, b).tolist(),
+                   first.tolist(), theorem_region_mask(a, b).tolist())]
+
+
+def region_csv_oracle(rows, header_lines):
+    text = "".join("# %s\n" % line for line in header_lines)
+    text += "a,b,stable,first_covering_k,in_theorem_region,regime\n"
+    return text + "".join(
+        "%s,%s,%d,%s,%d,%s\n" % (fmt(a), fmt(b), stable,
+                                 "" if first is None else "%d" % first, covered, regime)
+        for a, b, stable, first, covered, regime in rows)
+
+
+# endpoints of either zero sign: linspace ends on its stop value, so a stop
+# of -0.0 puts -0.0 on the lattice, and [-x, x] lattices of odd size hold 0.0
+edge = st.one_of(st.floats(-6.0, 6.0), st.sampled_from([0.0, -0.0]))
+
+
+@given(a_ends=st.tuples(edge, edge), b_ends=st.tuples(edge, edge),
+       steps=st.integers(2, 12), kmax=st.integers(2, 300))
+@example(a_ends=(-1.0, -0.0), b_ends=(-1.0, -0.0), steps=3, kmax=50)
+@example(a_ends=(-1.0, 1.0), b_ends=(-2.0, 2.0), steps=5, kmax=50)
+@settings(max_examples=80, deadline=None)
+def test_region_csv_matches_tuple_writer(a_ends, b_ends, steps, kmax):
+    (a_min, a_max), (b_min, b_max) = sorted(a_ends), sorted(b_ends)
+    assume(a_min < a_max and b_min < b_max)
+    scan = region_grid(a_min, a_max, b_min, b_max, steps, kmax=kmax)
+    rows = region_rows_oracle(a_min, a_max, b_min, b_max, steps, kmax)
+    assert list(scan) == rows
+    fh = io.StringIO()
+    write_region_csv(scan, fh, header_lines=["config cmd=regions"])
+    assert fh.getvalue() == region_csv_oracle(rows, ["config cmd=regions"])

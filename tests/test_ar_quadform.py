@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heavytail import ar_quadform
 from heavytail.ar_quadform import (ArModel, QuadForm, ar1_diag_closed,
                                    ar1_offdiag_closed, autocov_matrix,
                                    build_a, empirical_autocov, power_sum,
@@ -150,3 +153,85 @@ def test_model_and_quadform_validation():
     form = autocov_matrix(ArModel((0.5,), 4), 1)
     with pytest.raises(ValueError):
         form.entries[0, 0] = 99.0  # entries are read-only
+
+
+# The row-by-row builders the Toeplitz copies of the impulse response
+# replaced; the forms must keep their bits, inf and nan included.
+
+def build_a_oracle(model):
+    n = model.n
+    a = np.zeros((n, n))
+    for r in range(n):
+        for i, t in enumerate(model.theta[:r], start=1):
+            if t != 0.0:
+                a[r] += t * a[r - i]
+        a[r, r] = 1.0
+    return a
+
+
+def autocov_oracle(model, k):
+    n = model.n
+    if k >= n:
+        return np.zeros((n, n))
+    y = np.zeros((n, n))
+    y[k:] = build_a_oracle(model)[:n - k]
+    return ar_quadform._solve_form(model.theta, y)
+
+
+def statistic_matrix_oracle(a, a0, n):
+    model = ArModel((a,), n)
+    amat = build_a_oracle(model)
+    y = np.zeros((n, n))
+    y[1:] = amat[:-1]
+    y[:-1] -= a0 * amat[:-1]
+    return ar_quadform._solve_form(model.theta, y)
+
+
+class RawForm:
+    """QuadForm without its finiteness check, to compare overflowed forms."""
+
+    def __init__(self, n, entries):
+        self.n, self.entries = n, entries
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+# coefficients up to 3 in modulus overflow long paths to inf and nan; exact
+# zeros of either sign are skipped by the recursion
+coefficient = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, -0.0, 1.0, -1.0]))
+
+
+@given(theta=st.lists(coefficient, min_size=1, max_size=3),
+       n=st.integers(1, 1000), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_forms_match_row_loop_builders(theta, n, data):
+    model = ArModel(theta, n)
+    k = data.draw(st.integers(0, n + 2), label="k")
+    with np.errstate(all="ignore"), mock.patch.object(ar_quadform, "QuadForm", RawForm):
+        assert_same_bits(build_a(model), build_a_oracle(model))
+        assert_same_bits(autocov_matrix(model, k).entries, autocov_oracle(model, k))
+
+
+@given(a=coefficient, n=st.integers(1, 1000),
+       a0=st.one_of(st.floats(-3.0, -1e-300), st.sampled_from([0.0, -0.0]),
+                    st.floats(1e-300, 3.0)))
+@settings(max_examples=40, deadline=None)
+def test_test_matrix_matches_row_loop_builder(a, n, a0):
+    with np.errstate(all="ignore"), mock.patch.object(ar_quadform, "QuadForm", RawForm):
+        assert_same_bits(statistic_matrix(a, a0, n).entries, statistic_matrix_oracle(a, a0, n))
+
+
+def test_overflowing_forms_keep_inf_and_nan_positions():
+    model = ArModel((3.0,), 700)  # 3^699 overflows A itself
+    with np.errstate(all="ignore"), mock.patch.object(ar_quadform, "QuadForm", RawForm):
+        a = build_a(model)
+        c = autocov_matrix(model, 1).entries
+        t = statistic_matrix(3.0, 0.5, 700).entries
+        assert np.isinf(a).any() and np.isinf(c).any() and np.isnan(t).any()
+        assert_same_bits(a, build_a_oracle(model))
+        assert_same_bits(c, autocov_oracle(model, 1))
+        assert_same_bits(t, statistic_matrix_oracle(3.0, 0.5, 700))

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import heavytail.cli
 from heavytail.ar_quadform import ArModel, autocov_matrix
 from heavytail.cli import main
 from heavytail.student_dist import make_law
@@ -109,6 +110,54 @@ def test_underflowed_coefficient_is_one_line_error(capsys):
                        "--n", "50", "--k", "1")
     assert code == 1
     assert err == "error: coef underflows a double in regime PowerHalf\n"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv", [
+    ("dist", "--alpha", "1e6", "--x", "1"),
+    ("simulate", "--alpha", "1e6", "--a", "0.5", "--n", "10", "--replicas", "100"),
+    ("calibrate", "--alpha", "1e6", "--replicas", "100"),
+])
+def test_huge_alpha_names_the_tail_constant(capsys, argv):
+    # alpha^((alpha-1)/2) overflows a double past alpha of about 256.8
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err == "error: tail constant overflows a double at alpha=1000000.0\n"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv", [
+    # power sums up to 1000 raised to alpha/2 = 125: the closed AR(1) form
+    # and the general classifier's diagonal sum
+    ("tail", "--alpha", "250", "--a", "1", "--n", "1000", "--k", "0"),
+    ("tail", "--alpha", "250", "--a", "1", "--b", "0", "--n", "1000", "--k", "0"),
+])
+def test_overflowed_power_half_sum_is_one_line_error(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err == "error: coef overflows a double in regime PowerHalf\n"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_subnormal_alpha_is_innovation_overflow(capsys):
+    code, _, err = run(capsys, "simulate", "--alpha", "1e-320", "--a", "0.5",
+                       "--n", "10", "--replicas", "1000", "--points", "3")
+    assert code == 1
+    assert err == "error: innovations overflow a double at alpha=1e-320\n"
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    assert run(capsys, "tail", "--alpha", "1.5", "--a", "0.5", "--n", "5",
+               "--t", "100")[0] == 0
+    parser = heavytail.cli._parser
+    # a reused parser starts every parse from the defaults
+    code, out, _ = run(capsys, "tail", "--alpha", "1.5", "--a", "0.5", "--n", "5")
+    assert code == 0
+    assert out.splitlines()[0] == ("# config cmd=tail alpha=1.5 a=0.5 b=none n=5 "
+                                   "k=1 t=none")
+    assert run(capsys, "tail", "--alpha")[0] == 2
+    assert run(capsys, "--help")[0] == 0
+    assert heavytail.cli._parser is parser
 
 
 # Only `dist` needs scipy; importing the package and every other subcommand

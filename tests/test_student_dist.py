@@ -318,3 +318,11 @@ def test_sample_overflow_at_small_alpha_raises_without_warnings():
     # at alpha = 0.02 about one draw in a thousand overflows a double
     with pytest.raises(OverflowError, match="innovations overflow a double at alpha=0.02"):
         sample(make_law(0.02), np.random.default_rng(0), size=20_000)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sample_overflow_at_subnormal_alpha_raises():
+    # -2/alpha is already -inf below alpha of about 1.1e-308; the transform
+    # then gives inf draws without raising a floating-point flag of its own
+    with pytest.raises(OverflowError, match="innovations overflow a double at alpha=1e-320"):
+        sample(make_law(1e-320), np.random.default_rng(0), size=100)
