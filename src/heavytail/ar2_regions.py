@@ -30,6 +30,7 @@ tuple is built.
 """
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -220,7 +221,7 @@ def stable_tail_class(a, b, n, alpha):
     return classify(autocov_matrix(ArModel((a, b), n), 1), alpha)[1]
 
 
-class RegionScan:
+class RegionScan(Sequence):
     """One scanned lattice as columns: the axes a and b, and per point, in
     row-major order with a outermost, the masks stable and covered (in the
     theorem region) and first, the first covering k (0 when uncovered).
@@ -231,7 +232,7 @@ class RegionScan:
 
     with first_covering_k None when no region up to kmax covers the point
     and regime the n-free dichotomy: PowerHalf when some region covers the
-    point, PowerLog otherwise.
+    point, PowerLog otherwise.  A slice gives a list of such rows.
     """
 
     def __init__(self, a, b, stable, first, covered):
@@ -242,6 +243,8 @@ class RegionScan:
         return self.first.size
 
     def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
         i = range(len(self))[i]
         k = int(self.first[i])
         return (float(self.a[i // self.b.size]), float(self.b[i % self.b.size]),

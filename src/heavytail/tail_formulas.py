@@ -25,6 +25,7 @@ out in closed power-sum form so they are exact at a = +-1 too.
 """
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -202,19 +203,30 @@ def classify(c, alpha):
             TailLaw(SUB_POWER, alpha, note="no coordinate pair carries positive energy"))
 
 
-def _power_log_scale(law):
-    return law.k_s ** 2 * law.alpha ** law.alpha
-
-
-def _power_half_sum(law, lead, sums):
-    """PowerHalf TailLaw with coefficient 2 tail_constant lead sum_p p^(alpha/2)
-    over the power sums in the order given; lead comes already raised, as
-    (|a|^k)^(alpha/2) and |a|^(k alpha/2) differ in the last bits."""
-    scale = tail_constant(law)
+@contextmanager
+def _coef_overflow(regime):
+    """Name a float power that overflows while a coefficient of the regime is
+    built; a product that reaches inf instead meets TailLaw's own check."""
     try:
-        body = sum(p ** (law.alpha / 2.0) for p in sums)
+        yield
     except OverflowError:
-        raise OverflowError("coef overflows a double in regime %s" % POWER_HALF) from None
+        raise OverflowError("coef overflows a double in regime %s" % regime) from None
+
+
+def _power_log_scale(law):
+    with _coef_overflow(POWER_LOG):
+        return law.k_s ** 2 * law.alpha ** law.alpha
+
+
+def _power_half_sum(law, base, power, sums):
+    """PowerHalf TailLaw with coefficient 2 tail_constant lead sum_p p^(alpha/2)
+    over the power sums in the order given, with lead = base ** power; the
+    caller picks the split, as (|a|^k)^(alpha/2) and |a|^(k alpha/2) differ
+    in the last bits."""
+    scale = tail_constant(law)
+    with _coef_overflow(POWER_HALF):
+        lead = base ** power
+        body = sum(p ** (law.alpha / 2.0) for p in sums)
     return TailLaw(POWER_HALF, law.alpha, coef=scale * 2.0 * lead * body)
 
 
@@ -244,15 +256,16 @@ def ar1_upper_tail(a, n, k, alpha):
         return TailLaw(POWER_LOG, alpha, coef=_power_log_scale(law) * 2.0 * (n - k))
     if k % 2 == 0 or a > 0.0:
         # at a = 0, k = 0 every power sum is 1 and the lead 0^0 = 1
-        return _power_half_sum(law, abs(a) ** (k * alpha / 2.0),
+        return _power_half_sum(law, abs(a), k * alpha / 2.0,
                                power_sums(a * a, n - k))
     # odd lag, a < 0: diagonal entries vanish on the last k rows
     total = 0.0
-    for i in range(n - k + 1, n + 1):
-        for j in range(1, n + 1):
-            coupling = (ar1_offdiag_closed(a, n, k, i, j)
-                        + ar1_offdiag_closed(a, n, k, j, i))
-            total += abs(coupling) ** alpha
+    with _coef_overflow(POWER_LOG):
+        for i in range(n - k + 1, n + 1):
+            for j in range(1, n + 1):
+                coupling = (ar1_offdiag_closed(a, n, k, i, j)
+                            + ar1_offdiag_closed(a, n, k, j, i))
+                total += abs(coupling) ** alpha
     return TailLaw(POWER_LOG, alpha, coef=_power_log_scale(law) * total)
 
 
@@ -272,7 +285,7 @@ def ar1_lower_tail(a, n, alpha):
     law = make_law(alpha)
     if n == 1:
         return TailLaw(ZERO, alpha, note="lag 1 at path length 1; the form is zero")
-    return _power_half_sum(law, abs(a) ** (alpha / 2.0),
+    return _power_half_sum(law, abs(a), alpha / 2.0,
                            reversed(power_sums(a * a, n - 1)))
 
 
@@ -302,10 +315,11 @@ def test_stat_tail(a, a0, n, alpha):
         raise ValueError("need n >= 2")
     law = make_law(alpha)
     if a > a0:
-        return _power_half_sum(law, (a - a0) ** (alpha / 2.0),
+        return _power_half_sum(law, a - a0, alpha / 2.0,
                                reversed(power_sums(a * a, n - 1)))
     if a == a0:
-        body = sum((n - m) * abs(a) ** ((m - 1) * alpha) for m in range(1, n))
+        with _coef_overflow(POWER_LOG):
+            body = sum((n - m) * abs(a) ** ((m - 1) * alpha) for m in range(1, n))
         return TailLaw(POWER_LOG, alpha, coef=_power_log_scale(law) * 2.0 * body)
     if a0 > 0.0:
         return TailLaw(ORDER_ONLY, alpha,

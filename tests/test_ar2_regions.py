@@ -155,31 +155,42 @@ def test_no_coverage_above_minus_one(a, pad):
     assert region_membership(a, -1.0 + pad, kmax=50) is None
 
 
-def exact_membership(a, b, kmax):
-    """region_membership in exact rational arithmetic, without rescaling."""
+def exact_first_covering_k(a, b, kmax):
+    """region_membership in exact arithmetic.  With a = A / 2^e and
+    b = B / 2^e, P_j = 2^(e j) psi_j and D_j = 2^(e (2j - 1)) d_j are
+    integers: P_j = A P_(j-1) + 2^e B P_(j-2), D_j = 2^(2e) D_(j-1) + P_j P_(j-1)."""
     a, b = Fraction(a), Fraction(b)
-    prev, cur, d = Fraction(1), a, Fraction(0)
+    e = max(a.denominator, b.denominator).bit_length() - 1
+    big_a, big_b = int(a * 2 ** e), int(b * 2 ** e) << e
+    prev, cur, d = 1, big_a, 0
     for k in range(2, kmax + 1):
-        d += cur * prev
+        d = (d << 2 * e) + cur * prev
         if d > 0:
             return k
-        prev, cur = cur, a * cur + b * prev
+        prev, cur = cur, big_a * cur + big_b * prev
     return None
 
 
 @given(a=st.floats(-4.0, 4.0), b=st.floats(-20.0, 4.0))
+@example(a=-2.0, b=-4.0)
 @example(a=-3.653949958317595, b=-13.3515625)
 @settings(max_examples=200, deadline=None)
 def test_theorem_region_implies_coverage(a, b):
     # the line a = 0 is the one boundary case: every d_k vanishes there, so
     # the point sits in each region's closure but in no strict region.
-    # Elsewhere some finite k covers the point, but k has no bound uniform
-    # in (a, b): it grows without limit toward the line b = -a^2, a < 0
-    # (phi = pi/3), and the example is first covered at k = 14760.  A miss
-    # within kmax must then be a miss in exact arithmetic too.
+    # a > 0 is covered at k = 2 (d_1 = a) and b < -a^2 - 1 at k <= 3
+    # (d_2 = a (a^2 + b + 1)).  The rest, -a^2 - 1 <= b < min(-a^2/4, a - 1),
+    # holds curves of rational angle that no k covers, b = -a^2 (phi = 2 pi/3,
+    # the first example) and b = -a^2/2 (3 pi/4) among them, and next to them
+    # and to b = a - 1 the first covering k has no bound (the second example
+    # is first covered at k = 14760); there the scan must give the first
+    # covering k of exact arithmetic.
     if a != 0.0 and theorem_region_test(a, b):
-        if region_membership(a, b, kmax=400) is None:
-            assert exact_membership(a, b, 400) is None
+        k = region_membership(a, b, kmax=400)
+        if a > 0.0 or b < -a * a - 1.0:
+            assert k is not None
+        else:
+            assert k == exact_first_covering_k(a, b, 400)
 
 
 def test_theorem_region_spot_values():
@@ -267,6 +278,11 @@ def test_region_grid_rows_and_csv(tmp_path):
     assert len(rows) == 9
     assert rows[0][0] == -1.0 and rows[0][1] == -1.0
     assert rows[-1][0] == 1.0 and rows[-1][1] == 0.5
+    assert rows[:3] == [rows[0], rows[1], rows[2]]
+    assert rows[::-4] == [rows[8], rows[4], rows[0]]
+    assert list(reversed(rows)) == rows[::-1] and rows.index(rows[5]) == 5
+    with pytest.raises(IndexError):
+        rows[9]
     for a, b, stable, first, covered, regime in rows:
         assert regime == (POWER_HALF if first is not None else POWER_LOG)
         if covered:

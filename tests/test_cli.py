@@ -126,16 +126,22 @@ def test_huge_alpha_names_the_tail_constant(capsys, argv):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("argv", [
+@pytest.mark.parametrize("argv, regime", [
     # power sums up to 1000 raised to alpha/2 = 125: the closed AR(1) form
     # and the general classifier's diagonal sum
-    ("tail", "--alpha", "250", "--a", "1", "--n", "1000", "--k", "0"),
-    ("tail", "--alpha", "250", "--a", "1", "--b", "0", "--n", "1000", "--k", "0"),
+    (("tail", "--alpha", "250", "--a", "1", "--n", "1000", "--k", "0"), "PowerHalf"),
+    (("tail", "--alpha", "250", "--a", "1", "--b", "0", "--n", "1000", "--k", "0"),
+     "PowerHalf"),
+    # the lead |a|^(k alpha/2) = 1000^250
+    (("tail", "--alpha", "250", "--a", "1000", "--n", "3", "--k", "2"), "PowerHalf"),
+    # the scale alpha^alpha = 200^200, and couplings near 1e16 raised to 100
+    (("tail", "--alpha", "200", "--a", "0", "--n", "5", "--k", "1"), "PowerLog"),
+    (("tail", "--alpha", "100", "--a=-1e4", "--n", "5", "--k", "1"), "PowerLog"),
 ])
-def test_overflowed_power_half_sum_is_one_line_error(capsys, argv):
+def test_overflowed_coefficient_is_one_line_error(capsys, argv, regime):
     code, _, err = run(capsys, *argv)
     assert code == 1
-    assert err == "error: coef overflows a double in regime PowerHalf\n"
+    assert err == "error: coef overflows a double in regime %s\n" % regime
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

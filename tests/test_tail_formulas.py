@@ -364,6 +364,17 @@ def test_tail_law_names_an_underflowed_coefficient():
             TailLaw(POWER_HALF, 1.5, coef=bad)
 
 
+@pytest.mark.parametrize("tail, args, regime", [
+    (ar1_lower_tail, (-1e4, 3, 250.0), POWER_HALF),   # lead 1e4^125
+    (stat_tail, (1e4, 0.0, 3, 250.0), POWER_HALF),    # lead (a - a0)^125
+    (stat_tail, (1e4, 1e4, 5, 100.0), POWER_LOG),     # |a|^((m-1) alpha)
+])
+def test_float_power_overflow_names_the_regime(tail, args, regime):
+    with pytest.raises(OverflowError, match="^coef overflows a double in regime %s$"
+                       % regime):
+        tail(*args)
+
+
 def test_tail_law_rejects_an_overflowing_coefficient():
     with pytest.raises(ValueError, match="overflows"):
         TailLaw(POWER_HALF, 1.5, coef=math.inf)
