@@ -13,7 +13,7 @@ Some d_k > 0 puts the upper tail of n gamma_n(1) in the t^(-alpha/2) regime;
 all d_k <= 0 leaves the degenerate t^(-alpha) log t regime.  This module
 provides the membership scan over k, low-order polynomial forms of d_k, a
 trigonometric closed form on the negative-discriminant half-plane, the
-sufficient condition for coverage, the stability triangle, and the tail
+theorem's coverage condition, the stability triangle, and the tail
 classification on the stable region.
 
 Membership, stability and the coverage condition are array kernels
@@ -177,13 +177,15 @@ def theorem_region_mask(a, b):
 
 
 def theorem_region_test(a, b):
-    """True when (a, b) is in the proven-coverage region: a > 0, or a <= 0
+    """True when (a, b) meets the theorem's condition: a > 0, or a <= 0
     with b < -a^2 - 1, or a <= 0 with b < min(-a^2/4, a - 1).
 
-    On the line a = 0 every d_k vanishes, so those points sit in the
-    closure of the regions while no strict region contains them; everywhere
-    else membership at some finite k follows.
-    """
+    Coverage is proven for a > 0 at k = 2 (d_1 = a) and for a < 0 with
+    b < -a^2 - 1 at k = 3 (d_2 = a (a^2 + b + 1)); on a = 0 every d_k
+    vanishes.  The strip -a^2 - 1 <= b < min(-a^2/4, a - 1) holds curves
+    no k covers (b = -a^2 for a < -(1 + sqrt 5)/2, as at (-2, -4), and
+    b = -a^2/2, as at (-3, -4.5)); near them and b = a - 1 the first
+    covering k is unbounded."""
     return bool(theorem_region_mask(float(a), float(b)))
 
 

@@ -11,14 +11,15 @@ significant digits, and line endings are LF; the number format and header
 lines come from the shared text module _text.  Exit codes:
 0 on success, 2 on usage errors, 1 on domain errors (the message names the
 violated precondition), on floating-point overflow and on output files that
-cannot be written.
+cannot be written; a failed run leaves an earlier --out file as it was.
 HEAVYTAIL_THREADS caps the worker pool of simulate (calibrate runs its
 blocks serially); results do not depend on it.
 """
 
 import argparse
+import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 import numpy as np
 
@@ -44,12 +45,19 @@ def _config_line(args, **resolved):
 
 @contextmanager
 def _open_out(args):
-    path = getattr(args, "out", None)
-    if path:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            yield fh
-    else:
+    """stdout, or <out>.partial moved onto --out once the run succeeds."""
+    if not args.out:
         yield sys.stdout
+        return
+    partial = args.out + ".partial"
+    try:
+        with open(partial, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.replace(partial, args.out)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(partial)
+        raise
 
 
 def _model(args):

@@ -28,8 +28,8 @@ import numpy as np
 from ._text import fmt, write_header
 from .ar_quadform import ArModel, ar_paths, autocov_matrix, test_matrix
 from .student_dist import StudentLaw, make_law, sample
-from .tail_formulas import (COEF_REGIMES, POWER_LOG, ZERO, classify,
-                            critical_value, evaluate, test_stat_tail)
+from .tail_formulas import (POWER_LOG, classify, critical_value, evaluate,
+                            test_stat_tail)
 
 # innovations per replica block: 512 KiB of doubles, whatever n is
 BLOCK_DRAWS = 1 << 16
@@ -89,8 +89,8 @@ class McEstimate:
     """Threshold grid with empirical and first-order survival curves.
 
     p_theory is clamped to [0, 1]; raw_theory keeps the unclamped value.
-    Both are None when the classified regime carries no coefficient.
-    """
+    Every McConfig statistic has both: its form's last row has a zero
+    diagonal and the coupling psi_0 = 1 (PowerHalf, PowerLog or Zero)."""
 
     t: np.ndarray
     p_emp: np.ndarray
@@ -206,11 +206,10 @@ def run_tail_experiment(cfg, workers=None):
     """Monte Carlo tail experiment for one configuration.
 
     Classifies the configured statistic (the lag-k form through the general
-    classifier, the test statistic through its closed form), draws all
+    classifier, the test statistic through test_stat_tail), draws all
     replica statistics, and returns the empirical survival curve on a
-    log-spaced threshold grid next to the first-order theory curve (absent
-    when the regime has no coefficient).  The PowerLog approximation needs
-    every threshold above e.
+    log-spaced threshold grid next to the first-order theory curve.  The
+    PowerLog approximation needs every threshold above e.
     """
     if cfg.k is not None:
         tail = classify(autocov_matrix(cfg.model, int(cfg.k)), cfg.law.alpha)[1]
@@ -228,14 +227,10 @@ def run_tail_experiment(cfg, workers=None):
     p_emp = exceed / replicas
     se = np.sqrt(p_emp * (1.0 - p_emp) / replicas)
 
-    if tail.regime in COEF_REGIMES or tail.regime == ZERO:
-        raw = np.array([evaluate(tail, ti) for ti in t])
-        p_theory = np.clip(raw, 0.0, 1.0)
-    else:
-        raw = None
-        p_theory = None
-    return McEstimate(t=t, p_emp=p_emp, p_theory=p_theory, raw_theory=raw,
-                      se=se, replicas=replicas, seed=int(cfg.seed), tail=tail)
+    raw = np.array([evaluate(tail, ti) for ti in t])
+    return McEstimate(t=t, p_emp=p_emp, p_theory=np.clip(raw, 0.0, 1.0),
+                      raw_theory=raw, se=se, replicas=replicas,
+                      seed=int(cfg.seed), tail=tail)
 
 
 def calibrate_risk(a_grid, a0, n, alpha, eta, replicas=100_000, seed=0):
@@ -287,30 +282,22 @@ def write_tail_csv(est, fh, header_lines=()):
     """CSV dump of a tail experiment.
 
     Columns: t, log10_t, p_emp, log10_p_emp, p_theory, log10_p_theory, se,
-    raw_p_theory.  The theory columns are NaN when the classified regime
-    carries no coefficient; p_theory is clamped to [0, 1] while raw_p_theory
-    keeps the unclamped approximation.  '#'-prefixed header lines come
+    raw_p_theory.  p_theory is clamped to [0, 1] while raw_p_theory keeps
+    the unclamped approximation.  '#'-prefixed header lines come
     first, reals carry 17 significant digits, line endings are LF.
     """
     write_header(fh, header_lines)
     coef = fmt(est.tail.coef)
     fh.write("# replicas=%d seed=%d regime=%s coef=%s\n"
              % (est.replicas, est.seed, est.tail.regime, coef))
-    if est.p_theory is None:
-        fh.write("# p_theory=unavailable (%s)\n" % (est.tail.note or est.tail.regime))
     fh.write(",".join(TAIL_CSV_COLUMNS) + "\n")
     for i, t in enumerate(est.t):
         p_emp = float(est.p_emp[i])
-        if est.p_theory is None:
-            p_th = raw = math.nan
-            log_th = math.nan
-        else:
-            p_th = float(est.p_theory[i])
-            raw = float(est.raw_theory[i])
-            log_th = _log10_or_ninf(p_th)
+        p_th = float(est.p_theory[i])
         fh.write(",".join(fmt(v) for v in (
             t, math.log10(t), p_emp, _log10_or_ninf(p_emp),
-            p_th, log_th, float(est.se[i]), raw)) + "\n")
+            p_th, _log10_or_ninf(p_th), float(est.se[i]),
+            float(est.raw_theory[i]))) + "\n")
 
 
 def write_risk_csv(rows, fh, header_lines=()):

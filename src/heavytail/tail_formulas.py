@@ -101,19 +101,18 @@ def _entries(c):
     return m
 
 
-def _diag_signs(m):
-    """(positive mask, zero mask, tol) of the diagonal of m: entries within
+def _diag_signs(diag):
+    """(positive mask, zero mask, tol) of a form's diagonal: entries within
     the absolute tolerance tol = 1e-12 max(1, max |C_ii|) count as zero."""
-    diag = np.diag(m)
     tol = 1e-12 * max(1.0, float(np.max(np.abs(diag))) if diag.size else 0.0)
     return diag > tol, np.abs(diag) <= tol, tol
 
 
 def coef_positive_case(c, alpha):
     """PowerHalf coefficient 2 k_s alpha^((alpha-1)/2) sum_{j: C_jj>0} C_jj^(alpha/2)."""
-    m = _entries(c)
+    diag = np.diag(_entries(c))
     alpha = float(alpha)
-    pos = np.diag(m)[_diag_signs(m)[0]]
+    pos = diag[_diag_signs(diag)[0]]
     if pos.size == 0:
         raise ValueError("need a positive diagonal entry")
     with np.errstate(over="ignore"):  # an infinite sum reaches TailLaw's check
@@ -124,7 +123,7 @@ def coef_positive_case(c, alpha):
 def coef_degenerate_case(c, alpha):
     """PowerLog coefficient k_s^2 alpha^alpha sum_{i: C_ii=0} sum_j |C_ij+C_ji|^alpha."""
     m = _entries(c)
-    pos, zero, _ = _diag_signs(m)
+    pos, zero, _ = _diag_signs(np.diag(m))
     if pos.any():
         raise ValueError("need no positive diagonal entry")
     if not zero.any():
@@ -137,12 +136,6 @@ def _zero_row_couplings(m, zero):
     """Rows i of C + C^T with C_ii zero, as a C-ordered (count, n) array,
     without forming C + C^T."""
     return np.add(m[zero, :], m[:, zero].T, order="C")
-
-
-def _upper_pairs(mask):
-    """Index pairs (i, j), i < j, where the square mask holds, row-major."""
-    rows, cols = np.nonzero(np.triu(mask, 1))
-    return tuple(zip(rows.tolist(), cols.tolist()))
 
 
 def classify(c, alpha):
@@ -160,7 +153,7 @@ def classify(c, alpha):
     alpha = float(alpha)
     if not alpha > 0.0:
         raise ValueError("need alpha > 0")
-    pos, zero, tol = _diag_signs(m)
+    pos, zero, tol = _diag_signs(np.diag(m))
     if pos.any():
         witnesses = tuple((int(j),) for j in np.flatnonzero(pos))
         return (DegeneracyClass(1, witnesses),
@@ -172,7 +165,8 @@ def classify(c, alpha):
 
     if zero.any():
         rows = _zero_row_couplings(m, zero)
-        coupled = float(np.sum(np.abs(rows) ** alpha))
+        with np.errstate(over="ignore"):  # an infinite sum reaches TailLaw's check
+            coupled = float(np.sum(np.abs(rows) ** alpha))
         if coupled > 0.0:
             # pairs (i, j), i < j, with C_ii or C_jj zero and a nonzero
             # coupling; a pair of two zero rows shows up twice
@@ -183,7 +177,8 @@ def classify(c, alpha):
             keys = np.unique((lo * n + hi)[lo != hi])
             pairs = tuple(zip((keys // n).tolist(), (keys % n).tolist()))
             return (DegeneracyClass(2, pairs),
-                    TailLaw(POWER_LOG, alpha, coef=coef_degenerate_case(m, alpha)))
+                    TailLaw(POWER_LOG, alpha,
+                            coef=_power_log_scale(make_law(alpha)) * coupled))
         return (DegeneracyClass("gt2", ()),
                 TailLaw(SUB_POWER, alpha,
                         note="zero max diagonal with no symmetrized coupling "
@@ -192,10 +187,12 @@ def classify(c, alpha):
     # all diagonal entries strictly negative
     sym = (m + m.T) / 2.0
     half = np.diag(sym)
-    # float_power is libm pow, the square the scalar test sym[i, j] ** 2 takes
-    pairs = _upper_pairs(np.float_power(sym, 2.0) > np.multiply.outer(half, half))
-    if pairs:
-        return (DegeneracyClass(2, pairs),
+    # pairs i < j, row-major; float_power is libm pow, the square the scalar
+    # test sym[i, j] ** 2 takes
+    rows, cols = np.nonzero(np.triu(np.float_power(sym, 2.0)
+                                    > np.multiply.outer(half, half), 1))
+    if rows.size:
+        return (DegeneracyClass(2, tuple(zip(rows.tolist(), cols.tolist()))),
                 TailLaw(ORDER_ONLY, alpha,
                         note="negative diagonals with an indefinite coordinate "
                              "pair; exact order t^(-alpha), no closed coefficient"))
@@ -293,19 +290,20 @@ def test_stat_tail(a, a0, n, alpha):
     """TailLaw of P{n (gamma_n(1) - a0 hat_gamma_n(0)) >= t} for AR(1)
     coefficient a and reference value a0.
 
-    a > a0 is PowerHalf with coefficient
+    The regime comes from the classifier's zero rule (_diag_signs) on the
+    closed pivot diagonal C_ii = (a - a0) S_i, S_i = sum_{j<n-i} a^(2j) for
+    i < n, and C_nn = 0.  A positive entry (a > a0) gives PowerHalf,
 
-        2 k_s alpha^((alpha-1)/2) (a-a0)^(alpha/2)
-            * sum_{i=1}^{n-1} (sum_{j=0}^{n-i-1} a^(2j))^(alpha/2);
+        2 k_s alpha^((alpha-1)/2) (a-a0)^(alpha/2) sum_{i: C_ii > 0} S_i^(alpha/2);
 
-    a = a0 is PowerLog: the symmetrized couplings collapse to powers of a
-    (|C_ij + C_ji| = |a|^(|i-j|-1), every i < j), giving
+    an all-zero diagonal (a = a0, or a - a0 inside the tolerance) gives
+    PowerLog with the couplings |C_ij + C_ji| = |a|^(|i-j|-1) of a = a0,
 
-        2 k_s^2 alpha^alpha * sum_{m=1}^{n-1} (n-m) |a|^((m-1) alpha)
+        k_s^2 alpha^alpha (2 sum_{m=1}^{n-1} (n-m) |a|^((m-1) alpha)
+                           + sum_i |2 C_ii|^alpha),  0^0 = 1;
 
-    with 0^0 = 1; a < a0 with a0 > 0 has exact order t^(-alpha) and no closed
-    coefficient (OrderOnly); the remaining corner a < a0 <= 0 is handed to
-    the general classifier.
+    a < a0 goes to the general classifier, which finds PowerLog: C_nn = 0
+    couples to row n - 1 through psi_0 = 1.
     """
     a = float(a)
     a0 = float(a0)
@@ -314,17 +312,20 @@ def test_stat_tail(a, a0, n, alpha):
     if n < 2:
         raise ValueError("need n >= 2")
     law = make_law(alpha)
-    if a > a0:
+    sums = power_sums(a * a, n - 1)[::-1]  # S_1 >= ... >= S_{n-1} = 1
+    if not math.isfinite((a - a0) * sums[0]):
+        raise OverflowError("pivot form overflows a double at a=%r, n=%d" % (a, n))
+    diag = np.append(np.multiply(a - a0, sums), 0.0)
+    pos, zero, _ = _diag_signs(diag)
+    if pos.any():
         return _power_half_sum(law, a - a0, alpha / 2.0,
-                               reversed(power_sums(a * a, n - 1)))
-    if a == a0:
+                               [s for s, keep in zip(sums, pos) if keep])
+    if zero.all():
         with _coef_overflow(POWER_LOG):
             body = sum((n - m) * abs(a) ** ((m - 1) * alpha) for m in range(1, n))
-        return TailLaw(POWER_LOG, alpha, coef=_power_log_scale(law) * 2.0 * body)
-    if a0 > 0.0:
-        return TailLaw(ORDER_ONLY, alpha,
-                       note="a < a0 with a0 > 0: exact order t^(-alpha), "
-                            "no closed coefficient")
+        scale = _power_log_scale(law)
+        inside = float(np.sum(np.abs(2.0 * diag) ** alpha))
+        return TailLaw(POWER_LOG, alpha, coef=scale * 2.0 * body + scale * inside)
     return classify(test_matrix(a, a0, n), alpha)[1]
 
 

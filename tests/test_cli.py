@@ -58,6 +58,33 @@ def test_unwritable_out_is_one_line_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ("dist", "--alpha", "1e6", "--x", "1"),
+    ("simulate", "--alpha", "1e6", "--a", "0.5", "--n", "10", "--replicas", "100"),
+])
+def test_failed_run_keeps_the_earlier_out_file(tmp_path, capsys, argv):
+    target = tmp_path / "out.txt"
+    assert run(capsys, "dist", "--alpha", "2", "--x", "5", "--out", str(target))[0] == 0
+    before = target.read_bytes()
+    code, _, err = run(capsys, *argv, "--out", str(target))
+    assert code == 1 and err.startswith("error: ")
+    assert target.read_bytes() == before
+    assert os.listdir(tmp_path) == ["out.txt"]
+
+
+def test_out_file_replaces_the_earlier_one_with_umask_mode(tmp_path, capsys):
+    target = tmp_path / "out.txt"
+    target.write_text("stale\n")
+    assert run(capsys, "dist", "--alpha", "2", "--out", str(target))[0] == 0
+    assert target.read_text().startswith("# config cmd=dist ")
+    assert sorted(os.listdir(tmp_path)) == ["out.txt"]
+    fresh = tmp_path / "fresh.txt"
+    assert run(capsys, "dist", "--alpha", "2", "--out", str(fresh))[0] == 0
+    with open(tmp_path / "plain", "w"):
+        pass
+    assert (fresh.stat().st_mode & 0o777) == ((tmp_path / "plain").stat().st_mode & 0o777)
+
+
+@pytest.mark.parametrize("argv", [
     ("tail", "--alpha", "1.5", "--a", "3", "--n", "400"),
     ("dist", "--alpha", "1e6"),
     ("simulate", "--alpha", "1e6", "--a", "0.5", "--n", "10", "--replicas", "100"),
@@ -137,6 +164,9 @@ def test_huge_alpha_names_the_tail_constant(capsys, argv):
     # the scale alpha^alpha = 200^200, and couplings near 1e16 raised to 100
     (("tail", "--alpha", "200", "--a", "0", "--n", "5", "--k", "1"), "PowerLog"),
     (("tail", "--alpha", "100", "--a=-1e4", "--n", "5", "--k", "1"), "PowerLog"),
+    # the pivot below its reference: couplings near 1.9^300 raised to 5
+    (("simulate", "--alpha", "5", "--a=-1.9", "--a0", "0.5", "--n", "300",
+      "--replicas", "100"), "PowerLog"),
 ])
 def test_overflowed_coefficient_is_one_line_error(capsys, argv, regime):
     code, _, err = run(capsys, *argv)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from heavytail.ar_quadform import ArModel, autocov_matrix, power_sum, shift_pow
@@ -201,15 +201,41 @@ def test_stat_tail_degenerate_matches_matrix():
                 assert closed.coef == pytest.approx(want, rel=1e-10)
 
 
-def test_stat_tail_order_only_and_corner():
-    law = stat_tail(0.2, 0.5, 10, 1.0)
-    assert law.regime == ORDER_ONLY
-    assert law.coef is None
-    # a < a0 <= 0: the last diagonal entry still vanishes and stays coupled
-    law = stat_tail(-0.5, -0.2, 8, 1.0)
-    assert law.regime == POWER_LOG
-    want = coef_degenerate_case(statistic_matrix(-0.5, -0.2, 8), 1.0)
-    assert law.coef == pytest.approx(want, rel=1e-12)
+def test_stat_tail_below_reference_is_power_log():
+    # a < a0: every diagonal entry but the last is negative, and row n
+    # couples to row n - 1 - m with |a|^m, so for |a| <= 1
+    # coef = k_s^2 alpha^alpha sum_{m=0}^{n-2} |a|^(m alpha), whatever a0 is
+    for a, a0, n, alpha in ((0.2, 0.5, 8, 1.0), (0.2, 0.5, 10, 1.0),
+                            (-0.5, -0.2, 8, 1.0), (0.0, 0.4, 5, 3.0),
+                            (0.9, 0.95, 30, 2.5), (-0.9, 0.3, 12, 0.7),
+                            (1.0, 1.5, 10, 1.0), (-1.0, 0.5, 40, 1.5)):
+        law = stat_tail(a, a0, n, alpha)
+        assert law.regime == POWER_LOG
+        k_s = make_law(alpha).k_s
+        closed = k_s ** 2 * alpha ** alpha * sum(abs(a) ** (m * alpha)
+                                                 for m in range(n - 1))
+        assert law.coef == pytest.approx(closed, rel=1e-13)
+    assert stat_tail(0.2, 0.5, 8, 1.0).coef == pytest.approx(0.12665, rel=1e-4)
+
+
+@given(delta=st.floats(-1e-10, 1e-10), a0=st.floats(-0.9, 0.9),
+       n=st.integers(2, 200), alpha=st.floats(0.5, 4.0))
+@example(delta=5e-13, a0=0.5, n=50, alpha=1.5)  # PowerHalf before the one rule
+@example(delta=1.1e-187, a0=-1.1e-187, n=2, alpha=4.0)
+@example(delta=-5e-13, a0=0.5, n=50, alpha=1.5)
+@settings(max_examples=200, deadline=None)
+def test_stat_tail_zero_rule_matches_classifier(delta, a0, n, alpha):
+    a = a0 + delta
+    # the largest closed diagonal entry |a - a0| S_1; within 1e-3 of the
+    # 1e-12 tolerance the classifier's diagonal, which it gets by
+    # cancellation, is off by ~1e-16 and may fall on the other side
+    top = abs(a - a0) * power_sum(a * a, n - 1)
+    assume(abs(top - 1e-12) > 1e-3 * 1e-12)
+    closed = stat_tail(a, a0, n, alpha)
+    general = classify(statistic_matrix(a, a0, n), alpha)[1]
+    assert closed.regime == general.regime
+    if closed.regime == POWER_LOG:
+        assert closed.coef == pytest.approx(general.coef, rel=1e-9)
 
 
 def test_critical_value_levels():
@@ -268,9 +294,10 @@ def old_upper_coef(a, n, k, alpha):
             * abs(a) ** (k * alpha / 2.0) * body)
 
 
-def old_descending_coef(a, lead, n, alpha):
+def old_descending_coef(a, lead, n, alpha, keep=lambda s: True):
     law = make_law(alpha)
-    body = sum(power_sum(a * a, n - i) ** (alpha / 2.0) for i in range(1, n))
+    body = sum(power_sum(a * a, n - i) ** (alpha / 2.0) for i in range(1, n)
+               if keep(power_sum(a * a, n - i)))
     return (law.k_s * alpha ** ((alpha - 1.0) / 2.0) * 2.0
             * lead ** (alpha / 2.0) * body)
 
@@ -285,7 +312,11 @@ def test_closed_form_power_sums_keep_every_bit(a, a0, n, k, alpha):
     if a < -1e-6:
         assert ar1_lower_tail(a, n, alpha).coef == old_descending_coef(a, abs(a), n, alpha)
     if a - a0 > 1e-6:
-        assert stat_tail(a, a0, n, alpha).coef == old_descending_coef(a, a - a0, n, alpha)
+        # the pivot diagonal (a - a0) S_i drops the S_i that the zero rule
+        # puts within 1e-12 of the largest entry (|a| > 1, long paths)
+        tol = 1e-12 * max(1.0, (a - a0) * power_sum(a * a, n - 1))
+        assert stat_tail(a, a0, n, alpha).coef == old_descending_coef(
+            a, a - a0, n, alpha, keep=lambda s: (a - a0) * s > tol)
 
 
 def test_closed_form_power_sums_keep_every_bit_at_n_1000():
@@ -353,10 +384,10 @@ def test_classify_pairs_match_the_comprehensions_at_n_800():
 
 
 def test_tail_law_names_an_underflowed_coefficient():
-    # (a - a0)^(alpha/2) = (1.1e-187)^2 underflows to 0: no precondition of
+    # (a - a0)^(alpha/2) = (1e-11)^50 underflows to 0: no precondition of
     # the caller is broken, so the message must not name one
     with pytest.raises(ValueError, match="coef underflows a double in regime PowerHalf"):
-        stat_tail(0.0, -1.1e-187, 2, 4.0)
+        stat_tail(1e-11, 0.0, 2, 100.0)
     with pytest.raises(ValueError, match="underflows"):
         TailLaw(POWER_HALF, 1.5, coef=0.0)
     for bad in (None, -1.0, math.nan):
