@@ -1,9 +1,10 @@
 """Finite-sample tail approximations for empirical autocovariances and test
 statistics of AR processes with heavy-tailed (Student-like) innovations."""
 
-from .ar_quadform import (ArModel, QuadForm, ar_paths, autocov_matrix, build_a,
-                          empirical_autocov, power_sum, shift_pow,
-                          simulate_path, test_matrix)
+from .ar_quadform import (ArForm, ArModel, QuadForm, ar_paths, autocov_form,
+                          autocov_matrix, build_a, empirical_autocov,
+                          pivot_form, power_sum, shift_pow, simulate_path,
+                          test_matrix)
 from .ar2_regions import (a_col, closed_form_diag, diag_seq, region_grid,
                           region_membership, stability_check,
                           stable_tail_class, theorem_region_test)
@@ -17,6 +18,6 @@ from .student_dist import (StudentLaw, cdf, density, make_law,
 from .tail_formulas import (DegeneracyClass, TailLaw, ar1_lower_tail,
                             ar1_upper_tail, classify, coef_degenerate_case,
                             coef_positive_case, critical_value, evaluate,
-                            test_stat_tail)
+                            tail_law, test_stat_tail)
 
 __version__ = "0.1.0"

@@ -35,8 +35,8 @@ from collections.abc import Sequence
 import numpy as np
 
 from ._text import fmt, write_header
-from .ar_quadform import ArModel, autocov_matrix
-from .tail_formulas import POWER_HALF, POWER_LOG, classify
+from .ar_quadform import ArModel, autocov_form
+from .tail_formulas import POWER_HALF, POWER_LOG, tail_law
 
 # entry magnitude that triggers a uniform positive rescale of the scan state
 _RESCALE_AT = 1e100
@@ -212,15 +212,15 @@ def stability_check(a, b):
 def stable_tail_class(a, b, n, alpha):
     """TailLaw of P{n gamma_n(1) >= t} for a stable AR(2) model, n >= 3.
 
-    The general classifier on the lag-1 form: on the stable region it gives
-    PowerHalf for a > 0 and PowerLog for a < 0 (no diagonal entry is then
-    positive, so the degenerate-case coefficient applies).
+    The general classifier on the structured lag-1 form: on the stable
+    region it gives PowerHalf for a > 0 and PowerLog for a < 0 (no diagonal
+    entry is then positive, so the degenerate-case coefficient applies).
     """
     if int(n) < 3:
         raise ValueError("need n >= 3")
     if not stability_check(a, b):
         raise ValueError("need a stable pair (a, b)")
-    return classify(autocov_matrix(ArModel((a, b), n), 1), alpha)[1]
+    return tail_law(autocov_form(ArModel((a, b), n), 1), alpha)
 
 
 class RegionScan(Sequence):

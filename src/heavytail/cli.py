@@ -24,14 +24,14 @@ from contextlib import contextmanager, suppress
 import numpy as np
 
 from ._text import fmt, write_header
-from .ar_quadform import ArModel, autocov_matrix, test_matrix
+from .ar_quadform import ArModel, autocov_form, autocov_matrix, test_matrix
 from .ar2_regions import region_grid, write_region_csv
 from .monte_carlo import (DEFAULT_A_GRID, McConfig, calibrate_risk,
                           run_tail_experiment, write_risk_csv, write_tail_csv)
 from .student_dist import (cdf, density, make_law, normal_quantile,
                            quantile_tail, survival, tail_constant,
                            upper_quantile)
-from .tail_formulas import ar1_upper_tail, classify, evaluate
+from .tail_formulas import ar1_upper_tail, evaluate, tail_law
 
 
 def _config_line(args, **resolved):
@@ -70,7 +70,7 @@ def _cmd_tail(args, fh):
     if args.b is None:
         tail = ar1_upper_tail(args.a, args.n, args.k, args.alpha)
     else:
-        tail = classify(autocov_matrix(_model(args), args.k), args.alpha)[1]
+        tail = tail_law(autocov_form(_model(args), args.k), args.alpha)
     fh.write("regime=%s coef=%s\n" % (tail.regime, fmt(tail.coef)))
     if tail.note:
         fh.write("# note: %s\n" % tail.note)

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._text import fmt, write_header
-from .ar_quadform import ArModel, ar_paths, autocov_matrix, test_matrix
+from .ar_quadform import ArModel, ar_paths, autocov_form, test_matrix
 from .student_dist import StudentLaw, make_law, sample
-from .tail_formulas import (POWER_LOG, classify, critical_value, evaluate,
+from .tail_formulas import (POWER_LOG, critical_value, evaluate, tail_law,
                             test_stat_tail)
 
 # innovations per replica block: 512 KiB of doubles, whatever n is
@@ -90,7 +90,9 @@ class McEstimate:
 
     p_theory is clamped to [0, 1]; raw_theory keeps the unclamped value.
     Every McConfig statistic has both: its form's last row has a zero
-    diagonal and the coupling psi_0 = 1 (PowerHalf, PowerLog or Zero)."""
+    diagonal and the coupling psi_0 = 1 (PowerHalf, PowerLog or Zero).
+    tail comes from the structured form (ArForm), read from the impulse
+    response in O(n k) memory, never from an n x n matrix."""
 
     t: np.ndarray
     p_emp: np.ndarray
@@ -205,14 +207,15 @@ def collect_stats(cfg, workers=None):
 def run_tail_experiment(cfg, workers=None):
     """Monte Carlo tail experiment for one configuration.
 
-    Classifies the configured statistic (the lag-k form through the general
-    classifier, the test statistic through test_stat_tail), draws all
+    Classifies the configured statistic (the structured lag-k form through
+    the general classifier, the test statistic through test_stat_tail;
+    neither builds an n x n matrix), draws all
     replica statistics, and returns the empirical survival curve on a
     log-spaced threshold grid next to the first-order theory curve.  The
     PowerLog approximation needs every threshold above e.
     """
     if cfg.k is not None:
-        tail = classify(autocov_matrix(cfg.model, int(cfg.k)), cfg.law.alpha)[1]
+        tail = tail_law(autocov_form(cfg.model, int(cfg.k)), cfg.law.alpha)
     else:
         tail = test_stat_tail(cfg.model.theta[0], float(cfg.a0),
                               cfg.model.n, cfg.law.alpha)
@@ -252,14 +255,18 @@ def calibrate_risk(a_grid, a0, n, alpha, eta, replicas=100_000, seed=0):
         raise ValueError("need a 64-bit unsigned seed")
     law = make_law(alpha)
     grid = [float(a) for a in a_grid]
-    tests = [(test_matrix(a, a0, n).entries, critical_value(a, a0, n, law.alpha, eta))
-             for a in grid if a > a0]
+    alternatives = [a for a in grid if a > a0]
+    # critical values first: one whose pivot form overflows a double is
+    # named before any dense form is built
+    t_etas = [critical_value(a, a0, n, law.alpha, eta) for a in alternatives]
+    tests = [(t_eta, test_matrix(a, a0, n).entries)
+             for a, t_eta in zip(alternatives, t_etas)]
 
     counts = np.zeros(len(tests), dtype=np.int64)
     for block in replica_blocks(replicas, n):
         eps = block_innovations(law, n, seed, block)
         counts += np.array([np.count_nonzero(row_stats(eps, entries) >= t_eta)
-                            for entries, t_eta in tests], dtype=np.int64)
+                            for t_eta, entries in tests], dtype=np.int64)
     tested = iter(zip(tests, counts))
     rows = []
     for a in grid:
@@ -267,7 +274,7 @@ def calibrate_risk(a_grid, a0, n, alpha, eta, replicas=100_000, seed=0):
             rows.append(RiskRow(a=a, t_eta=math.nan, risk_hat=math.nan,
                                 se=math.nan, skipped=True))
             continue
-        (_, t_eta), count = next(tested)
+        (t_eta, _), count = next(tested)
         risk = int(count) / replicas
         rows.append(RiskRow(a=a, t_eta=t_eta, risk_hat=risk,
                             se=math.sqrt(risk * (1.0 - risk) / replicas)))

@@ -17,7 +17,12 @@ order as t -> oo, into one of five regimes:
 with coefficients
 
     PowerHalf coef = k_s alpha^((alpha-1)/2) * 2 * sum_{j: C_jj > 0} C_jj^(alpha/2)
-    PowerLog  coef = k_s^2 alpha^alpha * sum_{i: C_ii = 0} sum_j |C_ij + C_ji|^alpha.
+    PowerLog  coef = k_s^2 alpha^alpha * sum_{i: C_ii = 0} sum_{j != i}
+                                              |C_ij + C_ji|^alpha.
+
+The classifier reads a form only through its diagonal, the couplings of
+its zero-diagonal rows and whether it is zero (see ar_quadform), so the
+structured AR forms are classified without an n x n array.
 
 The AR(1) specializations (upper and lower tails of n gamma_n(k), the
 studentized lag-1 test statistic, approximate critical values) are written
@@ -30,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ar_quadform import (QuadForm, ar1_offdiag_closed, power_sums,
-                          test_matrix)
+from .ar_quadform import (ArForm, ArModel, QuadForm, autocov_form, pivot_form,
+                          power_sums)
 from .student_dist import make_law, tail_constant
 
 POWER_HALF = "PowerHalf"
@@ -91,14 +96,15 @@ class DegeneracyClass:
         object.__setattr__(self, "j_sets", tuple(tuple(s) for s in self.j_sets))
 
 
-def _entries(c):
-    """Accept a QuadForm or any square array-like; return the dense matrix."""
-    if isinstance(c, QuadForm):
-        return c.entries
+def _form(c):
+    """The classifier's view of c: a QuadForm or ArForm as it is, any other
+    square array-like as a QuadForm (a checked copy)."""
+    if isinstance(c, (QuadForm, ArForm)):
+        return c
     m = np.asarray(c, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("need a square matrix")
-    return m
+    return QuadForm(m.shape[0], m)
 
 
 def _diag_signs(diag):
@@ -108,38 +114,62 @@ def _diag_signs(diag):
     return diag > tol, np.abs(diag) <= tol, tol
 
 
-def coef_positive_case(c, alpha):
-    """PowerHalf coefficient 2 k_s alpha^((alpha-1)/2) sum_{j: C_jj>0} C_jj^(alpha/2)."""
-    diag = np.diag(_entries(c))
-    alpha = float(alpha)
-    pos = diag[_diag_signs(diag)[0]]
-    if pos.size == 0:
-        raise ValueError("need a positive diagonal entry")
+def _power_half_coef(pos, alpha):
+    """2 k_s alpha^((alpha-1)/2) sum_j pos_j^(alpha/2) over positive entries."""
     with np.errstate(over="ignore"):  # an infinite sum reaches TailLaw's check
         body = float(np.sum(pos ** (alpha / 2.0)))
     return 2.0 * tail_constant(make_law(alpha)) * body
 
 
+def _coupling_sum(form, zero, alpha, witnesses):
+    """sum_{i: C_ii = 0} sum_{j != i} |C_ij + C_ji|^alpha and, with
+    witnesses, the distinct pairs (i, j), i < j, with a nonzero coupling on
+    a zero-diagonal row, read chunk by chunk from form.couplings."""
+    n = form.n
+    total = 0.0
+    keys = []
+    for at, chunk in form.couplings(np.flatnonzero(zero)):
+        if witnesses:
+            row, col = np.nonzero(chunk)
+            i = at[row]
+            keys.append(np.minimum(i, col) * n + np.maximum(i, col))
+        # in place, the chunk being ours; **= keeps the bits of ** (its fast
+        # paths included)
+        np.abs(chunk, out=chunk)
+        with np.errstate(over="ignore"):  # an infinite sum reaches TailLaw's check
+            chunk **= alpha
+        total += float(np.sum(chunk))
+    if not witnesses:
+        return total, None
+    keys = np.unique(np.concatenate(keys))
+    return total, tuple(zip((keys // n).tolist(), (keys % n).tolist()))
+
+
+def coef_positive_case(c, alpha):
+    """PowerHalf coefficient 2 k_s alpha^((alpha-1)/2) sum_{j: C_jj>0} C_jj^(alpha/2)."""
+    diag = _form(c).diagonal()
+    pos = diag[_diag_signs(diag)[0]]
+    if pos.size == 0:
+        raise ValueError("need a positive diagonal entry")
+    return _power_half_coef(pos, float(alpha))
+
+
 def coef_degenerate_case(c, alpha):
-    """PowerLog coefficient k_s^2 alpha^alpha sum_{i: C_ii=0} sum_j |C_ij+C_ji|^alpha."""
-    m = _entries(c)
-    pos, zero, _ = _diag_signs(np.diag(m))
+    """PowerLog coefficient
+    k_s^2 alpha^alpha sum_{i: C_ii=0} sum_{j!=i} |C_ij+C_ji|^alpha."""
+    form = _form(c)
+    pos, zero, _ = _diag_signs(form.diagonal())
     if pos.any():
         raise ValueError("need no positive diagonal entry")
     if not zero.any():
         raise ValueError("need a vanishing diagonal entry")
-    total = float(np.sum(np.abs(_zero_row_couplings(m, zero)) ** float(alpha)))
+    total = _coupling_sum(form, zero, float(alpha), witnesses=False)[0]
     return _power_log_scale(make_law(alpha)) * total
 
 
-def _zero_row_couplings(m, zero):
-    """Rows i of C + C^T with C_ii zero, as a C-ordered (count, n) array,
-    without forming C + C^T."""
-    return np.add(m[zero, :], m[:, zero].T, order="C")
-
-
 def classify(c, alpha):
-    """DegeneracyClass and TailLaw of P{eps^T C eps >= t}.
+    """DegeneracyClass and TailLaw of P{eps^T C eps >= t}, for c a QuadForm,
+    an ArForm or a square array.
 
     Decision order: a positive diagonal entry gives PowerHalf; with the max
     diagonal entry zero (within an absolute tolerance of 1e-12 times the
@@ -147,36 +177,41 @@ def classify(c, alpha):
     gives PowerLog, an all-zero matrix gives Zero, and no coupling gives
     SubPower; with all diagonals negative, a coordinate pair (i, j) whose
     symmetrized 2 x 2 block is indefinite (S_ij^2 > S_ii S_jj) gives
-    OrderOnly, else SubPower.
+    OrderOnly, else SubPower.  A diagonal entry the tolerance counts as
+    zero counts as zero in the PowerLog sum too: its row's term j = i is
+    left out.
     """
-    m = _entries(c)
+    return _classify(_form(c), alpha, witnesses=True)
+
+
+def tail_law(c, alpha):
+    """The TailLaw of classify(c, alpha) without its witnesses, so that an
+    ArForm is classified in the memory of its own reads."""
+    return _classify(_form(c), alpha, witnesses=False)[1]
+
+
+def _classify(form, alpha, witnesses):
+    """classify on a form; without witnesses the DegeneracyClass carries no
+    witness tuple."""
     alpha = float(alpha)
     if not alpha > 0.0:
         raise ValueError("need alpha > 0")
-    pos, zero, tol = _diag_signs(np.diag(m))
+    diag = form.diagonal()
+    pos, zero, tol = _diag_signs(diag)
     if pos.any():
-        witnesses = tuple((int(j),) for j in np.flatnonzero(pos))
-        return (DegeneracyClass(1, witnesses),
-                TailLaw(POWER_HALF, alpha, coef=coef_positive_case(m, alpha)))
+        witness = (tuple((int(j),) for j in np.flatnonzero(pos))
+                   if witnesses else ())
+        return (DegeneracyClass(1, witness),
+                TailLaw(POWER_HALF, alpha, coef=_power_half_coef(diag[pos], alpha)))
 
-    if float(np.max(np.abs(m))) <= tol:
+    if form.is_zero(tol):
         return (DegeneracyClass("gt2", ()),
                 TailLaw(ZERO, alpha, note="the form is identically zero"))
 
     if zero.any():
-        rows = _zero_row_couplings(m, zero)
-        with np.errstate(over="ignore"):  # an infinite sum reaches TailLaw's check
-            coupled = float(np.sum(np.abs(rows) ** alpha))
+        coupled, pairs = _coupling_sum(form, zero, alpha, witnesses)
         if coupled > 0.0:
-            # pairs (i, j), i < j, with C_ii or C_jj zero and a nonzero
-            # coupling; a pair of two zero rows shows up twice
-            n = m.shape[0]
-            row, col = np.nonzero(rows != 0.0)
-            i = np.flatnonzero(zero)[row]
-            lo, hi = np.minimum(i, col), np.maximum(i, col)
-            keys = np.unique((lo * n + hi)[lo != hi])
-            pairs = tuple(zip((keys // n).tolist(), (keys % n).tolist()))
-            return (DegeneracyClass(2, pairs),
+            return (DegeneracyClass(2, pairs or ()),
                     TailLaw(POWER_LOG, alpha,
                             coef=_power_log_scale(make_law(alpha)) * coupled))
         return (DegeneracyClass("gt2", ()),
@@ -184,7 +219,9 @@ def classify(c, alpha):
                         note="zero max diagonal with no symmetrized coupling "
                              "on the zero-diagonal rows"))
 
-    # all diagonal entries strictly negative
+    # all diagonal entries strictly negative: a dense form, since every
+    # ArForm has a zero last diagonal entry
+    m = form.entries
     sym = (m + m.T) / 2.0
     half = np.diag(sym)
     # pairs i < j, row-major; float_power is libm pow, the square the scalar
@@ -230,11 +267,12 @@ def _power_half_sum(law, base, power, sums):
 def ar1_upper_tail(a, n, k, alpha):
     """TailLaw of P{n gamma_n(k) >= t} for an AR(1) model with coefficient a.
 
-    Closed forms throughout: even lag or a > 0 is PowerHalf with the
-    power-sum diagonal entries; a = 0 with k >= 1 is PowerLog with 2 (n - k)
-    unit couplings, and odd lag with a < 0 is PowerLog with the closed-form
-    entries fed into the degenerate-case sum;
-    k >= n makes the form identically zero.
+    Even lag or a > 0 is PowerHalf with the power-sum diagonal entries;
+    a = 0 with k >= 1 is PowerLog with 2 (n - k) unit couplings; odd lag
+    with a < 0 is PowerLog, its coefficient read from the structured form
+    (the couplings of the last k rows, and of any row whose diagonal the
+    zero rule counts as zero when |a| > 1); k >= n makes the form
+    identically zero.
     """
     a = float(a)
     alpha = float(alpha)
@@ -256,14 +294,7 @@ def ar1_upper_tail(a, n, k, alpha):
         return _power_half_sum(law, abs(a), k * alpha / 2.0,
                                power_sums(a * a, n - k))
     # odd lag, a < 0: diagonal entries vanish on the last k rows
-    total = 0.0
-    with _coef_overflow(POWER_LOG):
-        for i in range(n - k + 1, n + 1):
-            for j in range(1, n + 1):
-                coupling = (ar1_offdiag_closed(a, n, k, i, j)
-                            + ar1_offdiag_closed(a, n, k, j, i))
-                total += abs(coupling) ** alpha
-    return TailLaw(POWER_LOG, alpha, coef=_power_log_scale(law) * total)
+    return tail_law(autocov_form(ArModel((a,), n), k), alpha)
 
 
 def ar1_lower_tail(a, n, alpha):
@@ -299,11 +330,11 @@ def test_stat_tail(a, a0, n, alpha):
     an all-zero diagonal (a = a0, or a - a0 inside the tolerance) gives
     PowerLog with the couplings |C_ij + C_ji| = |a|^(|i-j|-1) of a = a0,
 
-        k_s^2 alpha^alpha (2 sum_{m=1}^{n-1} (n-m) |a|^((m-1) alpha)
-                           + sum_i |2 C_ii|^alpha),  0^0 = 1;
+        k_s^2 alpha^alpha 2 sum_{m=1}^{n-1} (n-m) |a|^((m-1) alpha),  0^0 = 1;
 
-    a < a0 goes to the general classifier, which finds PowerLog: C_nn = 0
-    couples to row n - 1 through psi_0 = 1.
+    a < a0 goes to the classifier on the structured pivot form, which finds
+    PowerLog: C_nn = 0 couples to row n - 1 - m through psi_m = a^m, and for
+    |a| > 1 the rows whose small diagonal counts as zero add theirs.
     """
     a = float(a)
     a0 = float(a0)
@@ -323,10 +354,8 @@ def test_stat_tail(a, a0, n, alpha):
     if zero.all():
         with _coef_overflow(POWER_LOG):
             body = sum((n - m) * abs(a) ** ((m - 1) * alpha) for m in range(1, n))
-        scale = _power_log_scale(law)
-        inside = float(np.sum(np.abs(2.0 * diag) ** alpha))
-        return TailLaw(POWER_LOG, alpha, coef=scale * 2.0 * body + scale * inside)
-    return classify(test_matrix(a, a0, n), alpha)[1]
+        return TailLaw(POWER_LOG, alpha, coef=_power_log_scale(law) * 2.0 * body)
+    return tail_law(pivot_form(a, a0, n), alpha)
 
 
 def critical_value(a, a0, n, alpha, eta):

@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from heavytail import ar_quadform
@@ -235,3 +235,94 @@ def test_overflowing_forms_keep_inf_and_nan_positions():
         assert_same_bits(a, build_a_oracle(model))
         assert_same_bits(c, autocov_oracle(model, 1))
         assert_same_bits(t, statistic_matrix_oracle(3.0, 0.5, 700))
+
+
+def test_quadform_copies_a_caller_array_and_leaves_it_writable():
+    mine = np.arange(9.0).reshape(3, 3)
+    form = QuadForm(3, mine)
+    assert not np.shares_memory(form.entries, mine)
+    assert not form.entries.flags.writeable
+    mine[0, 0] = 99.0  # the caller's array is neither frozen nor shared
+    assert form.entries[0, 0] == 0.0
+
+
+@pytest.mark.parametrize("build", [
+    lambda: autocov_matrix(ArModel((0.5, -0.2), 50), 2),
+    lambda: statistic_matrix(0.7, 0.3, 50),
+])
+def test_builders_hand_their_array_to_quadform(build):
+    made = []
+    solve = ar_quadform._solve_form
+
+    def spy(theta, y):
+        made.append(solve(theta, y))
+        return made[-1]
+
+    with mock.patch.object(ar_quadform, "_solve_form", spy):
+        form = build()
+    assert np.shares_memory(form.entries, made[0])  # taken over, not copied
+    assert type(form.entries) is np.ndarray
+    assert not form.entries.flags.writeable
+
+
+def subnormal_free(model):
+    psi = ar_quadform._impulse_response(model)
+    return not np.any((psi != 0.0) & (np.abs(psi) < np.finfo(float).tiny))
+
+
+@given(theta=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=3),
+       n=st.integers(1, 120), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_ar_form_reads_have_the_dense_bits(theta, n, data):
+    # where psi stays normal the structured reads are the dense ones bit for
+    # bit, in chunks of a few rows (a tiny COUPLING_ENTRIES) as in one
+    model = ArModel(theta, n)
+    k = data.draw(st.integers(0, n + 1), label="k")
+    try:
+        dense = autocov_matrix(model, k)
+    except ValueError:
+        with pytest.raises(ValueError, match="need finite entries"):
+            ar_quadform.autocov_form(model, k)
+        return
+    assume(subnormal_free(model))
+    try:
+        form = ar_quadform.autocov_form(model, k)
+    except ValueError:
+        # the Cauchy-Schwarz bound overflows only next to a double's limit
+        assert float(np.max(np.abs(dense.entries))) > 1e290
+        return
+    assert_same_bits(form.diagonal(), np.diag(dense.entries))
+    rows = np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=n, max_size=n),
+                                    label="rows"))
+    assume(rows.size)
+    (at, want), = dense.couplings(rows)
+    step = data.draw(st.sampled_from([1, 3, 10 ** 6]), label="rows per chunk")
+    with mock.patch.object(ar_quadform, "COUPLING_ENTRIES", step * n):
+        chunks = list(form.couplings(rows))
+    assert np.array_equal(np.concatenate([c[0] for c in chunks]), at)
+    got = np.concatenate([c[1] for c in chunks])
+    assert np.array_equal(got, want)
+    assert form.is_zero(1e-12) == (k >= n)
+
+
+@given(a=st.floats(-3.0, 3.0), a0=st.floats(-3.0, 3.0), n=st.integers(1, 120))
+@settings(max_examples=100, deadline=None)
+def test_pivot_form_couplings_have_the_dense_bits(a, a0, n):
+    model = ArModel((a,), n)
+    try:
+        dense = statistic_matrix(a, a0, n)
+    except ValueError:
+        with pytest.raises(ValueError, match="need finite entries"):
+            ar_quadform.pivot_form(a, a0, n)
+        return
+    assume(subnormal_free(model))
+    try:
+        form = ar_quadform.pivot_form(a, a0, n)
+    except ValueError:
+        assert float(np.max(np.abs(dense.entries))) > 1e290
+        return
+    rows = np.arange(n)
+    (_, want), = dense.couplings(rows)
+    (_, got), = form.couplings(rows)
+    assert np.array_equal(got, want)
+    assert form.is_zero(1e-12) == (n == 1)

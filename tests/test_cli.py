@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import heavytail.cli
+import heavytail.monte_carlo
 from heavytail.ar_quadform import ArModel, autocov_matrix
 from heavytail.cli import main
 from heavytail.student_dist import make_law
@@ -447,3 +448,18 @@ def test_help_exits_zero(capsys):
     assert code == 0
     code, _, _ = run(capsys, "simulate", "--help")
     assert code == 0
+
+
+def test_calibrate_names_an_overflowing_pivot_form(capsys, monkeypatch):
+    # at n = 1000 the pivot diagonal (a - a0) S_1 overflows from a = 1.45 on
+    # the default grid; critical_value names it before any dense form is
+    # built or any block drawn
+    drawn = []
+    monkeypatch.setattr(heavytail.monte_carlo, "block_innovations",
+                        lambda *args: drawn.append(args))
+    code, out, err = run(capsys, "calibrate", "--alpha", "1.5", "--n", "1000",
+                         "--replicas", "100")
+    assert code == 1
+    assert out == ""
+    assert err == "error: pivot form overflows a double at a=1.45, n=1000\n"
+    assert drawn == []

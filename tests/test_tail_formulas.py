@@ -1,11 +1,15 @@
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from heavytail.ar_quadform import ArModel, autocov_matrix, power_sum, shift_pow
+from heavytail.ar2_regions import stable_tail_class
+from heavytail.ar_quadform import (ArModel, autocov_form, autocov_matrix,
+                                   pivot_form, power_sum, shift_pow)
 from heavytail.ar_quadform import test_matrix as statistic_matrix
 from heavytail.student_dist import make_law
 from heavytail.tail_formulas import (ORDER_ONLY, POWER_HALF, POWER_LOG,
@@ -13,7 +17,7 @@ from heavytail.tail_formulas import (ORDER_ONLY, POWER_HALF, POWER_LOG,
                                      TailLaw, ar1_lower_tail, ar1_upper_tail,
                                      classify, coef_degenerate_case,
                                      coef_positive_case, critical_value,
-                                     evaluate)
+                                     _diag_signs, evaluate, tail_law)
 from heavytail.tail_formulas import test_stat_tail as stat_tail
 
 
@@ -411,3 +415,135 @@ def test_tail_law_rejects_an_overflowing_coefficient():
         TailLaw(POWER_HALF, 1.5, coef=math.inf)
     with pytest.raises(ValueError, match="overflows"):
         ar1_upper_tail(3.0, 400, 1, 1.5)
+
+
+# The classifier reads an ArForm (autocov_form, pivot_form) through the same
+# three reads as a dense QuadForm, without the n x n array; it must come to
+# the same law.
+
+def same_law(got, want):
+    if isinstance(want, ValueError):
+        assert str(got) == str(want)
+        return
+    assert got.regime == want.regime
+    if want.coef is None:
+        assert got.coef is None
+    else:
+        assert got.coef == pytest.approx(want.coef, rel=1e-12)
+
+
+def law_or_error(build, alpha):
+    try:
+        return tail_law(build(), alpha)
+    except ValueError as exc:
+        return exc
+
+
+@given(theta=st.lists(st.one_of(st.floats(-3.0, 3.0), st.just(0.0)),
+                      min_size=1, max_size=3),
+       n=st.integers(1, 400), alpha=st.floats(0.3, 4.0), data=st.data())
+@example(theta=[0.0], n=30, alpha=1.5, data=None)              # white noise
+@example(theta=[-1.5], n=120, alpha=1.5, data=None)            # explosive
+@example(theta=[0.9, -1.6], n=100, alpha=0.7, data=None)       # complex, explosive
+@example(theta=[-0.5, -1.25], n=60, alpha=1.5, data=None)      # d_2 = 0
+@example(theta=[-0.8, -1.64], n=40, alpha=2.5, data=None)      # d_2 = 0
+@settings(max_examples=150, deadline=None)
+def test_structured_form_classifies_like_dense(theta, n, alpha, data):
+    model = ArModel(theta, n)
+    ks = range(n + 2) if data is None else [data.draw(st.integers(0, n + 1), label="k")]
+    for k in ks:
+        dense = law_or_error(lambda: autocov_matrix(model, k), alpha)
+        structured = law_or_error(lambda: autocov_form(model, k), alpha)
+        if isinstance(dense, ValueError):
+            assert str(structured) == str(dense)
+        elif isinstance(structured, ValueError):
+            # the structured form's overflow bound fires only next to the limit
+            assert str(structured) == "need finite entries"
+            assert float(np.max(np.abs(autocov_matrix(model, k).entries))) > 1e290
+        else:
+            same_law(structured, dense)
+
+
+@pytest.mark.parametrize("a", [-0.3, -0.5, -0.8])
+def test_d_k_crossing_zero_reads_an_interior_zero_row(a):
+    # b = -1 - a^2 puts d_2 = a (a^2 + b + 1) at zero by cancellation: the
+    # interior row n - 3 counts as zero and its couplings are read too
+    model = ArModel((a, -1.0 - a * a), 40)
+    form = autocov_form(model, 1)
+    diag = form.diagonal()
+    assert abs(diag[-3]) <= 1e-12 * max(1.0, float(np.max(np.abs(diag))))
+    dense_dc, dense = classify(autocov_matrix(model, 1), 1.5)
+    dc, law = classify(form, 1.5)
+    same_law(law, dense)
+    assert dc == dense_dc
+    assert law.regime == POWER_LOG
+
+
+@given(a=st.floats(-3.0, 3.0), a0=st.floats(-3.0, 3.0), n=st.integers(1, 400),
+       alpha=st.floats(0.3, 4.0))
+@example(a=-1.5, a0=0.0, n=300, alpha=1.5)  # rows the zero rule counts as zero
+@example(a=0.2, a0=0.5, n=8, alpha=1.0)
+@settings(max_examples=150, deadline=None)
+def test_pivot_form_classifies_like_dense(a, a0, n, alpha):
+    try:
+        dense = statistic_matrix(a, a0, n)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            pivot_form(a, a0, n)
+        return
+    try:
+        form = pivot_form(a, a0, n)
+    except ValueError as exc:
+        assert str(exc) == "need finite entries"
+        assert float(np.max(np.abs(dense.entries))) > 1e290
+        return
+    # the pivot form's diagonal is the closed (a - a0) S_i; the dense one
+    # comes by cancellation, which near a = a0 can flip an entry's sign
+    signs = [m.tolist() for m in _diag_signs(form.diagonal())[:2]]
+    assume(signs == [m.tolist() for m in _diag_signs(np.diag(dense.entries))[:2]])
+    same_law(law_or_error(lambda: form, alpha), law_or_error(lambda: dense, alpha))
+
+
+def test_odd_lag_negative_ar1_reads_the_structured_form():
+    # the double loop over ar1_offdiag_closed took seconds here and summed
+    # the last k rows only, while the zero rule counts every diagonal entry
+    # a^399 S_i ~ 1e-120 as zero
+    start = time.perf_counter()
+    law = ar1_upper_tail(-0.5, 2000, 399, 1.5)
+    assert time.perf_counter() - start < 0.5
+    dense = tail_law(autocov_matrix(ArModel((-0.5,), 2000), 399), 1.5)
+    assert law.regime == dense.regime == POWER_LOG
+    assert law.coef == pytest.approx(dense.coef, rel=1e-10)
+
+
+def test_zero_counted_diagonal_term_is_left_out():
+    # C = [[6.7e-13, 0], [1, 0]]: both diagonal entries count as zero, so only
+    # the coupling |C_21 + C_12| = 1 enters; |2 C_11|^alpha would add ~6e-7
+    # relative at alpha = 0.5
+    k_s = make_law(0.5).k_s
+    want = k_s ** 2 * 0.5 ** 0.5 * 2.0
+    closed = stat_tail(6.7e-13, 0.0, 2, 0.5)
+    general = classify(statistic_matrix(6.7e-13, 0.0, 2), 0.5)[1]
+    for law in (closed, general, tail_law(pivot_form(6.7e-13, 0.0, 2), 0.5)):
+        assert law.regime == POWER_LOG
+        assert law.coef == pytest.approx(0.1028491156, rel=1e-9)
+        assert law.coef == pytest.approx(want, rel=1e-15)
+
+
+@pytest.mark.parametrize("call", [
+    lambda n: tail_law(autocov_form(ArModel((0.5, -0.3), n), 2), 1.5),
+    lambda n: ar1_upper_tail(-0.6, n, 3, 1.5),
+    lambda n: stat_tail(0.2, 0.5, n, 1.0),
+    lambda n: stat_tail(-1.01, 0.0, n, 1.5),
+    lambda n: stable_tail_class(-0.5, 0.3, n, 1.5),
+])
+def test_ar_statistics_allocate_no_dense_form(call):
+    n = 3000
+    call(n)  # warm caches
+    tracemalloc.start()
+    try:
+        call(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * n / 4  # a quarter of one n x n array
