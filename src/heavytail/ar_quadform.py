@@ -59,6 +59,18 @@ class ArModel:
         return len(self.theta)
 
 
+def check_statistic(model, k=None, a0=None):
+    """(k, a0) of an AR path statistic of model, normalised: (int k, None)
+    for a lag k >= 0, (None, float a0) for a reference a0 (order 1 only)."""
+    if (k is None) == (a0 is None):
+        raise ValueError("need exactly one of lag k and reference a0")
+    if a0 is not None and model.p != 1:
+        raise ValueError("need an order-1 model with a reference a0")
+    if k is not None and int(k) < 0:
+        raise ValueError("need k >= 0")
+    return (int(k), None) if a0 is None else (None, float(a0))
+
+
 class _Fresh(np.ndarray):
     """Marks an array a builder has just made and hands over to QuadForm,
     which then keeps it as it is instead of copying it."""
@@ -132,17 +144,28 @@ def _impulse_response(model):
     return np.array(psi)
 
 
-def _toeplitz(v, n):
-    """n x n matrix T[r, s] = v[n - 1 + r - s] from v of length 2n - 1: one
-    strided copy, row r being v[r:r + n] reversed."""
-    return np.lib.stride_tricks.sliding_window_view(v, n)[:, ::-1].copy()
+def _y_view(psi, k=None, a0=None):
+    """Y = M A as a read-only Toeplitz view Y[r, s] = v[n - 1 + r - s] of one
+    vector v of length 2n - 1, with the row replacing Y's last (None for a
+    lag).  Lag k: v[n - 1 + m] = psi_{m-k}.  Pivot: v[n - 1 + m] =
+    psi_{m-1} - a0 psi_m and the last row psi_{n-2-s} (B^T B zeroes the
+    last entry).  psi of a negative index is 0."""
+    n = psi.size
+    if a0 is None:
+        v = np.zeros(2 * n - 1)
+        v[n - 1 + k:] = psi[:max(n - k, 0)]
+        last = None
+    else:
+        padded = np.concatenate((np.zeros(n), psi))  # psi_m at index m + n
+        v = padded[:-1] - a0 * padded[1:]
+        last = padded[n - 1:-1][::-1]
+    return np.lib.stride_tricks.sliding_window_view(v, n)[:, ::-1], last
 
 
 def build_a(model):
     """Unit lower triangular A with X = A eps for every innovation vector:
     the Toeplitz matrix A[r, s] = psi_{r-s} (zero above the diagonal)."""
-    n = model.n
-    return _toeplitz(np.concatenate((np.zeros(n - 1), _impulse_response(model))), n)
+    return _y_view(_impulse_response(model), k=0)[0].copy()
 
 
 def shift_pow(n, k):
@@ -179,15 +202,10 @@ def autocov_matrix(model, k):
     Y = B^k A is A shifted down k rows, the Toeplitz matrix of psi delayed
     by k.  Overflowing entries reach QuadForm's finiteness check without a
     numpy warning."""
-    if k < 0:
-        raise ValueError("need k >= 0")
-    n = model.n
-    if k >= n:
-        return QuadForm(n=n, entries=np.zeros((n, n)).view(_Fresh))
+    k = check_statistic(model, k=k)[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        psi = _impulse_response(model)
-        y = _toeplitz(np.concatenate((np.zeros(n - 1 + k), psi[:n - k])), n)
-        return QuadForm(n=n, entries=_solve_form(model.theta, y).view(_Fresh))
+        y = _y_view(_impulse_response(model), k=k)[0].copy()
+        return QuadForm(n=model.n, entries=_solve_form(model.theta, y).view(_Fresh))
 
 
 def test_matrix(a, a0, n):
@@ -198,10 +216,9 @@ def test_matrix(a, a0, n):
     negative index is 0) on every row but the last, which is psi_{n-2-s}."""
     model = ArModel((float(a),), n)
     with np.errstate(over="ignore", invalid="ignore"):
-        # psi_m at index m + n, for m = -n, ..., n - 1
-        padded = np.concatenate((np.zeros(n), _impulse_response(model)))
-        y = _toeplitz(padded[:-1] - float(a0) * padded[1:], n)
-        y[-1] = padded[n - 1:-1][::-1]
+        view, last = _y_view(_impulse_response(model), a0=float(a0))
+        y = view.copy()
+        y[-1] = last
         return QuadForm(n=n, entries=_solve_form(model.theta, y).view(_Fresh))
 
 
@@ -212,32 +229,26 @@ class ArForm:
     (pivot_form).
 
     Rows of C come from the bottom-up recursion _solve_form runs on
-    Y = M A, one row of Y at a time and p rows held, so every entry has
-    the dense builders' bits (as long as psi has no subnormal entry, which
-    is flushed to zero).  The lag-k diagonal C_ii = G(n-1-i), with
-    G(M) = sum_{m=k}^{M} psi_m psi_{m-k}, is read off that pass on the
-    columns 0..r each row r needs; the pivot diagonal is the closed
-    (a - a0) S_i of test_stat_tail.  Rows i >= _bottom (the last k rows of a
-    lag, the last row of the pivot) have vanishing column entries C_ji, so
-    their couplings are rows of C alone.  Construction checks the
-    Cauchy-Schwarz bound |C_ij| <= |A e_i| |M A e_j|, grown by what the
-    recursion's partial sums can reach, and raises the dense forms' "need
-    finite entries" where it overflows a double: on every form the dense
-    builders reject, and on some whose largest entry is within that factor
-    of the limit.
+    Y = M A, one row of Y at a time and p rows held.  Each row of Y is a
+    copied row of the Toeplitz view _y_view hands the dense builders (or
+    the pivot's last row), so every entry has the dense builders' bits (as
+    long as psi has no subnormal entry, which is flushed to zero).  The
+    lag-k diagonal C_ii = G(n-1-i), G(M) = sum_{m=k}^{M} psi_m psi_{m-k},
+    is read off that pass on the columns 0..r each row r needs; the pivot
+    diagonal is the closed (a - a0) S_i of test_stat_tail.  Rows
+    i >= _bottom (the last k rows of a lag, the last row of the pivot) have
+    vanishing column entries C_ji, so their couplings are rows of C alone.
+    Construction checks the Cauchy-Schwarz bound |C_ij| <= |A e_i| |M A e_j|,
+    grown by what the recursion's partial sums can reach, and raises the
+    dense forms' "need finite entries" where it overflows a double: on
+    every form the dense builders reject, and on some whose largest entry
+    is within that factor of the limit.
     """
 
     def __init__(self, model, k=None, a0=None):
-        if (k is None) == (a0 is None):
-            raise ValueError("need exactly one of lag k and reference a0")
-        if k is not None and int(k) < 0:
-            raise ValueError("need k >= 0")
-        if a0 is not None and model.p != 1:
-            raise ValueError("need an order-1 model with a reference a0")
+        self.k, self.a0 = check_statistic(model, k, a0)
         n = self.n = model.n
         self.model = model
-        self.k = None if k is None else int(k)
-        self.a0 = None if a0 is None else float(a0)
         with np.errstate(over="ignore", invalid="ignore"):
             psi = _impulse_response(model)
         if not np.all(np.isfinite(psi)):
@@ -265,7 +276,7 @@ class ArForm:
         reach = 1.0 + sum(abs(t) for t in model.theta)
         if not math.isfinite(bound * reach * (1.0 + 1e-6)):
             raise ValueError("need finite entries")
-        self._padded = np.concatenate((np.zeros(n), psi))
+        self._y, self._last = _y_view(psi, self.k, self.a0)
 
     def diagonal(self):
         n = self.n
@@ -285,20 +296,11 @@ class ArForm:
         (pivot)."""
         return self._bottom == 0
 
-    def _shifted(self, d, width):
-        """Fresh row (psi_{d-s}), s = 0, ..., width - 1, psi of a negative
-        index being 0."""
-        if d < 0:
-            return np.zeros(width)
-        return self._padded[self.n + d - width + 1:self.n + d + 1][::-1].copy()
-
     def _y_row(self, r, width):
-        """The first width entries of row r of Y = M A."""
-        if self.a0 is None:
-            return self._shifted(r - self.k, width)
-        if r == self.n - 1:
-            return self._shifted(r - 1, width)
-        return self._shifted(r - 1, width) - self.a0 * self._shifted(r, width)
+        """The first width entries of row r of Y = M A, as a fresh array."""
+        if r == self.n - 1 and self._last is not None:
+            return self._last[:width].copy()
+        return self._y[r, :width].copy()
 
     def _rows(self, lo, prefix=False):
         """Rows r = n - 1, ..., lo of C, bottom up: row r is Y's row r plus

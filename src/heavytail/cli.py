@@ -12,8 +12,8 @@ lines come from the shared text module _text.  Exit codes:
 0 on success, 2 on usage errors, 1 on domain errors (the message names the
 violated precondition), on floating-point overflow and on output files that
 cannot be written; a failed run leaves an earlier --out file as it was.
-HEAVYTAIL_THREADS caps the worker pool of simulate (calibrate runs its
-blocks serially); results do not depend on it.
+HEAVYTAIL_THREADS, the one worker setting, caps the thread pool of
+simulate (calibrate runs serially); results do not depend on it.
 """
 
 import argparse
@@ -24,7 +24,8 @@ from contextlib import contextmanager, suppress
 import numpy as np
 
 from ._text import fmt, write_header
-from .ar_quadform import ArModel, autocov_form, autocov_matrix, test_matrix
+from .ar_quadform import (ArModel, autocov_form, autocov_matrix, check_statistic,
+                          test_matrix)
 from .ar2_regions import region_grid, write_region_csv
 from .monte_carlo import (DEFAULT_A_GRID, McConfig, calibrate_risk,
                           run_tail_experiment, write_risk_csv, write_tail_csv)
@@ -82,12 +83,9 @@ def _cmd_tail(args, fh):
 
 def _cmd_matrix(args, fh):
     write_header(fh, [_config_line(args)])
-    if args.a0 is not None:
-        if args.b is not None:
-            raise ValueError("need an order-1 model with a reference a0")
-        form = test_matrix(args.a, args.a0, args.n)
-    else:
-        form = autocov_matrix(_model(args), args.k)
+    model = _model(args)
+    k, a0 = check_statistic(model, None if args.a0 is not None else args.k, args.a0)
+    form = autocov_matrix(model, k) if a0 is None else test_matrix(args.a, a0, args.n)
     for row in form.entries:
         fh.write(",".join(fmt(v) for v in row) + "\n")
 
@@ -99,9 +97,7 @@ def _cmd_regions(args, fh):
 
 
 def _cmd_simulate(args, fh):
-    k = args.k
-    if k is None and args.a0 is None:
-        k = 1
+    k = 1 if args.k is None and args.a0 is None else args.k
     cfg = McConfig(model=_model(args), law=make_law(args.alpha), k=k,
                    a0=args.a0, replicas=args.replicas, seed=args.seed,
                    t_min=args.t_min, t_max=args.t_max, points=args.points)

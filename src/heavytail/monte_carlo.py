@@ -7,15 +7,16 @@ takes the tangent transform of uniforms and every other alpha Bailey's
 polar method (R. W. Bailey, Math. Comp. 62 (1994) 779-781).  The layout
 depends only on (replicas, n), so every statistic is a pure function of
 (seed, replicas, n) and results are bit-identical for any worker count and
-any block schedule.  The tail experiment spreads its blocks over a
-thread pool and reduces each along its AR paths, as lagged products of
-X = A eps; the risk calibration runs its blocks serially (its dense
-products already use the BLAS threads) and tests every block against the
-dense form of each grid alternative (common random numbers).  The
-empirical survival function comes from one sort of the replica
-statistics; theory curves are the first-order coefficients evaluated on
-the same threshold grid.  The CSV writers take their number format and
-header lines from the shared text module _text.
+any block schedule.  The tail experiment spreads its blocks over a pool
+of worker_count() threads (HEAVYTAIL_THREADS, the one worker setting) and
+reduces each along its AR paths, as lagged products of X = A eps; the
+risk calibration runs its blocks serially (its dense products already use
+the BLAS threads) and tests every block against the dense form of each
+grid alternative (common random numbers).  Both end in the same
+OverflowError on a non-finite replica statistic.  The empirical survival
+function comes from one sort of the replica statistics; theory curves are
+the first-order coefficients evaluated on the same threshold grid.  The
+CSV writers take their number format and header lines from _text.
 """
 
 import math
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._text import fmt, write_header
-from .ar_quadform import ArModel, ar_paths, autocov_form, test_matrix
+from .ar_quadform import ArModel, ar_paths, autocov_form, check_statistic, test_matrix
 from .student_dist import StudentLaw, make_law, sample
 from .tail_formulas import (POWER_LOG, critical_value, evaluate, tail_law,
                             test_stat_tail)
@@ -54,7 +55,8 @@ class McConfig:
 
     Exactly one of lag k (autocovariance statistic n gamma_n(k)) and
     reference a0 (test statistic n (gamma_n(1) - a0 hat_gamma_n(0)), order-1
-    models only) must be set.
+    models only) must be set.  Every field is kept normalised: k, replicas,
+    seed and points as ints, a0, t_min and t_max as floats.
     """
 
     model: ArModel
@@ -68,20 +70,16 @@ class McConfig:
     points: int = 61
 
     def __post_init__(self):
-        if (self.k is None) == (self.a0 is None):
-            raise ValueError("need exactly one of lag k and reference a0")
-        if self.k is not None and int(self.k) < 0:
-            raise ValueError("need k >= 0")
-        if self.a0 is not None and self.model.p != 1:
-            raise ValueError("need an order-1 model with a reference a0")
-        if int(self.replicas) < 1:
-            raise ValueError("need replicas >= 1")
-        if not 0 <= int(self.seed) < 2 ** 64:
-            raise ValueError("need a 64-bit unsigned seed")
-        if not 0.0 < float(self.t_min) < float(self.t_max):
+        k, a0 = check_statistic(self.model, self.k, self.a0)
+        replicas, seed = _check_draws(self.replicas, self.seed)
+        t_min, t_max, points = float(self.t_min), float(self.t_max), int(self.points)
+        if not 0.0 < t_min < t_max:
             raise ValueError("need 0 < t_min < t_max")
-        if int(self.points) < 2:
+        if points < 2:
             raise ValueError("need points >= 2")
+        for name, value in (("k", k), ("a0", a0), ("replicas", replicas), ("seed", seed),
+                            ("t_min", t_min), ("t_max", t_max), ("points", points)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -130,6 +128,24 @@ def worker_count():
     return os.cpu_count() or 1
 
 
+def _check_draws(replicas, seed):
+    """(replicas, seed) as checked ints: replicas >= 1, a 64-bit unsigned seed."""
+    replicas, seed = int(replicas), int(seed)
+    if replicas < 1:
+        raise ValueError("need replicas >= 1")
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError("need a 64-bit unsigned seed")
+    return replicas, seed
+
+
+def _finite_stats(stats, n):
+    """stats as they are, or OverflowError if one is not finite (explosive model)."""
+    if not np.isfinite(stats).all():
+        raise OverflowError("replica statistics overflow; the model is too "
+                            "explosive for n=%d" % n)
+    return stats
+
+
 def replica_blocks(replicas, n):
     """Block layout (b, lo, hi): block b holds replica rows [lo, hi).
 
@@ -172,39 +188,33 @@ def path_stats(eps, theta, k=None, a0=None):
         return np.einsum("ir,ir->r", x[1:] - a0 * x[:-1], x[:-1])
 
 
-def _map_blocks(fn, blocks, workers):
-    """fn over every block, results in block order; blocks are keyed
-    substreams, so the outcome does not depend on the schedule."""
+def _map_blocks(fn, blocks):
+    """fn over every block on worker_count() threads, results in block order;
+    blocks are keyed substreams, so the outcome does not depend on the schedule."""
+    workers = worker_count()
     if workers <= 1 or len(blocks) <= 1:
         return [fn(block) for block in blocks]
     with ThreadPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
         return list(pool.map(fn, blocks))
 
 
-def collect_stats(cfg, workers=None):
+def collect_stats(cfg):
     """Vector of all replica statistics of a tail experiment, in
     replica-index order, reduced block by block along the AR paths.
 
     Raises OverflowError when a statistic is not finite (explosive models).
     """
-    workers = worker_count() if workers is None else int(workers)
     n = cfg.model.n
-    k = None if cfg.k is None else int(cfg.k)
-    a0 = None if cfg.a0 is None else float(cfg.a0)
 
     def block_stats(block):
         eps = block_innovations(cfg.law, n, cfg.seed, block)
-        return path_stats(eps, cfg.model.theta, k=k, a0=a0)
+        return path_stats(eps, cfg.model.theta, k=cfg.k, a0=cfg.a0)
 
-    stats = np.concatenate(_map_blocks(block_stats, replica_blocks(cfg.replicas, n),
-                                       workers))
-    if not np.all(np.isfinite(stats)):
-        raise OverflowError("replica statistics overflow; the model is too "
-                            "explosive for n=%d" % n)
-    return stats
+    blocks = replica_blocks(cfg.replicas, n)
+    return _finite_stats(np.concatenate(_map_blocks(block_stats, blocks)), n)
 
 
-def run_tail_experiment(cfg, workers=None):
+def run_tail_experiment(cfg):
     """Monte Carlo tail experiment for one configuration.
 
     Classifies the configured statistic (the structured lag-k form through
@@ -215,25 +225,23 @@ def run_tail_experiment(cfg, workers=None):
     PowerLog approximation needs every threshold above e.
     """
     if cfg.k is not None:
-        tail = tail_law(autocov_form(cfg.model, int(cfg.k)), cfg.law.alpha)
+        tail = tail_law(autocov_form(cfg.model, cfg.k), cfg.law.alpha)
     else:
-        tail = test_stat_tail(cfg.model.theta[0], float(cfg.a0),
-                              cfg.model.n, cfg.law.alpha)
-    t = np.logspace(math.log10(float(cfg.t_min)), math.log10(float(cfg.t_max)),
-                    int(cfg.points))
-    if tail.regime == POWER_LOG and not float(cfg.t_min) > math.e:
+        tail = test_stat_tail(cfg.model.theta[0], cfg.a0, cfg.model.n, cfg.law.alpha)
+    t = np.logspace(math.log10(cfg.t_min), math.log10(cfg.t_max), cfg.points)
+    if tail.regime == POWER_LOG and not cfg.t_min > math.e:
         raise ValueError("need t_min > e in the PowerLog regime")
 
-    stats = np.sort(collect_stats(cfg, workers=workers))
-    replicas = int(cfg.replicas)
+    stats = np.sort(collect_stats(cfg))
+    replicas = cfg.replicas
     exceed = replicas - np.searchsorted(stats, t, side="left")
     p_emp = exceed / replicas
     se = np.sqrt(p_emp * (1.0 - p_emp) / replicas)
 
     raw = np.array([evaluate(tail, ti) for ti in t])
     return McEstimate(t=t, p_emp=p_emp, p_theory=np.clip(raw, 0.0, 1.0),
-                      raw_theory=raw, se=se, replicas=replicas,
-                      seed=int(cfg.seed), tail=tail)
+                      raw_theory=raw, se=se, replicas=replicas, seed=cfg.seed,
+                      tail=tail)
 
 
 def calibrate_risk(a_grid, a0, n, alpha, eta, replicas=100_000, seed=0):
@@ -244,37 +252,36 @@ def calibrate_risk(a_grid, a0, n, alpha, eta, replicas=100_000, seed=0):
     eps^T C_a eps reaches the threshold t_eta from critical_value; risk_hat
     is the total count over replicas.  Blocks run serially: the dense
     products use the BLAS threads, and a pool on top only oversubscribes
-    the cores.  Grid values with a <= a0 come back skipped.
+    the cores.  Grid values with a <= a0 come back skipped.  A statistic
+    that is not finite raises the OverflowError of collect_stats.
     """
     a0 = float(a0)
     n = int(n)
-    replicas = int(replicas)
-    if replicas < 1:
-        raise ValueError("need replicas >= 1")
-    if not 0 <= int(seed) < 2 ** 64:
-        raise ValueError("need a 64-bit unsigned seed")
+    replicas, seed = _check_draws(replicas, seed)
     law = make_law(alpha)
     grid = [float(a) for a in a_grid]
     alternatives = [a for a in grid if a > a0]
     # critical values first: one whose pivot form overflows a double is
     # named before any dense form is built
     t_etas = [critical_value(a, a0, n, law.alpha, eta) for a in alternatives]
-    tests = [(t_eta, test_matrix(a, a0, n).entries)
-             for a, t_eta in zip(alternatives, t_etas)]
+    forms = [test_matrix(a, a0, n).entries for a in alternatives]
 
-    counts = np.zeros(len(tests), dtype=np.int64)
+    counts = np.zeros(len(forms), dtype=np.int64)
     for block in replica_blocks(replicas, n):
         eps = block_innovations(law, n, seed, block)
-        counts += np.array([np.count_nonzero(row_stats(eps, entries) >= t_eta)
-                            for t_eta, entries in tests], dtype=np.int64)
-    tested = iter(zip(tests, counts))
+        # overflowing products reach _finite_stats without a numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            hits = [np.count_nonzero(_finite_stats(row_stats(eps, entries), n) >= t_eta)
+                    for t_eta, entries in zip(t_etas, forms)]
+        counts += np.array(hits, dtype=np.int64)
+    tested = iter(zip(t_etas, counts))
     rows = []
     for a in grid:
         if not a > a0:
             rows.append(RiskRow(a=a, t_eta=math.nan, risk_hat=math.nan,
                                 se=math.nan, skipped=True))
             continue
-        (t_eta, _), count = next(tested)
+        t_eta, count = next(tested)
         risk = int(count) / replicas
         rows.append(RiskRow(a=a, t_eta=t_eta, risk_hat=risk,
                             se=math.sqrt(risk * (1.0 - risk) / replicas)))

@@ -35,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ar_quadform import (ArForm, ArModel, QuadForm, autocov_form, pivot_form,
-                          power_sums)
+from .ar_quadform import (ArForm, ArModel, QuadForm, autocov_form, check_statistic,
+                          pivot_form, power_sums)
 from .student_dist import make_law, tail_constant
 
 POWER_HALF = "PowerHalf"
@@ -138,7 +138,7 @@ def _coupling_sum(form, zero, alpha, witnesses):
         np.abs(chunk, out=chunk)
         with np.errstate(over="ignore"):  # an infinite sum reaches TailLaw's check
             chunk **= alpha
-        total += float(np.sum(chunk))
+            total += float(np.sum(chunk))
     if not witnesses:
         return total, None
     keys = np.unique(np.concatenate(keys))
@@ -277,11 +277,8 @@ def ar1_upper_tail(a, n, k, alpha):
     a = float(a)
     alpha = float(alpha)
     n = int(n)
-    k = int(k)
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if k < 0:
-        raise ValueError("need k >= 0")
+    model = ArModel((a,), n)
+    k = check_statistic(model, k=k)[0]
     law = make_law(alpha)
     if k >= n:
         return TailLaw(ZERO, alpha, note="lag at or beyond the path length")
@@ -294,7 +291,7 @@ def ar1_upper_tail(a, n, k, alpha):
         return _power_half_sum(law, abs(a), k * alpha / 2.0,
                                power_sums(a * a, n - k))
     # odd lag, a < 0: diagonal entries vanish on the last k rows
-    return tail_law(autocov_form(ArModel((a,), n), k), alpha)
+    return tail_law(autocov_form(model, k), alpha)
 
 
 def ar1_lower_tail(a, n, alpha):
@@ -305,11 +302,9 @@ def ar1_lower_tail(a, n, alpha):
     """
     a = float(a)
     alpha = float(alpha)
-    n = int(n)
     if not a < 0.0:
         raise ValueError("need a < 0")
-    if n < 1:
-        raise ValueError("need n >= 1")
+    n = ArModel((a,), n).n
     law = make_law(alpha)
     if n == 1:
         return TailLaw(ZERO, alpha, note="lag 1 at path length 1; the form is zero")

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from heavytail import ar_quadform
 from heavytail.ar_quadform import (ArModel, QuadForm, ar1_diag_closed,
                                    ar1_offdiag_closed, autocov_matrix,
-                                   build_a, empirical_autocov, power_sum,
-                                   shift_pow, simulate_path)
+                                   build_a, check_statistic, empirical_autocov,
+                                   power_sum, shift_pow, simulate_path)
 from heavytail.ar_quadform import test_matrix as statistic_matrix
 
 
@@ -153,6 +153,22 @@ def test_model_and_quadform_validation():
     form = autocov_matrix(ArModel((0.5,), 4), 1)
     with pytest.raises(ValueError):
         form.entries[0, 0] = 99.0  # entries are read-only
+
+
+def test_check_statistic_normalises_one_of_k_and_a0():
+    ar1, ar2 = ArModel((0.5,), 4), ArModel((0.5, 0.1), 4)
+    k, a0 = check_statistic(ar2, k=np.int64(3))
+    assert (k, a0) == (3, None) and type(k) is int
+    k, a0 = check_statistic(ar1, a0=1)
+    assert (k, a0) == (None, 1.0) and type(a0) is float
+    one = "need exactly one of lag k and reference a0"
+    for model, k, a0, message in [(ar1, None, None, one), (ar1, 1, 0.5, one),
+                                  (ar1, -1, None, "need k >= 0"),
+                                  (ar2, None, 0.5, "need an order-1 model")]:
+        with pytest.raises(ValueError, match=message):
+            check_statistic(model, k, a0)
+        with pytest.raises(ValueError, match=message):
+            ar_quadform.ArForm(model, k, a0)
 
 
 # The row-by-row builders the Toeplitz copies of the impulse response

@@ -107,6 +107,9 @@ def test_overflow_is_one_line_error(capsys, argv):
     ("simulate", "--alpha", "0.02", "--a", "0.5", "--n", "10", "--k", "1",
      "--replicas", "100000"),
     ("calibrate", "--alpha", "0.02", "--replicas", "20000"),
+    # finite dense forms whose replica statistics overflow at a = 1.5
+    ("calibrate", "--alpha", "1.5", "--n", "870", "--replicas", "2000",
+     "--a-min", "1.3", "--a-max", "1.5", "--steps", "3"),
 ])
 def test_overflow_is_one_line_error_without_warnings(capsys, argv):
     # every warning is an exception here, so a numpy RuntimeWarning ahead of
@@ -168,6 +171,8 @@ def test_huge_alpha_names_the_tail_constant(capsys, argv):
     # the pivot below its reference: couplings near 1.9^300 raised to 5
     (("simulate", "--alpha", "5", "--a=-1.9", "--a0", "0.5", "--n", "300",
       "--replicas", "100"), "PowerLog"),
+    # couplings of the odd-lag form that sum past a double
+    (("tail", "--alpha", "2", "--a=-1.9", "--n", "288", "--k", "1"), "PowerLog"),
 ])
 def test_overflowed_coefficient_is_one_line_error(capsys, argv, regime):
     code, _, err = run(capsys, *argv)

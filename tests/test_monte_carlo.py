@@ -43,22 +43,57 @@ def test_config_validation():
                  k=None)  # test statistic needs an order-1 model
 
 
-def test_replica_stats_reproducible_and_scheduler_free():
+def test_config_keeps_normalised_fields():
+    cfg = small_config(k=np.int64(2), replicas=4000.0, seed=np.uint64(7),
+                       t_min=100, t_max=10 ** 6, points=9.0)
+    assert (cfg.k, cfg.a0, cfg.replicas, cfg.seed) == (2, None, 4000, 7)
+    assert (cfg.t_min, cfg.t_max, cfg.points) == (100.0, 1e6, 9)
+    assert [type(v) for v in (cfg.k, cfg.replicas, cfg.seed, cfg.points)] == [int] * 4
+    assert type(cfg.t_min) is float and type(cfg.t_max) is float
+    pivot = small_config(k=None, a0=1)
+    assert pivot.k is None and type(pivot.a0) is float
+
+
+def stats_with_workers(monkeypatch, cfg, workers):
+    monkeypatch.setenv("HEAVYTAIL_THREADS", str(workers))
+    return collect_stats(cfg)
+
+
+def test_replica_stats_reproducible_and_scheduler_free(monkeypatch):
     cfg = small_config()
-    one = collect_stats(cfg, workers=1)
-    many = collect_stats(cfg, workers=5)
+    one = stats_with_workers(monkeypatch, cfg, 1)
+    many = stats_with_workers(monkeypatch, cfg, 5)
     assert np.array_equal(one, many)
-    again = collect_stats(cfg, workers=3)
+    again = stats_with_workers(monkeypatch, cfg, 3)
     assert np.array_equal(one, again)
 
 
-def test_replica_stats_match_direct_recomputation():
+def test_collect_stats_reads_the_worker_setting(monkeypatch):
+    # HEAVYTAIL_THREADS is the one worker setting: it sizes the pool
+    sizes = []
+
+    class Pool(monte_carlo.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(monte_carlo, "ThreadPoolExecutor", Pool)
+    cfg = small_config(replicas=14_000)
+    assert len(replica_blocks(cfg.replicas, cfg.model.n)) == 3
+    one = stats_with_workers(monkeypatch, cfg, 1)
+    assert sizes == []
+    assert np.array_equal(stats_with_workers(monkeypatch, cfg, 2), one)
+    assert np.array_equal(stats_with_workers(monkeypatch, cfg, 5), one)
+    assert sizes == [2, 3]
+
+
+def test_replica_stats_match_direct_recomputation(monkeypatch):
     cfg = small_config(replicas=14_000)
     n = cfg.model.n
     entries = autocov_matrix(cfg.model, cfg.k).entries
     rows = max(1, BLOCK_DRAWS // n)
     assert cfg.replicas > 2 * rows  # three blocks, the last one partial
-    got = collect_stats(cfg, workers=2)
+    got = stats_with_workers(monkeypatch, cfg, 2)
     assert got.shape == (cfg.replicas,)
     for r in (0, rows - 1, rows, 2 * rows + 5, cfg.replicas - 1):
         b = r // rows
@@ -71,10 +106,20 @@ def test_replica_stats_match_direct_recomputation():
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_collect_stats_rejects_overflowing_statistics():
+def test_collect_stats_rejects_overflowing_statistics(monkeypatch):
     cfg = small_config(model=ArModel((-3.0,), 400), k=None, a0=0.5, replicas=50)
-    with pytest.raises(OverflowError):
-        collect_stats(cfg, workers=2)
+    with pytest.raises(OverflowError, match="^replica statistics overflow; the "
+                                            "model is too explosive for n=400$"):
+        stats_with_workers(monkeypatch, cfg, 2)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_calibrate_risk_rejects_overflowing_statistics():
+    # at a = 1.5, n = 870 the dense pivot form is finite but about 4% of the
+    # replica statistics overflow; calibrate names them like collect_stats
+    with pytest.raises(OverflowError, match="^replica statistics overflow; the "
+                                            "model is too explosive for n=870$"):
+        calibrate_risk((1.5,), 0.5, 870, 1.5, 0.05, replicas=2000, seed=0)
 
 
 @pytest.mark.parametrize("replicas,n", [(1, 1), (5, 10), (14_000, 10),
@@ -89,10 +134,10 @@ def test_replica_blocks_cover_each_replica_once(replicas, n):
     assert 1 <= blocks[-1][2] - blocks[-1][1] <= rows
 
 
-def test_block_order_does_not_change_stats():
+def test_block_order_does_not_change_stats(monkeypatch):
     cfg = small_config(replicas=14_000)
     n = cfg.model.n
-    forward = collect_stats(cfg, workers=1)
+    forward = stats_with_workers(monkeypatch, cfg, 1)
     blocks = replica_blocks(cfg.replicas, n)
     assert len(blocks) >= 2
     backward = [path_stats(block_innovations(cfg.law, n, cfg.seed, block),
@@ -101,9 +146,10 @@ def test_block_order_does_not_change_stats():
     assert np.concatenate(backward[::-1]).tobytes() == forward.tobytes()
 
 
-def test_run_tail_experiment_survival_curve():
+def test_run_tail_experiment_survival_curve(monkeypatch):
+    monkeypatch.setenv("HEAVYTAIL_THREADS", "2")
     cfg = small_config()
-    est = run_tail_experiment(cfg, workers=2)
+    est = run_tail_experiment(cfg)
     assert est.t.shape == (9,)
     assert est.replicas == 4000 and est.seed == 7
     # p_emp is a nonincreasing survival curve in [0, 1]
@@ -218,14 +264,14 @@ def test_calibrate_risk_independent_of_block_order(monkeypatch):
     assert backward == forward
 
 
-def test_calibrate_risk_reuses_the_simulation_blocks():
+def test_calibrate_risk_reuses_the_simulation_blocks(monkeypatch):
     # common random numbers: every grid value reads the blocks collect_stats draws
     law = make_law(1.0)
     rows = calibrate_risk((0.6, 1.0), 0.5, 8, 1.0, 0.05, replicas=20_000, seed=5)
     for row in rows:
         cfg = McConfig(model=ArModel((row.a,), 8), law=law, a0=0.5,
                        replicas=20_000, seed=5)
-        stats = collect_stats(cfg, workers=1)
+        stats = stats_with_workers(monkeypatch, cfg, 1)
         assert row.risk_hat == np.count_nonzero(stats >= row.t_eta) / 20_000
 
 
