@@ -24,8 +24,8 @@ recursion step over k for every still-uncovered point, in the operation
 order of the one-point recursion, so the rows (and the CSV bytes) are
 those of a point-by-point scan.  It returns the scan as columns
 (RegionScan), and write_region_csv goes from those columns straight to
-text: each axis value is formatted once, each distinct (first covering k,
-stable, in theorem region) code names one cached line suffix, and no row
+text: each a is formatted once, each distinct b with its (first covering
+k, stable, in theorem region) code names one cached cell, and no row
 tuple is built.
 """
 
@@ -73,11 +73,16 @@ def first_covering_k(a, b, kmax=200):
     up to kmax covers the point.
 
     One recursion over k runs on every still-uncovered point at once, with
-    the scalar operation order of the recurrence.  Each point's state is
-    rescaled on its own, by 1/max(|prev|, |cur|) once that maximum passes
-    _RESCALE_AT (a positive rescale preserves every sign), so explosive
-    points cannot overflow.  Covered points leave the active set, and the
-    scan stops once none is left.
+    the scalar operation order of the recurrence, each step written into
+    the same state and scratch arrays.  Each point's state is rescaled on
+    its own, by 1/max(|prev|, |cur|) once that maximum passes _RESCALE_AT
+    (a positive rescale preserves every sign), so explosive points cannot
+    overflow.  From the second check on, |prev| <= _RESCALE_AT, since prev
+    is the cur of the check before (rescaled to at most 1 there if it
+    passed), and a nan prev makes cur nan; so from k = 3 on the test reads
+    |cur| alone.  The first check reads both, as its prev is a itself.
+    Covered points leave the active set, and the scan stops once none is
+    left.
     """
     kmax = int(kmax)
     if kmax < 2:
@@ -91,8 +96,9 @@ def first_covering_k(a, b, kmax=200):
     prev = np.ones_like(a)  # A_{1,1}, A_{2,1}, possibly rescaled
     cur = a.copy()
     d = np.zeros_like(a)
+    m = np.empty_like(a)
     for k in range(2, kmax + 1):
-        d += cur * prev  # now a positive multiple of d_{k-1}
+        d += np.multiply(cur, prev, out=m)  # now a positive multiple of d_{k-1}
         covered = d > 0.0
         if covered.any():
             first[idx[covered]] = k
@@ -100,8 +106,13 @@ def first_covering_k(a, b, kmax=200):
             if not keep.any():
                 break
             idx, a, b, prev, cur, d = (v[keep] for v in (idx, a, b, prev, cur, d))
-        prev, cur = cur, a * cur + b * prev
-        m = np.maximum(np.abs(prev), np.abs(cur))
+            m = m[:idx.size]
+        # prev becomes a * cur + b * prev, the next cur
+        np.add(np.multiply(a, cur, out=m), np.multiply(b, prev, out=prev), out=prev)
+        prev, cur = cur, prev
+        m = np.abs(cur, out=m)
+        if k == 2:
+            np.maximum(np.abs(prev), m, out=m)
         big = m > _RESCALE_AT
         if big.any():
             s = 1.0 / m[big]
@@ -273,18 +284,19 @@ def write_region_csv(scan, fh, header_lines=()):
     """Write a RegionScan as CSV: booleans as 1/0, a missing k as an empty
     field, reals with 17 significant digits, LF line endings.
 
-    Every line is the text of its a, the text of its b and one of the few
-    suffixes, one per distinct (first, stable, covered) code: each axis
-    value and each suffix is formatted once, and each a-row goes out in one
-    writelines call."""
+    Every line is the text of its a and a cell, the rest of the line, one
+    per distinct pair of a b value and a (first, stable, covered) code:
+    each axis value and each cell is formatted once, and each a-row goes
+    out as one string, its a joining the cells."""
     write_header(fh, header_lines)
     fh.write("a,b,stable,first_covering_k,in_theorem_region,regime\n")
-    codes, inverse = np.unique((scan.first * 2 + scan.stable) * 2 + scan.covered,
-                               return_inverse=True)
-    suffixes = [",%d,%s,%d,%s\n" % ((c >> 1) & 1, "%d" % (c >> 2) if c >> 2 else "",
-                                    c & 1, POWER_HALF if c >> 2 else POWER_LOG)
-                for c in codes.tolist()]
+    nb = scan.b.size
+    codes = ((scan.first * 2 + scan.stable) * 2 + scan.covered).reshape(scan.a.size, nb)
+    keys, inverse = np.unique((codes * nb + np.arange(nb)).ravel(), return_inverse=True)
     b_text = [fmt(v) for v in scan.b.tolist()]
-    for a, row in zip(scan.a.tolist(), inverse.reshape(scan.a.size, -1).tolist()):
+    cells = ["%s,%d,%s,%d,%s\n" % (b_text[j], (c >> 1) & 1, "%d" % (c >> 2) if c >> 2 else "",
+                                   c & 1, POWER_HALF if c >> 2 else POWER_LOG)
+             for c, j in (divmod(key, nb) for key in keys.tolist())]
+    for a, row in zip(scan.a.tolist(), inverse.reshape(scan.a.size, nb).tolist()):
         prefix = fmt(a) + ","
-        fh.writelines([prefix + b + suffixes[j] for b, j in zip(b_text, row)])
+        fh.write(prefix + prefix.join(map(cells.__getitem__, row)))

@@ -189,10 +189,11 @@ def _solve_form(theta, y):
 
     which costs O(n^2 p) instead of the O(n^3) product."""
     n = y.shape[0]
+    step = np.empty(y.shape[1:])
     for r in range(n - 2, -1, -1):
         for i, t in enumerate(theta[:n - 1 - r], start=1):
             if t != 0.0:
-                y[r] += t * y[r + i]
+                y[r] += np.multiply(t, y[r + i], out=step)
     return y
 
 
@@ -249,33 +250,32 @@ class ArForm:
         self.k, self.a0 = check_statistic(model, k, a0)
         n = self.n = model.n
         self.model = model
+        self._bottom = max(n - self.k, 0) if self.a0 is None else n - 1
         with np.errstate(over="ignore", invalid="ignore"):
             psi = _impulse_response(model)
-        if not np.all(np.isfinite(psi)):
-            raise ValueError("need finite entries")
-        # a decaying psi can end in subnormals, which the AR recursion keeps
-        # alive and which slow every operation on a row ~40x; as zeros they
-        # move no coefficient by a representable amount
-        psi[np.abs(psi) < np.finfo(float).tiny] = 0.0
-        # root(m) = sqrt(psi_0^2 + ... + psi_m^2), the norm of a column of A
-        top = float(np.max(np.abs(psi)))
-        energy = np.cumsum((psi / top) ** 2)
+        if self._bottom:  # a zero form has no entry to overflow, whatever psi is
+            if not np.all(np.isfinite(psi)):
+                raise ValueError("need finite entries")
+            # a decaying psi can end in subnormals, which the AR recursion
+            # keeps alive and which slow every operation on a row ~40x; as
+            # zeros they move no coefficient by a representable amount
+            psi[np.abs(psi) < np.finfo(float).tiny] = 0.0
+            # root(m) = sqrt(psi_0^2 + ... + psi_m^2), the norm of a column of A
+            top = float(np.max(np.abs(psi)))
+            energy = np.cumsum((psi / top) ** 2)
 
-        def root(m):
-            return top * math.sqrt(float(energy[m]))
+            def root(m):
+                return top * math.sqrt(float(energy[m]))
 
-        if self.a0 is None:
-            self._bottom = max(n - self.k, 0)
-            bound = root(n - 1) * root(n - 1 - self.k) if self._bottom else 0.0
-        else:
-            self._bottom = n - 1
-            bound = (root(n - 2) * (root(n - 1) + abs(self.a0) * root(n - 2))
-                     if self._bottom else 0.0)
-        # the recursion's partial sums reach (1 + sum |theta_q|) times the
-        # bound; the margin covers the rounding of the dense builders' sums
-        reach = 1.0 + sum(abs(t) for t in model.theta)
-        if not math.isfinite(bound * reach * (1.0 + 1e-6)):
-            raise ValueError("need finite entries")
+            if self.a0 is None:
+                bound = root(n - 1) * root(n - 1 - self.k)
+            else:
+                bound = root(n - 2) * (root(n - 1) + abs(self.a0) * root(n - 2))
+            # the recursion's partial sums reach (1 + sum |theta_q|) times the
+            # bound; the margin covers the rounding of the dense builders' sums
+            reach = 1.0 + sum(abs(t) for t in model.theta)
+            if not math.isfinite(bound * reach * (1.0 + 1e-6)):
+                raise ValueError("need finite entries")
         self._y, self._last = _y_view(psi, self.k, self.a0)
 
     def diagonal(self):
@@ -308,12 +308,13 @@ class ArForm:
         columns 0..r of row r, all that the rows above read of it."""
         theta = self.model.theta
         recent = []
+        step = np.empty(self.n)
         for r in range(self.n - 1, lo - 1, -1):
             width = r + 1 if prefix else self.n
             row = self._y_row(r, width)
             for t, prev in zip(theta, recent):
                 if t != 0.0:
-                    row += t * prev[:width]
+                    row += np.multiply(t, prev[:width], out=step[:width])
             recent = [row] + recent[:len(theta) - 1]
             yield r, row
 

@@ -385,6 +385,70 @@ def test_first_covering_k_marks_uncovered_points_zero():
         first_covering_k(a, b, 1)
 
 
+# The array kernel before its state moved into reused buffers, verbatim:
+# the bit-identity oracle of first_covering_k, nan included (the scalar
+# membership_oracle takes Python's max, which treats nan otherwise).
+
+def first_covering_k_oracle(a, b, kmax=200):
+    kmax = int(kmax)
+    if kmax < 2:
+        raise ValueError("need kmax >= 2")
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.ndim != 1 or a.shape != b.shape:
+        raise ValueError("need 1-D a and b of equal length")
+    first = np.zeros(a.size, dtype=np.int64)
+    idx = np.arange(a.size)
+    prev = np.ones_like(a)  # A_{1,1}, A_{2,1}, possibly rescaled
+    cur = a.copy()
+    d = np.zeros_like(a)
+    for k in range(2, kmax + 1):
+        d += cur * prev  # now a positive multiple of d_{k-1}
+        covered = d > 0.0
+        if covered.any():
+            first[idx[covered]] = k
+            keep = ~covered
+            if not keep.any():
+                break
+            idx, a, b, prev, cur, d = (v[keep] for v in (idx, a, b, prev, cur, d))
+        prev, cur = cur, a * cur + b * prev
+        m = np.maximum(np.abs(prev), np.abs(cur))
+        big = m > _RESCALE_AT
+        if big.any():
+            s = 1.0 / m[big]
+            prev[big] *= s
+            cur[big] *= s
+            d[big] *= s * s
+    return first
+
+
+@given(a_lo=st.floats(-1e3, 1e3), a_span=st.floats(1e-3, 2e3),
+       b_lo=st.floats(-1e6, 1e3), b_span=st.floats(1e-3, 1e6),
+       steps=st.integers(2, 12), kmax=st.integers(2, 400))
+@settings(max_examples=80, deadline=None)
+def test_first_covering_k_matches_array_oracle_on_lattices(a_lo, a_span, b_lo, b_span,
+                                                           steps, kmax):
+    # |a| up to 1e3 grows the state past _RESCALE_AT within ~35 steps
+    a = np.repeat(np.linspace(a_lo, min(1e3, a_lo + a_span), steps), steps)
+    b = np.tile(np.linspace(b_lo, b_lo + b_span, steps), steps)
+    assert np.array_equal(first_covering_k(a, b, kmax), first_covering_k_oracle(a, b, kmax))
+
+
+def test_first_covering_k_matches_array_oracle_on_special_values():
+    special = [0.0, -0.0, 5e-324, -5e-324, 1e200, -1e200, math.inf, -math.inf, math.nan]
+    a = np.repeat(special, len(special))
+    b = np.tile(special, len(special))
+    # b = -a^2 to the bit leaves cur = 0 beside a prev past _RESCALE_AT at
+    # the first check, the one check that must also read prev
+    a = np.append(a, [-1e150, -1e120, -2e101])
+    b = np.append(b, -a[-3:] * a[-3:])
+    with np.errstate(all="ignore"):
+        for kmax in (2, 3, 50, 400):
+            assert np.array_equal(first_covering_k(a, b, kmax),
+                                  first_covering_k_oracle(a, b, kmax))
+        assert first_covering_k(a[-3:], b[-3:], 50).tolist() == [6, 0, 0]
+
+
 def test_write_region_csv_keeps_signed_zeros_apart_and_nans(tmp_path):
     scan = RegionScan(np.array([0.0, -0.0, math.nan]), np.array([-0.0, 0.0]),
                       stable=np.array([True, False, True, False, False, False]),

@@ -342,3 +342,18 @@ def test_pivot_form_couplings_have_the_dense_bits(a, a0, n):
     (_, got), = form.couplings(rows)
     assert np.array_equal(got, want)
     assert form.is_zero(1e-12) == (n == 1)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("theta", [(1e200,), (1e200, 0.0), (-3.0, 1e300), (1e308, 1e308)])
+def test_ar_form_past_the_path_is_zero_however_large_psi(theta):
+    # at lag k >= n the statistic is identically zero, as autocov_matrix says,
+    # even where psi overflows a double
+    n = 5
+    model = ArModel(theta, n)
+    form = ar_quadform.autocov_form(model, n + 4)
+    assert form.is_zero(1e-12)
+    assert np.array_equal(form.diagonal(), np.zeros(n))
+    assert np.array_equal(autocov_matrix(model, n + 4).entries, np.zeros((n, n)))
+    with pytest.raises(ValueError, match="need finite entries"):
+        ar_quadform.autocov_form(model, n - 1)

@@ -121,6 +121,16 @@ def test_overflow_is_one_line_error_without_warnings(capsys, argv):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("cmd", ["tail", "simulate"])
+def test_explosive_model_past_the_path_is_zero(capsys, cmd):
+    # the lag-9 statistic of a length-5 path is zero however large psi grows
+    code, out, err = run(capsys, cmd, "--alpha", "1.5", "--a", "1e200", "--b", "0",
+                         "--n", "5", "--k", "9")
+    assert (code, err) == (0, "")
+    assert "regime=Zero coef=none" in out
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @given(a=st.floats(2.5, 4.0), negative=st.booleans(), a0=st.floats(-1.0, 1.0),
        n=st.integers(400, 800))
 @settings(max_examples=12, deadline=None)
