@@ -18,6 +18,6 @@ from .student_dist import (StudentLaw, cdf, density, make_law,
 from .tail_formulas import (DegeneracyClass, TailLaw, ar1_lower_tail,
                             ar1_upper_tail, classify, coef_degenerate_case,
                             coef_positive_case, critical_value, evaluate,
-                            tail_law, test_stat_tail)
+                            statistic_tail, tail_law, test_stat_tail)
 
 __version__ = "0.1.0"

@@ -1,5 +1,5 @@
-"""Text forms shared by every output: one number format and the
-'#'-prefixed header lines."""
+"""Text forms shared by every output: one number format, the
+'#'-prefixed header lines and the comma-separated rows."""
 
 
 def fmt(value):
@@ -18,3 +18,8 @@ def write_header(fh, lines):
     """Each line as a '#'-prefixed header line."""
     for line in lines:
         fh.write("# %s\n" % line)
+
+
+def write_rows(fh, rows):
+    """Each row as one line of its values' fmt texts joined by commas."""
+    fh.writelines(",".join(map(fmt, row)) + "\n" for row in rows)

@@ -35,8 +35,8 @@ from collections.abc import Sequence
 import numpy as np
 
 from ._text import fmt, write_header
-from .ar_quadform import ArModel, autocov_form
-from .tail_formulas import POWER_HALF, POWER_LOG, tail_law
+from .ar_quadform import ArModel
+from .tail_formulas import POWER_HALF, POWER_LOG, statistic_tail
 
 # entry magnitude that triggers a uniform positive rescale of the scan state
 _RESCALE_AT = 1e100
@@ -76,9 +76,10 @@ def first_covering_k(a, b, kmax=200):
     the scalar operation order of the recurrence, each step written into
     the same state and scratch arrays.  Each point's state is rescaled on
     its own, by 1/max(|prev|, |cur|) once that maximum passes _RESCALE_AT
-    (a positive rescale preserves every sign), so explosive points cannot
-    overflow.  From the second check on, |prev| <= _RESCALE_AT, since prev
-    is the cur of the check before (rescaled to at most 1 there if it
+    (a positive rescale preserves every sign), so only an a or b near a
+    double's limit can overflow a step, which the scan keeps without a
+    numpy warning.  From the second check on, |prev| <= _RESCALE_AT, since
+    prev is the cur of the check before (rescaled to at most 1 there if it
     passed), and a nan prev makes cur nan; so from k = 3 on the test reads
     |cur| alone.  The first check reads both, as its prev is a itself.
     Covered points leave the active set, and the scan stops once none is
@@ -97,28 +98,29 @@ def first_covering_k(a, b, kmax=200):
     cur = a.copy()
     d = np.zeros_like(a)
     m = np.empty_like(a)
-    for k in range(2, kmax + 1):
-        d += np.multiply(cur, prev, out=m)  # now a positive multiple of d_{k-1}
-        covered = d > 0.0
-        if covered.any():
-            first[idx[covered]] = k
-            keep = ~covered
-            if not keep.any():
-                break
-            idx, a, b, prev, cur, d = (v[keep] for v in (idx, a, b, prev, cur, d))
-            m = m[:idx.size]
-        # prev becomes a * cur + b * prev, the next cur
-        np.add(np.multiply(a, cur, out=m), np.multiply(b, prev, out=prev), out=prev)
-        prev, cur = cur, prev
-        m = np.abs(cur, out=m)
-        if k == 2:
-            np.maximum(np.abs(prev), m, out=m)
-        big = m > _RESCALE_AT
-        if big.any():
-            s = 1.0 / m[big]
-            prev[big] *= s
-            cur[big] *= s
-            d[big] *= s * s
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(2, kmax + 1):
+            d += np.multiply(cur, prev, out=m)  # now a positive multiple of d_{k-1}
+            covered = d > 0.0
+            if covered.any():
+                first[idx[covered]] = k
+                keep = ~covered
+                if not keep.any():
+                    break
+                idx, a, b, prev, cur, d = (v[keep] for v in (idx, a, b, prev, cur, d))
+                m = m[:idx.size]
+            # prev becomes a * cur + b * prev, the next cur
+            np.add(np.multiply(a, cur, out=m), np.multiply(b, prev, out=prev), out=prev)
+            prev, cur = cur, prev
+            m = np.abs(cur, out=m)
+            if k == 2:
+                np.maximum(np.abs(prev), m, out=m)
+            big = m > _RESCALE_AT
+            if big.any():
+                s = 1.0 / m[big]
+                prev[big] *= s
+                cur[big] *= s
+                d[big] *= s * s
     return first
 
 
@@ -183,8 +185,9 @@ def theorem_region_mask(a, b):
     b < min(-a^2/4, a - 1), elementwise over arrays a, b."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    return ((a > 0.0) | (b < -a * a - 1.0)
-            | (b < np.minimum(-a * a / 4.0, a - 1.0)))
+    with np.errstate(over="ignore"):  # -a * a = -inf compares as it should
+        return ((a > 0.0) | (b < -a * a - 1.0)
+                | (b < np.minimum(-a * a / 4.0, a - 1.0)))
 
 
 def theorem_region_test(a, b):
@@ -205,13 +208,14 @@ def stable_mask(a, b):
     of z^2 - a z - b strictly inside the unit disk, elementwise."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    root = np.sqrt((a * a + 4.0 * b).astype(complex))
-    # hypot, as the scalar abs(complex) takes it: np.abs of a complex array
-    # can round the other way, which flips points on the unit circle
-    plus = (a + root) / 2.0
-    minus = (a - root) / 2.0
-    top = np.maximum(np.hypot(plus.real, plus.imag),
-                     np.hypot(minus.real, minus.imag))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf/nan roots: unstable
+        root = np.sqrt((a * a + 4.0 * b).astype(complex))
+        # hypot, as the scalar abs(complex) takes it: np.abs of a complex
+        # array can round the other way, which flips points on the unit circle
+        plus = (a + root) / 2.0
+        minus = (a - root) / 2.0
+        top = np.maximum(np.hypot(plus.real, plus.imag),
+                         np.hypot(minus.real, minus.imag))
     return top < 1.0
 
 
@@ -231,7 +235,7 @@ def stable_tail_class(a, b, n, alpha):
         raise ValueError("need n >= 3")
     if not stability_check(a, b):
         raise ValueError("need a stable pair (a, b)")
-    return tail_law(autocov_form(ArModel((a, b), n), 1), alpha)
+    return statistic_tail(ArModel((a, b), n), alpha, k=1)
 
 
 class RegionScan(Sequence):

@@ -181,19 +181,27 @@ def shift_pow(n, k):
     return b
 
 
-def _solve_form(theta, y):
-    """C = A^T Y without a matrix product, overwriting y.  With L = A^{-1}
-    the banded AR filter, L^T C = Y reads bottom-up
-
-        C[r] = Y[r] + theta_1 C[r+1] + ... + theta_p C[r+p],
-
-    which costs O(n^2 p) instead of the O(n^3) product."""
-    n = y.shape[0]
-    step = np.empty(y.shape[1:])
-    for r in range(n - 2, -1, -1):
-        for i, t in enumerate(theta[:n - 1 - r], start=1):
+def _recursion(theta, rows):
+    """Rows (r, C[r]) of C = A^T Y from the rows (r, Y[r]) fed bottom up,
+    each overwritten in place.  With L = A^{-1} the banded AR filter,
+    L^T C = Y reads C[r] = Y[r] + theta_1 C[r+1] + ... + theta_p C[r+p];
+    p finished rows are held, and a row shorter than the rows below it
+    reads only their prefix."""
+    recent = []
+    for r, row in rows:
+        width = row.shape[0]
+        step = np.empty(width) if not recent else step[:width]
+        for t, prev in zip(theta, recent):
             if t != 0.0:
-                y[r] += np.multiply(t, y[r + i], out=step)
+                row += np.multiply(t, prev[:width], out=step)
+        recent = [row] + recent[:len(theta) - 1]
+        yield r, row
+
+
+def _solve_form(theta, y):
+    """C = A^T Y by _recursion over every row of y, overwritten: O(n^2 p)."""
+    for _ in _recursion(theta, zip(range(y.shape[0] - 1, -1, -1), y[::-1])):
+        pass
     return y
 
 
@@ -229,10 +237,9 @@ class ArForm:
     autocovariance (autocov_form), M = B - a0 B^T B for the pivot
     (pivot_form).
 
-    Rows of C come from the bottom-up recursion _solve_form runs on
-    Y = M A, one row of Y at a time and p rows held.  Each row of Y is a
-    copied row of the Toeplitz view _y_view hands the dense builders (or
-    the pivot's last row), so every entry has the dense builders' bits (as
+    Rows of C come from the dense builders' _recursion, fed one copied row
+    of Y = M A at a time from the Toeplitz view _y_view hands those
+    builders (or the pivot's last row), so every entry has their bits (as
     long as psi has no subnormal entry, which is flushed to zero).  The
     lag-k diagonal C_ii = G(n-1-i), G(M) = sum_{m=k}^{M} psi_m psi_{m-k},
     is read off that pass on the columns 0..r each row r needs; the pivot
@@ -303,20 +310,10 @@ class ArForm:
         return self._y[r, :width].copy()
 
     def _rows(self, lo, prefix=False):
-        """Rows r = n - 1, ..., lo of C, bottom up: row r is Y's row r plus
-        theta_q times row r + q, holding p rows.  With prefix, only the
+        """Rows r = n - 1, ..., lo of C, bottom up; with prefix, only the
         columns 0..r of row r, all that the rows above read of it."""
-        theta = self.model.theta
-        recent = []
-        step = np.empty(self.n)
-        for r in range(self.n - 1, lo - 1, -1):
-            width = r + 1 if prefix else self.n
-            row = self._y_row(r, width)
-            for t, prev in zip(theta, recent):
-                if t != 0.0:
-                    row += np.multiply(t, prev[:width], out=step[:width])
-            recent = [row] + recent[:len(theta) - 1]
-            yield r, row
+        return _recursion(self.model.theta, ((r, self._y_row(r, r + 1 if prefix else self.n))
+                                             for r in range(self.n - 1, lo - 1, -1)))
 
     def couplings(self, rows):
         """(indices, chunk) pairs covering the ascending indices rows in
@@ -383,16 +380,6 @@ def power_sum(x, m):
     """
     sums = power_sums(x, m)
     return sums[-1] if sums else 0.0
-
-
-def ar1_diag_closed(a, n, k, i):
-    """Diagonal entry C_{i,i} of A^T B^k A for AR(1), 1-based index i:
-
-        C_{i,i} = a^k * sum_{j=0}^{n-i-k} a^(2j),    zero once i > n - k;
-
-    the case i = j of ar1_offdiag_closed.
-    """
-    return ar1_offdiag_closed(a, n, k, i, i)
 
 
 def ar1_offdiag_closed(a, n, k, i, j):

@@ -7,11 +7,12 @@ of alternatives), dist (innovation-law queries).
 
 Every run echoes its configuration as a '#'-prefixed header line (every
 option in parser order, then the values it resolved), reals carry 17
-significant digits, and line endings are LF; the number format and header
-lines come from the shared text module _text.  Exit codes:
+significant digits, and line endings are LF; the number format, header
+lines and CSV rows come from the shared text module _text.  Exit codes:
 0 on success, 2 on usage errors, 1 on domain errors (the message names the
-violated precondition), on floating-point overflow and on output files that
-cannot be written; a failed run leaves an earlier --out file as it was.
+violated precondition), on arithmetic failures such as overflow and on
+output files that cannot be written; a failed run leaves an earlier --out
+file as it was.
 HEAVYTAIL_THREADS, the one worker setting, caps the thread pool of
 simulate (calibrate runs serially); results do not depend on it.
 """
@@ -23,16 +24,15 @@ from contextlib import contextmanager, suppress
 
 import numpy as np
 
-from ._text import fmt, write_header
-from .ar_quadform import (ArModel, autocov_form, autocov_matrix, check_statistic,
-                          test_matrix)
+from ._text import fmt, write_header, write_rows
+from .ar_quadform import ArModel, autocov_matrix, check_statistic, test_matrix
 from .ar2_regions import region_grid, write_region_csv
 from .monte_carlo import (DEFAULT_A_GRID, McConfig, calibrate_risk,
                           run_tail_experiment, write_risk_csv, write_tail_csv)
 from .student_dist import (cdf, density, make_law, normal_quantile,
                            quantile_tail, survival, tail_constant,
                            upper_quantile)
-from .tail_formulas import ar1_upper_tail, evaluate, tail_law
+from .tail_formulas import evaluate, statistic_tail
 
 
 def _config_line(args, **resolved):
@@ -68,10 +68,7 @@ def _model(args):
 
 def _cmd_tail(args, fh):
     write_header(fh, [_config_line(args)])
-    if args.b is None:
-        tail = ar1_upper_tail(args.a, args.n, args.k, args.alpha)
-    else:
-        tail = tail_law(autocov_form(_model(args), args.k), args.alpha)
+    tail = statistic_tail(_model(args), args.alpha, k=args.k)
     fh.write("regime=%s coef=%s\n" % (tail.regime, fmt(tail.coef)))
     if tail.note:
         fh.write("# note: %s\n" % tail.note)
@@ -86,8 +83,7 @@ def _cmd_matrix(args, fh):
     model = _model(args)
     k, a0 = check_statistic(model, None if args.a0 is not None else args.k, args.a0)
     form = autocov_matrix(model, k) if a0 is None else test_matrix(args.a, a0, args.n)
-    for row in form.entries:
-        fh.write(",".join(fmt(v) for v in row) + "\n")
+    write_rows(fh, form.entries)
 
 
 def _cmd_regions(args, fh):
@@ -239,7 +235,7 @@ def main(argv=None):
         with _open_out(args) as fh:
             args.handler(args, fh)
         return 0
-    except (ValueError, OSError, OverflowError, FloatingPointError) as exc:
+    except (ValueError, OSError, ArithmeticError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

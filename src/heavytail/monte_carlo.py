@@ -11,12 +11,13 @@ any block schedule.  The tail experiment spreads its blocks over a pool
 of worker_count() threads (HEAVYTAIL_THREADS, the one worker setting) and
 reduces each along its AR paths, as lagged products of X = A eps; the
 risk calibration runs its blocks serially (its dense products already use
-the BLAS threads) and tests every block against the dense form of each
-grid alternative (common random numbers).  Both end in the same
-OverflowError on a non-finite replica statistic.  The empirical survival
-function comes from one sort of the replica statistics; theory curves are
-the first-order coefficients evaluated on the same threshold grid.  The
-CSV writers take their number format and header lines from _text.
+the BLAS threads, and a pool on top measured slower) and tests every block
+against the dense form of each grid alternative (common random numbers).
+Both end in the same OverflowError on a non-finite replica statistic.  The
+empirical survival function comes from one sort of the replica statistics;
+the theory curve is statistic_tail's law, the one the tail command prints,
+on the same threshold grid.  The CSV writers take their number format,
+header lines and rows from _text.
 """
 
 import math
@@ -26,11 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._text import fmt, write_header
-from .ar_quadform import ArModel, ar_paths, autocov_form, check_statistic, test_matrix
+from ._text import fmt, write_header, write_rows
+from .ar_quadform import ArModel, ar_paths, check_statistic, test_matrix
 from .student_dist import StudentLaw, make_law, sample
-from .tail_formulas import (POWER_LOG, critical_value, evaluate, tail_law,
-                            test_stat_tail)
+from .tail_formulas import (POWER_LOG, check_eta, check_pivot_n, critical_value,
+                            evaluate, statistic_tail)
 
 # innovations per replica block: 512 KiB of doubles, whatever n is
 BLOCK_DRAWS = 1 << 16
@@ -89,8 +90,8 @@ class McEstimate:
     p_theory is clamped to [0, 1]; raw_theory keeps the unclamped value.
     Every McConfig statistic has both: its form's last row has a zero
     diagonal and the coupling psi_0 = 1 (PowerHalf, PowerLog or Zero).
-    tail comes from the structured form (ArForm), read from the impulse
-    response in O(n k) memory, never from an n x n matrix."""
+    tail is statistic_tail's law of the statistic, the one the tail
+    command prints; no route to it builds an n x n matrix."""
 
     t: np.ndarray
     p_emp: np.ndarray
@@ -166,11 +167,6 @@ def block_innovations(law, n, seed, block):
     return sample(law, rng, size=(hi - lo, int(n)))
 
 
-def row_stats(eps, entries):
-    """Row statistics eps_r^T C eps_r of an innovation block, one matmul."""
-    return np.einsum("ri,ri->r", eps @ entries, eps)
-
-
 def path_stats(eps, theta, k=None, a0=None):
     """Statistics of an innovation block eps, shape (rows, n), reduced along
     the time-major AR paths X = A eps: n gamma_n(k), the lagged product sum
@@ -188,19 +184,10 @@ def path_stats(eps, theta, k=None, a0=None):
         return np.einsum("ir,ir->r", x[1:] - a0 * x[:-1], x[:-1])
 
 
-def _map_blocks(fn, blocks):
-    """fn over every block on worker_count() threads, results in block order;
-    blocks are keyed substreams, so the outcome does not depend on the schedule."""
-    workers = worker_count()
-    if workers <= 1 or len(blocks) <= 1:
-        return [fn(block) for block in blocks]
-    with ThreadPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
-        return list(pool.map(fn, blocks))
-
-
 def collect_stats(cfg):
     """Vector of all replica statistics of a tail experiment, in
-    replica-index order, reduced block by block along the AR paths.
+    replica-index order, reduced along the AR paths block by block on
+    worker_count() threads (keyed substreams: the schedule does not matter).
 
     Raises OverflowError when a statistic is not finite (explosive models).
     """
@@ -211,23 +198,25 @@ def collect_stats(cfg):
         return path_stats(eps, cfg.model.theta, k=cfg.k, a0=cfg.a0)
 
     blocks = replica_blocks(cfg.replicas, n)
-    return _finite_stats(np.concatenate(_map_blocks(block_stats, blocks)), n)
+    workers = min(worker_count(), len(blocks))
+    if workers <= 1:
+        stats = [block_stats(block) for block in blocks]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            stats = list(pool.map(block_stats, blocks))
+    return _finite_stats(np.concatenate(stats), n)
 
 
 def run_tail_experiment(cfg):
     """Monte Carlo tail experiment for one configuration.
 
-    Classifies the configured statistic (the structured lag-k form through
-    the general classifier, the test statistic through test_stat_tail;
-    neither builds an n x n matrix), draws all
-    replica statistics, and returns the empirical survival curve on a
-    log-spaced threshold grid next to the first-order theory curve.  The
-    PowerLog approximation needs every threshold above e.
+    Takes the configured statistic's law from statistic_tail, the route
+    the tail command takes too (no n x n matrix), draws all replica
+    statistics, and returns the empirical survival curve on a log-spaced
+    threshold grid next to the first-order theory curve.  The PowerLog
+    approximation needs every threshold above e.
     """
-    if cfg.k is not None:
-        tail = tail_law(autocov_form(cfg.model, cfg.k), cfg.law.alpha)
-    else:
-        tail = test_stat_tail(cfg.model.theta[0], cfg.a0, cfg.model.n, cfg.law.alpha)
+    tail = statistic_tail(cfg.model, cfg.law.alpha, k=cfg.k, a0=cfg.a0)
     t = np.logspace(math.log10(cfg.t_min), math.log10(cfg.t_max), cfg.points)
     if tail.regime == POWER_LOG and not cfg.t_min > math.e:
         raise ValueError("need t_min > e in the PowerLog regime")
@@ -250,13 +239,13 @@ def calibrate_risk(a_grid, a0, n, alpha, eta, replicas=100_000, seed=0):
     Common random numbers: each innovation block is drawn once and every
     grid value a > a0 is tested on it, counting the replicas whose statistic
     eps^T C_a eps reaches the threshold t_eta from critical_value; risk_hat
-    is the total count over replicas.  Blocks run serially: the dense
-    products use the BLAS threads, and a pool on top only oversubscribes
-    the cores.  Grid values with a <= a0 come back skipped.  A statistic
-    that is not finite raises the OverflowError of collect_stats.
+    is the total count over replicas.  Grid values with a <= a0 come back
+    skipped, and with no other value no block is drawn.  A statistic that
+    is not finite raises the OverflowError of collect_stats.
     """
     a0 = float(a0)
-    n = int(n)
+    n = check_pivot_n(n)
+    eta = check_eta(eta)
     replicas, seed = _check_draws(replicas, seed)
     law = make_law(alpha)
     grid = [float(a) for a in a_grid]
@@ -267,11 +256,12 @@ def calibrate_risk(a_grid, a0, n, alpha, eta, replicas=100_000, seed=0):
     forms = [test_matrix(a, a0, n).entries for a in alternatives]
 
     counts = np.zeros(len(forms), dtype=np.int64)
-    for block in replica_blocks(replicas, n):
+    for block in replica_blocks(replicas, n) if forms else ():
         eps = block_innovations(law, n, seed, block)
-        # overflowing products reach _finite_stats without a numpy warning
+        # eps_r^T C eps_r, one matmul per form; overflows reach _finite_stats unwarned
         with np.errstate(over="ignore", invalid="ignore"):
-            hits = [np.count_nonzero(_finite_stats(row_stats(eps, entries), n) >= t_eta)
+            hits = [np.count_nonzero(_finite_stats(
+                        np.einsum("ri,ri->r", eps @ entries, eps), n) >= t_eta)
                     for t_eta, entries in zip(t_etas, forms)]
         counts += np.array(hits, dtype=np.int64)
     tested = iter(zip(t_etas, counts))
@@ -301,17 +291,12 @@ def write_tail_csv(est, fh, header_lines=()):
     first, reals carry 17 significant digits, line endings are LF.
     """
     write_header(fh, header_lines)
-    coef = fmt(est.tail.coef)
     fh.write("# replicas=%d seed=%d regime=%s coef=%s\n"
-             % (est.replicas, est.seed, est.tail.regime, coef))
+             % (est.replicas, est.seed, est.tail.regime, fmt(est.tail.coef)))
     fh.write(",".join(TAIL_CSV_COLUMNS) + "\n")
-    for i, t in enumerate(est.t):
-        p_emp = float(est.p_emp[i])
-        p_th = float(est.p_theory[i])
-        fh.write(",".join(fmt(v) for v in (
-            t, math.log10(t), p_emp, _log10_or_ninf(p_emp),
-            p_th, _log10_or_ninf(p_th), float(est.se[i]),
-            float(est.raw_theory[i]))) + "\n")
+    columns = (est.t, est.p_emp, est.p_theory, est.se, est.raw_theory)
+    write_rows(fh, ((t, math.log10(t), p, _log10_or_ninf(p), q, _log10_or_ninf(q), se, raw)
+                    for t, p, q, se, raw in zip(*(c.tolist() for c in columns))))
 
 
 def write_risk_csv(rows, fh, header_lines=()):
@@ -323,6 +308,4 @@ def write_risk_csv(rows, fh, header_lines=()):
     if skipped:
         fh.write("# skipped (need a > a0): %s\n" % " ".join(fmt(a) for a in skipped))
     fh.write(",".join(RISK_CSV_COLUMNS) + "\n")
-    for row in rows:
-        fh.write(",".join(fmt(v) for v in (row.a, row.t_eta, row.risk_hat, row.se))
-                 + "\n")
+    write_rows(fh, ((row.a, row.t_eta, row.risk_hat, row.se) for row in rows))

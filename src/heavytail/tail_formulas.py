@@ -26,7 +26,8 @@ structured AR forms are classified without an n x n array.
 
 The AR(1) specializations (upper and lower tails of n gamma_n(k), the
 studentized lag-1 test statistic, approximate critical values) are written
-out in closed power-sum form so they are exact at a = +-1 too.
+out in closed power-sum form, exact at a = +-1 too.  statistic_tail is the
+one route from an AR path statistic to its law: a closed form or the classifier.
 """
 
 import math
@@ -334,9 +335,7 @@ def test_stat_tail(a, a0, n, alpha):
     a = float(a)
     a0 = float(a0)
     alpha = float(alpha)
-    n = int(n)
-    if n < 2:
-        raise ValueError("need n >= 2")
+    n = check_pivot_n(n)
     law = make_law(alpha)
     sums = power_sums(a * a, n - 1)[::-1]  # S_1 >= ... >= S_{n-1} = 1
     if not math.isfinite((a - a0) * sums[0]):
@@ -353,6 +352,34 @@ def test_stat_tail(a, a0, n, alpha):
     return tail_law(pivot_form(a, a0, n), alpha)
 
 
+def statistic_tail(model, alpha, k=None, a0=None):
+    """TailLaw of n gamma_n(k) for a lag k, or of the pivot n (gamma_n(1) -
+    a0 hat_gamma_n(0)) for a reference a0, on model's paths: test_stat_tail
+    for a pivot, ar1_upper_tail for an AR(1) lag, else the ArForm classifier."""
+    k, a0 = check_statistic(model, k, a0)
+    if a0 is not None:
+        return test_stat_tail(model.theta[0], a0, model.n, alpha)
+    if model.p == 1:
+        return ar1_upper_tail(model.theta[0], model.n, k, alpha)
+    return tail_law(autocov_form(model, k), alpha)
+
+
+def check_pivot_n(n):
+    """n as an int, checked as the length of a pivot path: n >= 2."""
+    n = int(n)
+    if n < 2:
+        raise ValueError("need n >= 2")
+    return n
+
+
+def check_eta(eta):
+    """eta as a float, checked as the size of a test: 0 < eta < 1."""
+    eta = float(eta)
+    if not 0.0 < eta < 1.0:
+        raise ValueError("need 0 < eta < 1")
+    return eta
+
+
 def critical_value(a, a0, n, alpha, eta):
     """Threshold t with first-order size eta for the one-sided test of a0
     against the alternative a, valid for 0 <= a0 < a:
@@ -365,9 +392,7 @@ def critical_value(a, a0, n, alpha, eta):
     a0 = float(a0)
     if not 0.0 <= a0 < a:
         raise ValueError("need 0 <= a0 < a")
-    eta = float(eta)
-    if not 0.0 < eta < 1.0:
-        raise ValueError("need 0 < eta < 1")
+    eta = check_eta(eta)
     coef = test_stat_tail(a, a0, n, alpha).coef
     return (coef / eta) ** (2.0 / float(alpha))
 

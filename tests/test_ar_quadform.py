@@ -6,8 +6,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from heavytail import ar_quadform
-from heavytail.ar_quadform import (ArModel, QuadForm, ar1_diag_closed,
-                                   ar1_offdiag_closed, autocov_matrix,
+from heavytail.ar_quadform import (ArModel, QuadForm, ar1_offdiag_closed,
+                                   autocov_matrix,
                                    build_a, check_statistic, empirical_autocov,
                                    power_sum, shift_pow, simulate_path)
 from heavytail.ar_quadform import test_matrix as statistic_matrix
@@ -70,7 +70,6 @@ def test_closed_entries_match_dense_exactly_on_unit_grid():
             for k in range(0, 6):
                 dense = autocov_matrix(ArModel((a,), n), k).entries
                 for i in range(1, n + 1):
-                    assert ar1_diag_closed(a, n, k, i) == dense[i - 1, i - 1]
                     for j in range(1, n + 1):
                         assert ar1_offdiag_closed(a, n, k, i, j) == dense[i - 1, j - 1]
 
@@ -85,12 +84,6 @@ def test_closed_entries_match_dense_generic(a, n, k, i, j):
     got = ar1_offdiag_closed(a, n, k, i, j)
     scale = max(1.0, np.max(np.abs(dense)))
     assert abs(got - dense[i - 1, j - 1]) <= 1e-12 * scale
-
-
-def test_diag_specializes_offdiag():
-    for a in (-0.8, 0.3, 1.0):
-        for i in range(1, 11):
-            assert ar1_diag_closed(a, 10, 2, i) == ar1_offdiag_closed(a, 10, 2, i, i)
 
 
 def test_last_diag_entries_vanish_exactly():
@@ -185,13 +178,29 @@ def build_a_oracle(model):
     return a
 
 
+def solve_form_oracle(theta, y):
+    """C = A^T Y without a matrix product, overwriting y.  With L = A^{-1}
+    the banded AR filter, L^T C = Y reads bottom-up
+
+        C[r] = Y[r] + theta_1 C[r+1] + ... + theta_p C[r+p],
+
+    which costs O(n^2 p) instead of the O(n^3) product."""
+    n = y.shape[0]
+    step = np.empty(y.shape[1:])
+    for r in range(n - 2, -1, -1):
+        for i, t in enumerate(theta[:n - 1 - r], start=1):
+            if t != 0.0:
+                y[r] += np.multiply(t, y[r + i], out=step)
+    return y
+
+
 def autocov_oracle(model, k):
     n = model.n
     if k >= n:
         return np.zeros((n, n))
     y = np.zeros((n, n))
     y[k:] = build_a_oracle(model)[:n - k]
-    return ar_quadform._solve_form(model.theta, y)
+    return solve_form_oracle(model.theta, y)
 
 
 def statistic_matrix_oracle(a, a0, n):
@@ -200,7 +209,7 @@ def statistic_matrix_oracle(a, a0, n):
     y = np.zeros((n, n))
     y[1:] = amat[:-1]
     y[:-1] -= a0 * amat[:-1]
-    return ar_quadform._solve_form(model.theta, y)
+    return solve_form_oracle(model.theta, y)
 
 
 class RawForm:

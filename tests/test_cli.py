@@ -385,6 +385,21 @@ def test_regions_default_plane_bytes_are_pinned(tmp_path):
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == REGIONS_201_SHA256
 
 
+# sha256 of a lattice whose a*a, b*4 and scan steps overflow a double:
+# its rows were right with the warnings, and must not move without them
+HUGE_REGIONS_SHA256 = "844acb1bf77cb245b14b81e3cb63d6c06b2647d11348b0154bba71142072656d"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_huge_regions_lattice_warns_nothing_and_keeps_its_bytes(tmp_path, capsys):
+    out_path = tmp_path / "huge.csv"
+    code, out, err = run(capsys, "regions", "--a-min=-1e200", "--a-max=1e3",
+                         "--b-min=-1e300", "--b-max=1e3", "--steps", "5",
+                         "--out", str(out_path))
+    assert (code, out, err) == (0, "", "")
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == HUGE_REGIONS_SHA256
+
+
 def test_simulate_command_and_determinism(tmp_path, capsys):
     args = ("simulate", "--alpha", "1", "--a", "1", "--n", "8", "--k", "1",
             "--replicas", "2000", "--seed", "42", "--t-min", "100",
@@ -463,6 +478,30 @@ def test_help_exits_zero(capsys):
     assert code == 0
     code, _, _ = run(capsys, "simulate", "--help")
     assert code == 0
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--n", "0", "--replicas", "100"), "need n >= 2"),
+    (("--n", "-3"), "need n >= 2"),
+    (("--eta", "7"), "need 0 < eta < 1"),
+])
+def test_calibrate_checks_n_and_eta_with_no_grid_value_to_test(capsys, argv, message):
+    # a0 = 2 skips every default grid value, and the inputs are still checked
+    code, out, err = run(capsys, "calibrate", "--alpha", "1.5", "--a0", "2", *argv)
+    assert (code, out, err) == (1, "", "error: %s\n" % message)
+
+
+def test_simulate_header_coef_is_the_tail_text(capsys):
+    # one route per statistic: an AR(1) lag gets the law tail prints
+    model = ("--alpha", "1.5", "--a", "0.5", "--n", "1000", "--k", "1")
+    code, tail_out, _ = run(capsys, "tail", *model)
+    assert code == 0
+    code, out, _ = run(capsys, "simulate", *model, "--replicas", "4000", "--seed", "5",
+                       "--t-min", "1e3", "--t-max", "1e8", "--points", "26")
+    assert code == 0
+    law = tail_out.splitlines()[1]
+    assert law == "regime=PowerHalf coef=555.71849205966021"
+    assert out.splitlines()[1] == "# replicas=4000 seed=5 " + law
 
 
 def test_calibrate_names_an_overflowing_pivot_form(capsys, monkeypatch):

@@ -13,7 +13,7 @@ from heavytail.monte_carlo import (BLOCK_DRAWS, DEFAULT_A_GRID, McConfig,
                                    run_tail_experiment, worker_count,
                                    write_risk_csv, write_tail_csv)
 from heavytail.student_dist import make_law, sample
-from heavytail.tail_formulas import evaluate
+from heavytail.tail_formulas import ar1_upper_tail, evaluate
 
 
 def small_config(**kw):
@@ -220,6 +220,16 @@ def test_run_tail_experiment_zero_statistic():
     assert np.all(est.p_theory == 0.0)
 
 
+@pytest.mark.parametrize("a, n, k, alpha", [(0.5, 1000, 1, 1.5), (1.05, 600, 1, 1.5),
+                                            (-0.5, 50, 2, 1.5), (0.0, 30, 2, 1.0)])
+def test_run_tail_experiment_takes_the_ar1_closed_law(a, n, k, alpha):
+    # an AR(1) lag has one law, the one the tail command prints: the closed
+    # power-sum form, to the bit
+    cfg = McConfig(model=ArModel((a,), n), law=make_law(alpha), k=k,
+                   replicas=200, seed=1)
+    assert run_tail_experiment(cfg).tail == ar1_upper_tail(a, n, k, alpha)
+
+
 def test_test_statistic_experiment_matches_formula():
     cfg = small_config(model=ArModel((1.0,), 10), k=None, a0=0.5,
                        replicas=20_000, t_min=1e3, t_max=1e5, points=3)
@@ -244,9 +254,14 @@ def test_calibrate_risk_rows():
         assert 0.0 < row.se < 0.01
 
 
-def test_calibrate_risk_grid_entirely_at_or_below_a0():
+def test_calibrate_risk_grid_entirely_at_or_below_a0(monkeypatch):
+    # with nothing to test, no block is drawn
+    drawn = []
+    monkeypatch.setattr(monte_carlo, "block_innovations",
+                        lambda *args: drawn.append(args))
     rows = calibrate_risk((0.1, 0.3, 0.5), 0.5, 10, 1.5, 0.05,
                           replicas=1000, seed=1)
+    assert drawn == []
     assert [r.a for r in rows] == [0.1, 0.3, 0.5]
     for row in rows:
         assert row.skipped
