@@ -21,22 +21,19 @@ Membership, stability and the coverage condition are array kernels
 region_membership, stability_check and theorem_region_test are their
 one-point case.  region_grid scans the whole lattice at once: one
 recursion step over k for every still-uncovered point, in the operation
-order of the one-point recursion, so the rows (and the CSV bytes) are
-those of a point-by-point scan.  It returns the scan as columns
-(RegionScan), and write_region_csv goes from those columns straight to
-text: each a is formatted once, each distinct b with its (first covering
-k, stable, in theorem region) code names one cached cell, and no row
-tuple is built.
+order of the one-point recursion, so the columns (and the CSV bytes) are
+those of a point-by-point scan.  It returns them as a RegionScan, which
+write_region_csv writes straight to text, deriving each point's regime
+from its first covering k.
 """
 
 import math
-from collections.abc import Sequence
 
 import numpy as np
 
 from ._text import fmt, write_header
 from .ar_quadform import ArModel
-from .tail_formulas import POWER_HALF, POWER_LOG, statistic_tail
+from .tail_formulas import POWER_HALF, POWER_LOG, check_span, statistic_tail
 
 # entry magnitude that triggers a uniform positive rescale of the scan state
 _RESCALE_AT = 1e100
@@ -129,8 +126,7 @@ def region_membership(a, b, kmax=200):
     d_{k-1} > 0 strictly; None when no region up to kmax covers the point.
     The one-point case of first_covering_k.
     """
-    k = int(first_covering_k([float(a)], [float(b)], kmax)[0])
-    return k if k else None
+    return int(first_covering_k([float(a)], [float(b)], kmax)[0]) or None
 
 
 def region_polynomials(a, b):
@@ -238,19 +234,10 @@ def stable_tail_class(a, b, n, alpha):
     return statistic_tail(ArModel((a, b), n), alpha, k=1)
 
 
-class RegionScan(Sequence):
+class RegionScan:
     """One scanned lattice as columns: the axes a and b, and per point, in
     row-major order with a outermost, the masks stable and covered (in the
-    theorem region) and first, the first covering k (0 when uncovered).
-
-    As a sequence it holds one row per point,
-
-        (a, b, stable, first_covering_k, in_theorem_region, regime),
-
-    with first_covering_k None when no region up to kmax covers the point
-    and regime the n-free dichotomy: PowerHalf when some region covers the
-    point, PowerLog otherwise.  A slice gives a list of such rows.
-    """
+    theorem region) and first, the first covering k (0 when uncovered)."""
 
     def __init__(self, a, b, stable, first, covered):
         self.a, self.b = a, b
@@ -258,15 +245,6 @@ class RegionScan(Sequence):
 
     def __len__(self):
         return self.first.size
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(len(self))[i]]
-        i = range(len(self))[i]
-        k = int(self.first[i])
-        return (float(self.a[i // self.b.size]), float(self.b[i % self.b.size]),
-                bool(self.stable[i]), k or None, bool(self.covered[i]),
-                POWER_HALF if k else POWER_LOG)
 
 
 def region_grid(a_min, a_max, b_min, b_max, steps, kmax=200):
@@ -276,8 +254,8 @@ def region_grid(a_min, a_max, b_min, b_max, steps, kmax=200):
         raise ValueError("need steps >= 2")
     if not (float(a_min) < float(a_max) and float(b_min) < float(b_max)):
         raise ValueError("need a_min < a_max and b_min < b_max")
-    a_axis = np.linspace(float(a_min), float(a_max), steps)
-    b_axis = np.linspace(float(b_min), float(b_max), steps)
+    a_axis = np.linspace(*check_span("a", a_min, a_max), steps)
+    b_axis = np.linspace(*check_span("b", b_min, b_max), steps)
     a = np.repeat(a_axis, steps)
     b = np.tile(b_axis, steps)
     return RegionScan(a_axis, b_axis, stable_mask(a, b),

@@ -68,7 +68,14 @@ def check_statistic(model, k=None, a0=None):
         raise ValueError("need an order-1 model with a reference a0")
     if k is not None and int(k) < 0:
         raise ValueError("need k >= 0")
-    return (int(k), None) if a0 is None else (None, float(a0))
+    return (int(k), None) if a0 is None else (None, check_a0(a0))
+
+
+def check_a0(a0):
+    """a0 as a float, checked as the reference value of a pivot: finite."""
+    if not math.isfinite(float(a0)):
+        raise ValueError("need a finite reference a0")
+    return float(a0)
 
 
 class _Fresh(np.ndarray):
@@ -174,11 +181,7 @@ def shift_pow(n, k):
         raise ValueError("need n >= 1")
     if k < 0:
         raise ValueError("need k >= 0")
-    b = np.zeros((n, n))
-    if k < n:
-        rows = np.arange(k, n)
-        b[rows, rows - k] = 1.0
-    return b
+    return np.eye(n, k=-k)
 
 
 def _recursion(theta, rows):
@@ -378,8 +381,7 @@ def power_sum(x, m):
 
     Horner evaluation; exact at x = 1 (gives m), no ratio formed.
     """
-    sums = power_sums(x, m)
-    return sums[-1] if sums else 0.0
+    return (power_sums(x, m) or [0.0])[-1]
 
 
 def ar1_offdiag_closed(a, n, k, i, j):

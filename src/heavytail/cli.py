@@ -32,7 +32,7 @@ from .monte_carlo import (DEFAULT_A_GRID, McConfig, calibrate_risk,
 from .student_dist import (cdf, density, make_law, normal_quantile,
                            quantile_tail, survival, tail_constant,
                            upper_quantile)
-from .tail_formulas import evaluate, statistic_tail
+from .tail_formulas import check_span, evaluate, statistic_tail
 
 
 def _config_line(args, **resolved):
@@ -87,9 +87,8 @@ def _cmd_matrix(args, fh):
 
 
 def _cmd_regions(args, fh):
-    rows = region_grid(args.a_min, args.a_max, args.b_min, args.b_max,
-                       args.steps, kmax=args.kmax)
-    write_region_csv(rows, fh, header_lines=[_config_line(args)])
+    write_region_csv(region_grid(args.a_min, args.a_max, args.b_min, args.b_max, args.steps,
+                                 kmax=args.kmax), fh, header_lines=[_config_line(args)])
 
 
 def _cmd_simulate(args, fh):
@@ -111,8 +110,7 @@ def _cmd_calibrate(args, fh):
             raise ValueError("need a_min < a_max")
         if args.steps < 2:
             raise ValueError("need steps >= 2")
-        grid = [float(v) for v in
-                np.linspace(args.a_min, args.a_max, args.steps)]
+        grid = np.linspace(*check_span("a", args.a_min, args.a_max), args.steps).tolist()
     else:
         grid = list(DEFAULT_A_GRID)
     rows = calibrate_risk(grid, args.a0, args.n, args.alpha, args.eta,
@@ -188,11 +186,11 @@ def build_parser():
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--k", type=int, default=None,
                      help="autocovariance lag (default 1 without --a0)")
-    sub.add_argument("--replicas", type=int, default=100_000)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--t-min", type=float, default=10.0)
-    sub.add_argument("--t-max", type=float, default=1e8)
-    sub.add_argument("--points", type=int, default=61)
+    sub.add_argument("--replicas", type=int, default=McConfig.replicas)
+    sub.add_argument("--seed", type=int, default=McConfig.seed)
+    sub.add_argument("--t-min", type=float, default=McConfig.t_min)
+    sub.add_argument("--t-max", type=float, default=McConfig.t_max)
+    sub.add_argument("--points", type=int, default=McConfig.points)
     _add_out(sub)
     sub.set_defaults(handler=_cmd_simulate)
 
@@ -201,8 +199,8 @@ def build_parser():
     sub.add_argument("--a0", type=float, default=0.5)
     sub.add_argument("--n", type=int, default=20)
     sub.add_argument("--eta", type=float, default=0.05)
-    sub.add_argument("--replicas", type=int, default=100_000)
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--replicas", type=int, default=McConfig.replicas)
+    sub.add_argument("--seed", type=int, default=McConfig.seed)
     sub.add_argument("--a-min", type=float, default=None)
     sub.add_argument("--a-max", type=float, default=None)
     sub.add_argument("--steps", type=int, default=None)

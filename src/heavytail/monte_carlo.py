@@ -28,10 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._text import fmt, write_header, write_rows
-from .ar_quadform import ArModel, ar_paths, check_statistic, test_matrix
+from .ar_quadform import ArModel, ar_paths, check_a0, check_statistic, test_matrix
 from .student_dist import StudentLaw, make_law, sample
-from .tail_formulas import (POWER_LOG, check_eta, check_pivot_n, critical_value,
-                            evaluate, statistic_tail)
+from .tail_formulas import (POWER_LOG, check_eta, check_pivot_n, check_span,
+                            critical_value, evaluate, statistic_tail)
 
 # innovations per replica block: 512 KiB of doubles, whatever n is
 BLOCK_DRAWS = 1 << 16
@@ -57,7 +57,8 @@ class McConfig:
     Exactly one of lag k (autocovariance statistic n gamma_n(k)) and
     reference a0 (test statistic n (gamma_n(1) - a0 hat_gamma_n(0)), order-1
     models only) must be set.  Every field is kept normalised: k, replicas,
-    seed and points as ints, a0, t_min and t_max as floats.
+    seed and points as ints, a0, t_min and t_max as floats.  The defaults
+    are those of the simulate and calibrate commands.
     """
 
     model: ArModel
@@ -66,7 +67,7 @@ class McConfig:
     a0: float = None
     replicas: int = 100_000
     seed: int = 0
-    t_min: float = 1e2
+    t_min: float = 10.0
     t_max: float = 1e8
     points: int = 61
 
@@ -76,6 +77,7 @@ class McConfig:
         t_min, t_max, points = float(self.t_min), float(self.t_max), int(self.points)
         if not 0.0 < t_min < t_max:
             raise ValueError("need 0 < t_min < t_max")
+        check_span("t", t_min, t_max)
         if points < 2:
             raise ValueError("need points >= 2")
         for name, value in (("k", k), ("a0", a0), ("replicas", replicas), ("seed", seed),
@@ -233,7 +235,8 @@ def run_tail_experiment(cfg):
                       tail=tail)
 
 
-def calibrate_risk(a_grid, a0, n, alpha, eta, replicas=100_000, seed=0):
+def calibrate_risk(a_grid, a0, n, alpha, eta, replicas=McConfig.replicas,
+                   seed=McConfig.seed):
     """Estimated rejection risk along a grid of alternatives a.
 
     Common random numbers: each innovation block is drawn once and every
@@ -243,7 +246,7 @@ def calibrate_risk(a_grid, a0, n, alpha, eta, replicas=100_000, seed=0):
     skipped, and with no other value no block is drawn.  A statistic that
     is not finite raises the OverflowError of collect_stats.
     """
-    a0 = float(a0)
+    a0 = check_a0(a0)
     n = check_pivot_n(n)
     eta = check_eta(eta)
     replicas, seed = _check_draws(replicas, seed)

@@ -80,9 +80,7 @@ def survival(law, x):
 
 def cdf(law, x):
     """CDF S_alpha(x); equals survival(law, -x) by symmetry."""
-    x = np.asarray(x, dtype=float)
-    out = survival(law, -x)
-    return out
+    return survival(law, -np.asarray(x, dtype=float))
 
 
 def tail_constant(law):
@@ -98,19 +96,27 @@ def tail_constant(law):
 def quantile_tail(law, u):
     """First-order upper quantile: (1 - S_alpha)^{-1}(u) ~ (tail_constant/u)^(1/alpha).
 
-    Intended for small u; the relative error vanishes as u -> 0.
+    Intended for small u; the relative error vanishes as u -> 0.  Where
+    tail_constant / u overflows a double, the root is taken in log space.
     """
     u = float(u)
     if not 0.0 < u < 1.0:
         raise ValueError("need 0 < u < 1")
-    return (tail_constant(law) / u) ** (1.0 / law.alpha)
+    scale = tail_constant(law)
+    if scale / u < math.inf:
+        return (scale / u) ** (1.0 / law.alpha)
+    try:
+        return math.exp((math.log(scale) - math.log(u)) / law.alpha)
+    except OverflowError:
+        raise OverflowError("first-order quantile overflows a double at u=%r" % u) from None
 
 
 def upper_quantile(law, u):
     """Exact solution q of 1 - S_alpha(q) = u for 0 < u < 1/2.
 
     Bracket around the first-order quantile, then Brent refinement on the
-    cancellation-free survival function.
+    cancellation-free survival function.  OverflowError when the bracket
+    reaches 0 or inf, or survival underflows before it reaches u.
     """
     from scipy.optimize import brentq
 
@@ -118,13 +124,16 @@ def upper_quantile(law, u):
     if not 0.0 < u < 0.5:
         raise ValueError("need 0 < u < 1/2")
     lo = hi = quantile_tail(law, u)
-    while survival(law, hi) > u:
+    while 0.0 < hi < math.inf and survival(law, hi) > u:
         hi *= 2.0
-    while survival(law, lo) < u:
+    while 0.0 < survival(law, lo) < u:
         lo /= 2.0
-    if lo == hi:
-        return lo
-    return float(brentq(lambda q: survival(law, q) - u, lo, hi, rtol=8.9e-16))
+    if not 0.0 < lo <= hi < math.inf:
+        raise OverflowError("quantile bracket leaves the doubles at u=%r" % u)
+    q = lo if lo == hi else brentq(lambda x: survival(law, x) - u, lo, hi, rtol=8.9e-16)
+    if not u / 2.0 <= survival(law, q) <= 2.0 * u:
+        raise OverflowError("survival underflows a double before it reaches u=%r" % u)
+    return q
 
 
 def normal_quantile(u):

@@ -36,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ar_quadform import (ArForm, ArModel, QuadForm, autocov_form, check_statistic,
-                          pivot_form, power_sums)
+from .ar_quadform import (ArForm, ArModel, QuadForm, autocov_form, check_a0,
+                          check_statistic, pivot_form, power_sums)
 from .student_dist import make_law, tail_constant
 
 POWER_HALF = "PowerHalf"
@@ -333,7 +333,7 @@ def test_stat_tail(a, a0, n, alpha):
     |a| > 1 the rows whose small diagonal counts as zero add theirs.
     """
     a = float(a)
-    a0 = float(a0)
+    a0 = check_a0(a0)
     alpha = float(alpha)
     n = check_pivot_n(n)
     law = make_law(alpha)
@@ -378,6 +378,15 @@ def check_eta(eta):
     if not 0.0 < eta < 1.0:
         raise ValueError("need 0 < eta < 1")
     return eta
+
+
+def check_span(name, lo, hi):
+    """(lo, hi) as floats, checked as the ends of a range: finite, with a
+    span hi - lo that does not overflow a double."""
+    lo, hi = float(lo), float(hi)
+    if not math.isfinite(hi - lo):
+        raise ValueError("need finite %s_min, %s_max and %s_max - %s_min" % ((name,) * 4))
+    return lo, hi
 
 
 def critical_value(a, a0, n, alpha, eta):

@@ -274,22 +274,15 @@ def test_stable_negative_a_coefficient_closed_form():
 
 
 def test_region_grid_rows_and_csv(tmp_path):
-    rows = region_grid(-1.0, 1.0, -1.0, 0.5, 3, kmax=30)
-    assert len(rows) == 9
-    assert rows[0][0] == -1.0 and rows[0][1] == -1.0
-    assert rows[-1][0] == 1.0 and rows[-1][1] == 0.5
-    assert rows[:3] == [rows[0], rows[1], rows[2]]
-    assert rows[::-4] == [rows[8], rows[4], rows[0]]
-    assert list(reversed(rows)) == rows[::-1] and rows.index(rows[5]) == 5
-    with pytest.raises(IndexError):
-        rows[9]
-    for a, b, stable, first, covered, regime in rows:
-        assert regime == (POWER_HALF if first is not None else POWER_LOG)
-        if covered:
-            assert first is not None
+    scan = region_grid(-1.0, 1.0, -1.0, 0.5, 3, kmax=30)
+    assert len(scan) == 9
+    assert scan.a.tolist() == [-1.0, 0.0, 1.0] and scan.b.tolist() == [-1.0, -0.25, 0.5]
+    assert scan.stable.shape == scan.covered.shape == scan.first.shape == (9,)
+    # the theorem region is covered
+    assert np.all(scan.first[scan.covered] >= 2)
     out = tmp_path / "grid.csv"
     with open(out, "w", newline="\n") as fh:
-        write_region_csv(rows, fh, header_lines=["config cmd=regions"])
+        write_region_csv(scan, fh, header_lines=["config cmd=regions"])
     lines = out.read_text().splitlines()
     assert lines[0] == "# config cmd=regions"
     assert lines[1] == "a,b,stable,first_covering_k,in_theorem_region,regime"
@@ -300,7 +293,7 @@ def test_region_grid_rows_and_csv(tmp_path):
         float(a_s), float(b_s)
         assert stable_s in ("0", "1") and covered_s in ("0", "1")
         assert first_s == "" or int(first_s) >= 2
-        assert regime_s in (POWER_HALF, POWER_LOG)
+        assert regime_s == (POWER_HALF if first_s else POWER_LOG)
 
 
 # Scalar reference implementations the array kernels replaced; the kernels
@@ -356,10 +349,14 @@ def test_kernels_match_scalar_oracles_on_lattices(a_lo, a_span, b_lo, b_span,
     a = np.repeat(np.linspace(a_lo, a_hi, steps), steps)
     b = np.tile(np.linspace(b_lo, b_lo + b_span, steps), steps)
     assert_kernels_match_oracles(a, b, kmax)
-    rows = region_grid(a_lo, a_hi, b_lo, b_lo + b_span, steps, kmax=kmax)
-    assert [row[:5] for row in rows] == [
-        (av, bv, stability_oracle(av, bv), membership_oracle(av, bv, kmax),
-         theorem_oracle(av, bv)) for av, bv in zip(a.tolist(), b.tolist())]
+    scan = region_grid(a_lo, a_hi, b_lo, b_lo + b_span, steps, kmax=kmax)
+    points = list(zip(a.tolist(), b.tolist()))
+    assert np.repeat(scan.a, steps).tolist() == a.tolist()
+    assert np.tile(scan.b, steps).tolist() == b.tolist()
+    assert scan.stable.tolist() == [stability_oracle(av, bv) for av, bv in points]
+    assert [k or None for k in scan.first.tolist()] == [
+        membership_oracle(av, bv, kmax) for av, bv in points]
+    assert scan.covered.tolist() == [theorem_oracle(av, bv) for av, bv in points]
 
 
 @given(a=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=8),
@@ -503,7 +500,12 @@ def test_region_csv_matches_tuple_writer(a_ends, b_ends, steps, kmax):
     assume(a_min < a_max and b_min < b_max)
     scan = region_grid(a_min, a_max, b_min, b_max, steps, kmax=kmax)
     rows = region_rows_oracle(a_min, a_max, b_min, b_max, steps, kmax)
-    assert list(scan) == rows
+    a, b, stable, first, covered, _ = zip(*rows)
+    assert np.repeat(scan.a, steps).tolist() == list(a)
+    assert np.tile(scan.b, steps).tolist() == list(b)
+    assert scan.stable.tolist() == list(stable)
+    assert [k or None for k in scan.first.tolist()] == list(first)
+    assert scan.covered.tolist() == list(covered)
     fh = io.StringIO()
     write_region_csv(scan, fh, header_lines=["config cmd=regions"])
     assert fh.getvalue() == region_csv_oracle(rows, ["config cmd=regions"])

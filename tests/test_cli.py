@@ -16,7 +16,8 @@ import heavytail.cli
 import heavytail.monte_carlo
 from heavytail.ar_quadform import ArModel, autocov_matrix
 from heavytail.cli import main
-from heavytail.student_dist import make_law
+from heavytail.monte_carlo import McConfig, run_tail_experiment
+from heavytail.student_dist import make_law, quantile_tail
 from heavytail.tail_formulas import ar1_upper_tail
 
 
@@ -517,3 +518,53 @@ def test_calibrate_names_an_overflowing_pivot_form(capsys, monkeypatch):
     assert out == ""
     assert err == "error: pivot form overflows a double at a=1.45, n=1000\n"
     assert drawn == []
+
+
+SPAN_A = "need finite a_min, a_max and a_max - a_min"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv, message", [
+    ("regions --a-max inf --steps 3", SPAN_A),
+    ("regions --a-min=-1e308 --a-max=1e308 --steps 3", SPAN_A),  # the span overflows
+    ("regions --b-min=-inf --steps 3", "need finite b_min, b_max and b_max - b_min"),
+    ("regions --a-min nan --steps 3", "need a_min < a_max and b_min < b_max"),
+    ("simulate --alpha 1.5 --a 0.5 --n 10 --replicas 100 --points 3 --t-max inf",
+     "need finite t_min, t_max and t_max - t_min"),
+    ("calibrate --alpha 1.5 --a-min 0.6 --a-max inf --steps 3 --replicas 100", SPAN_A),
+    ("calibrate --alpha 1.5 --a0 nan --replicas 100", "need a finite reference a0"),
+    ("simulate --alpha 1.5 --a 0.5 --n 10 --replicas 100 --a0 nan",
+     "need a finite reference a0"),
+    ("simulate --alpha 1.5 --a 0.5 --n 10 --replicas 100 --a0 inf",
+     "need a finite reference a0"),
+    ("matrix --a 0.5 --a0 nan --n 3", "need a finite reference a0"),
+])
+def test_non_finite_range_or_reference_is_one_line_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 1
+    assert err == "error: %s\n" % message
+    assert all(line.startswith("# config ") for line in out.splitlines())
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("alpha, u, answer", [(100.0, 1e-250, True), (1.5, 1e-320, False)])
+def test_dist_with_tiny_u_ends(capsys, alpha, u, answer):
+    # an infinite first-order quantile made upper_quantile halve inf forever
+    assert math.isfinite(quantile_tail(make_law(alpha), u))
+    code, out, err = run(capsys, "dist", "--alpha", repr(alpha), "--u", repr(u))
+    assert "inf" not in out
+    if answer:
+        assert (code, err) == (0, "")
+        assert math.isfinite(float(out.split("upper_quantile=")[1].split()[0]))
+    else:
+        assert code == 1
+        assert err == "error: survival underflows a double before it reaches u=%r\n" % u
+
+
+def test_mc_config_grid_defaults_are_the_simulate_thresholds(capsys):
+    cfg = McConfig(model=ArModel((0.5,), 10), law=make_law(1.5), k=1, replicas=100, seed=3)
+    code, out, _ = run(capsys, "simulate", "--alpha", "1.5", "--a", "0.5", "--n", "10",
+                       "--replicas", "100", "--seed", "3")
+    assert code == 0
+    rows = [line for line in out.splitlines() if not line.startswith("#")][1:]
+    assert [float(row.split(",")[0]) for row in rows] == run_tail_experiment(cfg).t.tolist()

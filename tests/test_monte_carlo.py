@@ -38,6 +38,13 @@ def test_config_validation():
         small_config(t_min=100.0, t_max=10.0)
     with pytest.raises(ValueError):
         small_config(points=1)
+    with pytest.raises(ValueError, match="need finite t_min, t_max and t_max - t_min"):
+        small_config(t_max=math.inf)
+    for a0 in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="need a finite reference a0"):
+            small_config(k=None, a0=a0)
+    with pytest.raises(ValueError, match="need a finite reference a0"):
+        calibrate_risk((0.6,), math.nan, 8, 1.0, 0.05, replicas=100)
     with pytest.raises(ValueError):
         McConfig(model=ArModel((0.5, 0.1), 10), law=make_law(1.0), a0=0.5,
                  k=None)  # test statistic needs an order-1 model

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heavytail import student_dist
 from heavytail.student_dist import (PHI_COMPOSE_CUTOFF, cdf, density, make_law,
                                     normal_quantile,
                                     normal_quantile_sq_expansion,
@@ -326,3 +327,31 @@ def test_sample_overflow_at_subnormal_alpha_raises():
     # then gives inf draws without raising a floating-point flag of its own
     with pytest.raises(OverflowError, match="innovations overflow a double at alpha=1e-320"):
         sample(make_law(1e-320), np.random.default_rng(0), size=100)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_quantiles_where_tail_constant_over_u_overflows():
+    # 3.98e98 / 1e-250 overflows a double; the first-order root does not
+    law = make_law(100.0)
+    approx = quantile_tail(law, 1e-250)
+    assert math.isfinite(approx)  # inf here left upper_quantile halving inf forever
+    want = math.exp((math.log(tail_constant(law)) + 250.0 * math.log(10.0)) / 100.0)
+    assert approx == pytest.approx(want, rel=1e-13)
+    q = upper_quantile(law, 1e-250)
+    assert survival(law, q) == pytest.approx(1e-250, rel=1e-10)
+    assert q == pytest.approx(approx, rel=1e-4)
+
+
+@pytest.mark.parametrize("start", [0.0, math.inf])
+def test_upper_quantile_bracket_at_zero_or_inf_is_overflow(monkeypatch, start):
+    calls = []
+
+    def counted(law, x):
+        calls.append(x)
+        assert len(calls) < 5000, "the bracket search does not end"
+        return survival(law, x)
+
+    monkeypatch.setattr(student_dist, "survival", counted)
+    monkeypatch.setattr(student_dist, "quantile_tail", lambda law, u: start)
+    with pytest.raises(OverflowError, match="quantile bracket leaves the doubles"):
+        upper_quantile(make_law(1.5), 0.01)

@@ -17,7 +17,8 @@ from heavytail.tail_formulas import (ORDER_ONLY, POWER_HALF, POWER_LOG,
                                      TailLaw, ar1_lower_tail, ar1_upper_tail,
                                      classify, coef_degenerate_case,
                                      coef_positive_case, critical_value,
-                                     _diag_signs, evaluate, tail_law)
+                                     _diag_signs, evaluate, statistic_tail,
+                                     tail_law)
 from heavytail.tail_formulas import test_stat_tail as stat_tail
 
 
@@ -547,3 +548,22 @@ def test_ar_statistics_allocate_no_dense_form(call):
     finally:
         tracemalloc.stop()
     assert peak < 8 * n * n / 4  # a quarter of one n x n array
+
+
+def test_statistic_tail_takes_each_route_to_its_direct_call():
+    alpha = 1.5
+    # a pivot goes to test_stat_tail: PowerHalf, PowerLog at a = a0, and a < a0
+    for a, a0, n in ((0.7, 0.4, 30), (0.7, 0.7, 30), (0.2, 0.5, 8)):
+        assert statistic_tail(ArModel((a,), n), alpha, a0=a0) == stat_tail(a, a0, n, alpha)
+    # an AR(1) lag goes to the closed ar1_upper_tail, odd lags with a < 0 included
+    for a, n, k in ((0.5, 40, 1), (-0.6, 40, 1), (-0.6, 40, 2), (0.0, 40, 3), (0.5, 5, 7)):
+        assert statistic_tail(ArModel((a,), n), alpha, k=k) == ar1_upper_tail(a, n, k, alpha)
+    # an AR(2) lag goes to the classifier on the structured form, b = 0 included
+    for theta, k in (((0.5, -0.3), 1), ((-0.8, -0.3), 2), ((0.5, 0.0), 1), ((-0.5, 0.0), 1)):
+        model = ArModel(theta, 40)
+        assert statistic_tail(model, alpha, k=k) == tail_law(autocov_form(model, k), alpha)
+    for k, a0 in ((None, None), (1, 0.5)):
+        with pytest.raises(ValueError, match="need exactly one of lag k and reference a0"):
+            statistic_tail(ArModel((0.5,), 10), alpha, k=k, a0=a0)
+    with pytest.raises(ValueError, match="need an order-1 model with a reference a0"):
+        statistic_tail(ArModel((0.5, -0.3), 10), alpha, a0=0.5)
