@@ -16,8 +16,7 @@ from .student_dist import (StudentLaw, cdf, density, make_law,
                            s_inv_compose_phi_log, sample, survival,
                            tail_constant, upper_quantile)
 from .tail_formulas import (DegeneracyClass, TailLaw, ar1_lower_tail,
-                            ar1_upper_tail, classify, coef_degenerate_case,
-                            coef_positive_case, critical_value, evaluate,
+                            ar1_upper_tail, classify, critical_value, evaluate,
                             statistic_tail, tail_law, test_stat_tail)
 
 __version__ = "0.1.0"

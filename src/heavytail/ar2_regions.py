@@ -9,6 +9,9 @@ path length:
 
     d_k = C_{n-k,n-k} = sum_{j=1}^{k} A_{j+1,1} A_{j,1}    (k <= n - 2).
 
+a_col and diag_seq are ar_quadform's impulse response and its lag-1
+prefix sums (lag_sums), the definition ArForm reads its diagonal from.
+
 Some d_k > 0 puts the upper tail of n gamma_n(1) in the t^(-alpha/2) regime;
 all d_k <= 0 leaves the degenerate t^(-alpha) log t regime.  This module
 provides the membership scan over k, low-order polynomial forms of d_k, a
@@ -32,7 +35,7 @@ import math
 import numpy as np
 
 from ._text import fmt, write_header
-from .ar_quadform import ArModel
+from .ar_quadform import ArModel, _impulse_response, lag_sums
 from .tail_formulas import POWER_HALF, POWER_LOG, check_span, statistic_tail
 
 # entry magnitude that triggers a uniform positive rescale of the scan state
@@ -40,28 +43,19 @@ _RESCALE_AT = 1e100
 
 
 def a_col(a, b, jmax):
-    """First trajectory column (A_{1,1}, ..., A_{jmax,1})."""
-    jmax = int(jmax)
-    if jmax < 1:
+    """First trajectory column (A_{1,1}, ..., A_{jmax,1}): the impulse
+    response of ArModel((a, b), jmax)."""
+    if int(jmax) < 1:
         raise ValueError("need jmax >= 1")
-    a = float(a)
-    b = float(b)
-    col = np.empty(jmax)
-    col[0] = 1.0
-    if jmax > 1:
-        col[1] = a
-    for j in range(2, jmax):
-        col[j] = a * col[j - 1] + b * col[j - 2]
-    return col
+    return _impulse_response(ArModel((a, b), jmax))
 
 
 def diag_seq(a, b, kmax):
-    """The sequence (d_1, ..., d_kmax) of n-free diagonal entries."""
-    kmax = int(kmax)
-    if kmax < 1:
+    """The sequence (d_1, ..., d_kmax) of n-free diagonal entries: the
+    lag-1 prefix sums of a_col."""
+    if int(kmax) < 1:
         raise ValueError("need kmax >= 1")
-    col = a_col(a, b, kmax + 1)
-    return np.cumsum(col[1:] * col[:-1])
+    return lag_sums(a_col(a, b, int(kmax) + 1), 1)
 
 
 def first_covering_k(a, b, kmax=200):

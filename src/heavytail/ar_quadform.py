@@ -23,11 +23,11 @@ the rows of C + C^T on given indices with their diagonal entry counted as
 zero (couplings, in chunks of rows), and whether the form is identically
 zero (is_zero).  QuadForm answers from its dense matrix, which the
 classifier also reads when every diagonal entry is negative.  ArForm
-(autocov_form, pivot_form) answers from psi, holding p rows and one chunk
-of at most COUPLING_ENTRIES couplings (the last k rows of a lag form), and
-never allocates n x n; it never has an all-negative diagonal, as its last
-diagonal entry is zero.  matrix and calibrate are the only commands that
-build a dense form.
+(autocov_form, pivot_form) answers from psi, its diagonal in O(n) and
+its couplings holding p rows and one chunk of at most COUPLING_ENTRIES
+couplings (the last k rows of a lag form); it never allocates n x n, and
+never has an all-negative diagonal, as its last diagonal entry is zero.
+matrix and calibrate are the only commands that build a dense form.
 """
 
 import math
@@ -151,6 +151,12 @@ def _impulse_response(model):
     return np.array(psi)
 
 
+def lag_sums(psi, k):
+    """G(k), ..., G(n-1) for G(M) = sum_{m=k}^{M} psi_m psi_{m-k}, psi of
+    length n: the lag-k diagonal C_ii = G(n-1-i) of A^T B^k A, bottom up."""
+    return np.cumsum(psi[k:] * psi[:max(psi.size - k, 0)])
+
+
 def _y_view(psi, k=None, a0=None):
     """Y = M A as a read-only Toeplitz view Y[r, s] = v[n - 1 + r - s] of one
     vector v of length 2n - 1, with the row replacing Y's last (None for a
@@ -188,15 +194,14 @@ def _recursion(theta, rows):
     """Rows (r, C[r]) of C = A^T Y from the rows (r, Y[r]) fed bottom up,
     each overwritten in place.  With L = A^{-1} the banded AR filter,
     L^T C = Y reads C[r] = Y[r] + theta_1 C[r+1] + ... + theta_p C[r+p];
-    p finished rows are held, and a row shorter than the rows below it
-    reads only their prefix."""
+    p finished rows are held."""
     recent = []
     for r, row in rows:
-        width = row.shape[0]
-        step = np.empty(width) if not recent else step[:width]
+        if not recent:
+            step = np.empty(row.shape)
         for t, prev in zip(theta, recent):
             if t != 0.0:
-                row += np.multiply(t, prev[:width], out=step)
+                row += np.multiply(t, prev, out=step)
         recent = [row] + recent[:len(theta) - 1]
         yield r, row
 
@@ -240,20 +245,20 @@ class ArForm:
     autocovariance (autocov_form), M = B - a0 B^T B for the pivot
     (pivot_form).
 
-    Rows of C come from the dense builders' _recursion, fed one copied row
-    of Y = M A at a time from the Toeplitz view _y_view hands those
-    builders (or the pivot's last row), so every entry has their bits (as
-    long as psi has no subnormal entry, which is flushed to zero).  The
-    lag-k diagonal C_ii = G(n-1-i), G(M) = sum_{m=k}^{M} psi_m psi_{m-k},
-    is read off that pass on the columns 0..r each row r needs; the pivot
-    diagonal is the closed (a - a0) S_i of test_stat_tail.  Rows
-    i >= _bottom (the last k rows of a lag, the last row of the pivot) have
-    vanishing column entries C_ji, so their couplings are rows of C alone.
-    Construction checks the Cauchy-Schwarz bound |C_ij| <= |A e_i| |M A e_j|,
-    grown by what the recursion's partial sums can reach, and raises the
-    dense forms' "need finite entries" where it overflows a double: on
-    every form the dense builders reject, and on some whose largest entry
-    is within that factor of the limit.
+    The diagonal is O(n), lag_sums for a lag and pivot_diagonal for the
+    pivot, and can differ from the dense one in the last digits.  Rows of
+    C, for the couplings, come from the dense builders' _recursion fed one
+    copied row of Y = M A at a time (_y_view, or the pivot's last row), so
+    every coupling has their bits (as long as psi has no subnormal entry,
+    which is flushed to zero).  Rows i >= _bottom (the last k rows of a
+    lag, the last row of the pivot) have vanishing column entries C_ji, so
+    their couplings are rows of C alone.  Construction checks the
+    Cauchy-Schwarz bound |C_ij| <= |A e_i| |M A e_j|, grown by what the
+    recursion's partial sums can reach, and raises the dense forms' "need
+    finite entries" where it overflows a double: on every form the dense
+    builders reject, and on some whose largest entry is within that factor
+    of the limit.  The bound also caps every |psi_m psi_{m-k}| and prefix
+    sum of them, so the diagonal does not overflow.
     """
 
     def __init__(self, model, k=None, a0=None):
@@ -286,17 +291,14 @@ class ArForm:
             reach = 1.0 + sum(abs(t) for t in model.theta)
             if not math.isfinite(bound * reach * (1.0 + 1e-6)):
                 raise ValueError("need finite entries")
+        self._psi = psi
         self._y, self._last = _y_view(psi, self.k, self.a0)
 
     def diagonal(self):
-        n = self.n
         if self.a0 is not None:
-            a = self.model.theta[0]
-            sums = power_sums(a * a, n - 1)[::-1]
-            return np.append(np.multiply(a - self.a0, sums), 0.0)
-        diag = np.zeros(n)
-        for r, row in self._rows(0, prefix=True):
-            diag[r] = row[r]
+            return pivot_diagonal(self.model.theta[0], self.a0, self.n)[1]
+        diag = np.zeros(self.n)
+        diag[:self._bottom] = lag_sums(self._psi, self.k)[::-1]
         return diag
 
     def is_zero(self, tol):
@@ -306,17 +308,13 @@ class ArForm:
         (pivot)."""
         return self._bottom == 0
 
-    def _y_row(self, r, width):
-        """The first width entries of row r of Y = M A, as a fresh array."""
-        if r == self.n - 1 and self._last is not None:
-            return self._last[:width].copy()
-        return self._y[r, :width].copy()
-
-    def _rows(self, lo, prefix=False):
-        """Rows r = n - 1, ..., lo of C, bottom up; with prefix, only the
-        columns 0..r of row r, all that the rows above read of it."""
-        return _recursion(self.model.theta, ((r, self._y_row(r, r + 1 if prefix else self.n))
-                                             for r in range(self.n - 1, lo - 1, -1)))
+    def _rows(self, lo):
+        """Rows r = n - 1, ..., lo of C, bottom up, each made in a copy of
+        row r of Y = M A."""
+        last = self.n - 1
+        return _recursion(self.model.theta, (
+            (r, (self._y[r] if r < last or self._last is None else self._last).copy())
+            for r in range(last, lo - 1, -1)))
 
     def couplings(self, rows):
         """(indices, chunk) pairs covering the ascending indices rows in
@@ -374,6 +372,16 @@ def power_sums(x, m):
         total = total * x + 1.0
         sums.append(total)
     return sums
+
+
+def pivot_diagonal(a, a0, n):
+    """S_1 >= ... >= S_{n-1} = 1, S_i = sum_{j<n-i} a^(2j), and the closed
+    diagonal (a - a0) S_i, C_nn = 0, of test_matrix(a, a0, n); OverflowError
+    where its largest entry (a - a0) S_1 overflows a double."""
+    sums = power_sums(a * a, n - 1)[::-1]
+    if sums and not math.isfinite((a - a0) * sums[0]):
+        raise OverflowError("pivot form overflows a double at a=%r, n=%d" % (a, n))
+    return sums, np.append(np.multiply(a - a0, sums), 0.0)
 
 
 def power_sum(x, m):

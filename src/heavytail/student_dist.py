@@ -55,10 +55,24 @@ def make_law(alpha):
     return StudentLaw(alpha=alpha, k_s=math.exp(log_ks))
 
 
+def _far_ratio(law, x, far):
+    """alpha / (alpha + x^2) where far marks the x whose square, or x^2 /
+    alpha, overflows a double, taken as (alpha/|x|) / (alpha/|x| + |x|);
+    elsewhere a placeholder."""
+    ax = np.where(far, np.abs(x), 1.0)
+    r = law.alpha / ax
+    return r / (r + ax)
+
+
 def density(law, x):
-    """Density s_alpha(x); symmetric, unimodal, maximal at 0."""
+    """Density s_alpha(x); symmetric, unimodal, maximal at 0.  Where
+    1 + x^2/alpha overflows a double, its inverse comes from _far_ratio."""
     x = np.asarray(x, dtype=float)
-    out = law.k_s * (1.0 + x * x / law.alpha) ** (-(law.alpha + 1.0) / 2.0)
+    power = (law.alpha + 1.0) / 2.0
+    with np.errstate(over="ignore"):
+        base = 1.0 + x * x / law.alpha
+    far = np.isinf(base)
+    out = law.k_s * np.where(far, _far_ratio(law, x, far) ** power, base ** -power)
     return out if out.ndim else float(out)
 
 
@@ -67,12 +81,15 @@ def survival(law, x):
 
     For x >= 0 the tail equals I_y(alpha/2, 1/2) / 2 with y = alpha/(alpha+x^2)
     and I the regularized incomplete beta function; x < 0 goes through symmetry.
+    Where x^2 overflows a double, y comes from _far_ratio.
     """
     from scipy import special
 
     x = np.asarray(x, dtype=float)
     with np.errstate(over="ignore"):
-        y = law.alpha / (law.alpha + x * x)
+        square = x * x
+    far = np.isinf(square)
+    y = np.where(far, _far_ratio(law, x, far), law.alpha / (law.alpha + square))
     half_tail = 0.5 * special.betainc(law.alpha / 2.0, 0.5, y)
     out = np.where(x >= 0.0, half_tail, 1.0 - half_tail)
     return out if out.ndim else float(out)
@@ -98,14 +115,15 @@ def quantile_tail(law, u):
 
     Intended for small u; the relative error vanishes as u -> 0.  Where
     tail_constant / u overflows a double, the root is taken in log space.
+    A root past a double's range raises OverflowError, by either route.
     """
     u = float(u)
     if not 0.0 < u < 1.0:
         raise ValueError("need 0 < u < 1")
     scale = tail_constant(law)
-    if scale / u < math.inf:
-        return (scale / u) ** (1.0 / law.alpha)
     try:
+        if scale / u < math.inf:
+            return (scale / u) ** (1.0 / law.alpha)
         return math.exp((math.log(scale) - math.log(u)) / law.alpha)
     except OverflowError:
         raise OverflowError("first-order quantile overflows a double at u=%r" % u) from None

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ar_quadform import (ArForm, ArModel, QuadForm, autocov_form, check_a0,
-                          check_statistic, pivot_form, power_sums)
+                          check_statistic, pivot_diagonal, pivot_form, power_sums)
 from .student_dist import make_law, tail_constant
 
 POWER_HALF = "PowerHalf"
@@ -144,28 +144,6 @@ def _coupling_sum(form, zero, alpha, witnesses):
         return total, None
     keys = np.unique(np.concatenate(keys))
     return total, tuple(zip((keys // n).tolist(), (keys % n).tolist()))
-
-
-def coef_positive_case(c, alpha):
-    """PowerHalf coefficient 2 k_s alpha^((alpha-1)/2) sum_{j: C_jj>0} C_jj^(alpha/2)."""
-    diag = _form(c).diagonal()
-    pos = diag[_diag_signs(diag)[0]]
-    if pos.size == 0:
-        raise ValueError("need a positive diagonal entry")
-    return _power_half_coef(pos, float(alpha))
-
-
-def coef_degenerate_case(c, alpha):
-    """PowerLog coefficient
-    k_s^2 alpha^alpha sum_{i: C_ii=0} sum_{j!=i} |C_ij+C_ji|^alpha."""
-    form = _form(c)
-    pos, zero, _ = _diag_signs(form.diagonal())
-    if pos.any():
-        raise ValueError("need no positive diagonal entry")
-    if not zero.any():
-        raise ValueError("need a vanishing diagonal entry")
-    total = _coupling_sum(form, zero, float(alpha), witnesses=False)[0]
-    return _power_log_scale(make_law(alpha)) * total
 
 
 def classify(c, alpha):
@@ -337,10 +315,7 @@ def test_stat_tail(a, a0, n, alpha):
     alpha = float(alpha)
     n = check_pivot_n(n)
     law = make_law(alpha)
-    sums = power_sums(a * a, n - 1)[::-1]  # S_1 >= ... >= S_{n-1} = 1
-    if not math.isfinite((a - a0) * sums[0]):
-        raise OverflowError("pivot form overflows a double at a=%r, n=%d" % (a, n))
-    diag = np.append(np.multiply(a - a0, sums), 0.0)
+    sums, diag = pivot_diagonal(a, a0, n)
     pos, zero, _ = _diag_signs(diag)
     if pos.any():
         return _power_half_sum(law, a - a0, alpha / 2.0,

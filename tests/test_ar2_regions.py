@@ -17,8 +17,7 @@ from heavytail.ar2_regions import (_RESCALE_AT, RegionScan, a_col, closed_form_d
                                    stable_tail_class, theorem_region_mask,
                                    theorem_region_test, write_region_csv)
 from heavytail.student_dist import make_law
-from heavytail.tail_formulas import (POWER_HALF, POWER_LOG, classify,
-                                     coef_degenerate_case)
+from heavytail.tail_formulas import POWER_HALF, POWER_LOG, classify
 
 
 def test_a_col_recursion_start():
@@ -246,7 +245,11 @@ def test_stable_tail_class_matches_sign_of_a_oracle(mag, negative, b, n, alpha):
     a = -mag if negative else mag
     assume(stability_check(a, b))
     law = stable_tail_class(a, b, n, alpha)
-    assert (law.regime, law.coef) == stable_tail_class_oracle(a, b, n, alpha)
+    regime, coef = stable_tail_class_oracle(a, b, n, alpha)
+    # the structured diagonal is a prefix sum, the dense one a recursion
+    # pass: they can differ in the last digits
+    assert law.regime == regime
+    assert law.coef == pytest.approx(coef, rel=1e-12)
 
 
 def test_stable_tail_class_inside_zero_tolerance_is_the_classifier():
@@ -269,7 +272,7 @@ def test_stable_negative_a_coefficient_closed_form():
         want = k_s ** 2 * alpha ** alpha * float(np.sum(np.abs(col) ** alpha))
         assert law.regime == POWER_LOG
         assert law.coef == pytest.approx(want, rel=1e-12)
-        dense = coef_degenerate_case(autocov_matrix(ArModel((a, b), n), 1), alpha)
+        dense = classify(autocov_matrix(ArModel((a, b), n), 1), alpha)[1].coef
         assert law.coef == pytest.approx(dense, rel=1e-12)
 
 

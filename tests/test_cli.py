@@ -362,6 +362,24 @@ def test_dist_command_values(capsys):
     assert float(fields["normal_quantile"]) < 0.0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_first_order_quantile_overflow_is_named(capsys):
+    # tail_constant / u is about 5, its power 1 / alpha = 1000 overflows
+    code, out, err = run(capsys, "dist", "--alpha", "0.001", "--u", "0.1")
+    assert (code, err) == (1, "error: first-order quantile overflows a double at u=0.1\n")
+    assert "quantile" not in out
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_dist_past_the_square_of_a_double_warns_nothing(capsys):
+    # x * x overflows a double here; survival keeps its first-order value
+    code, out, err = run(capsys, "dist", "--alpha", "1.5", "--x", "1e155")
+    assert (code, err) == (0, "")
+    fields = dict(ln.split("=", 1) for ln in out.splitlines() if not ln.startswith("#"))
+    assert float(fields["survival"]) == pytest.approx(0.37708524320162495 * 1e155 ** -1.5,
+                                                      rel=1e-10)
+
+
 def test_regions_command_to_file(tmp_path, capsys):
     out_path = tmp_path / "grid.csv"
     code, out, _ = run(capsys, "regions", "--a-min", "-1", "--a-max", "1",

@@ -92,6 +92,23 @@ def test_survival_no_cancellation_far_out():
     assert s == pytest.approx(1.0 / (math.pi * 1e200), rel=1e-10)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_density_and_survival_past_the_square_of_a_double():
+    # x * x overflows past |x| ~ 1.34e154 (x * x / alpha sooner at alpha < 1);
+    # both stay positive, decreasing and on their first-order laws across it
+    x = np.geomspace(1e150, 1e156, 61)
+    law = make_law(1.5)
+    s = survival(law, x)
+    assert np.all(s > 0.0) and np.all(np.diff(s) < 0.0)
+    assert s == pytest.approx(tail_constant(law) * x ** -1.5, rel=1e-9)
+    law = make_law(0.5)
+    d = density(law, x)
+    assert np.all(d > 0.0) and np.all(np.diff(d) < 0.0)
+    assert d == pytest.approx(law.k_s * (math.sqrt(0.5) / x) ** 1.5, rel=1e-9)
+    assert density(law, -1e155) == density(law, 1e155)
+    assert survival(law, math.inf) == 0.0 and density(law, math.inf) == 0.0
+
+
 def test_quantile_tail_first_order():
     # alpha = 2: exact upper quantile at u = 1e-6, frozen from a 40-digit solve
     law = make_law(2.0)
@@ -340,6 +357,9 @@ def test_quantiles_where_tail_constant_over_u_overflows():
     q = upper_quantile(law, 1e-250)
     assert survival(law, q) == pytest.approx(1e-250, rel=1e-10)
     assert q == pytest.approx(approx, rel=1e-4)
+    # a finite ratio whose root overflows is named as the log route names it
+    with pytest.raises(OverflowError, match=r"^first-order quantile overflows a double at u=0\.1$"):
+        quantile_tail(make_law(0.001), 0.1)
 
 
 @pytest.mark.parametrize("start", [0.0, math.inf])

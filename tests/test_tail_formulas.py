@@ -1,6 +1,7 @@
 import math
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,8 +16,7 @@ from heavytail.student_dist import make_law
 from heavytail.tail_formulas import (ORDER_ONLY, POWER_HALF, POWER_LOG,
                                      SUB_POWER, ZERO, DegeneracyClass,
                                      TailLaw, ar1_lower_tail, ar1_upper_tail,
-                                     classify, coef_degenerate_case,
-                                     coef_positive_case, critical_value,
+                                     classify, critical_value,
                                      _diag_signs, evaluate, statistic_tail,
                                      tail_law)
 from heavytail.tail_formulas import test_stat_tail as stat_tail
@@ -84,19 +84,10 @@ def test_degenerate_constant_against_quadrature_oracle():
 
 def test_coef_positive_case_ignores_nonpositive_diagonals():
     c = np.diag([2.0, -3.0, 0.0, 1.0])
-    got = coef_positive_case(c, 2.0)
+    got = classify(c, 2.0)[1].coef
     law = make_law(2.0)
     want = 2.0 * law.k_s * 2.0 ** 0.5 * (2.0 + 1.0)
     assert got == pytest.approx(want, rel=1e-13)
-    with pytest.raises(ValueError):
-        coef_positive_case(-np.eye(3), 2.0)
-
-
-def test_coef_degenerate_case_requires_zero_max_diagonal():
-    with pytest.raises(ValueError):
-        coef_degenerate_case(np.eye(3), 1.0)
-    with pytest.raises(ValueError):
-        coef_degenerate_case(-np.eye(3), 1.0)  # no vanishing diagonal
 
 
 @given(alpha=st.floats(0.5, 5.0), seed=st.integers(0, 5_000),
@@ -165,7 +156,7 @@ def test_ar1_upper_tail_white_noise_lag_matches_dense_route():
                         (33, 7, 0.3), (1000, 1, 2.0)):
         law = ar1_upper_tail(0.0, n, k, alpha)
         assert law.regime == POWER_LOG
-        assert law.coef == coef_degenerate_case(shift_pow(n, k), alpha)
+        assert law.coef == tail_law(shift_pow(n, k), alpha).coef
 
 
 def test_ar1_upper_tail_zero_beyond_path_length():
@@ -191,7 +182,7 @@ def test_stat_tail_power_half_matches_matrix():
         for n in (5, 20):
             closed = stat_tail(a, a0, n, 1.0)
             assert closed.regime == POWER_HALF
-            want = coef_positive_case(statistic_matrix(a, a0, n), 1.0)
+            want = tail_law(statistic_matrix(a, a0, n), 1.0).coef
             assert closed.coef == pytest.approx(want, rel=1e-10)
 
 
@@ -202,7 +193,7 @@ def test_stat_tail_degenerate_matches_matrix():
             for alpha in (1.0, 2.5):
                 closed = stat_tail(a, a, n, alpha)
                 assert closed.regime == POWER_LOG
-                want = coef_degenerate_case(statistic_matrix(a, a, n), alpha)
+                want = tail_law(statistic_matrix(a, a, n), alpha).coef
                 assert closed.coef == pytest.approx(want, rel=1e-10)
 
 
@@ -480,10 +471,55 @@ def test_d_k_crossing_zero_reads_an_interior_zero_row(a):
     assert law.regime == POWER_LOG
 
 
+# Exact pivot references: a and a0 are dyadic rationals, so the form and
+# its closed diagonal are exact in Fractions and integers.
+
+def exact_pivot_form(a, a0, n):
+    """C = A^T (B - a0 B^T B) A of an AR(1) path as rows of Fractions:
+    Y = (B - a0 B^T B) A has rows psi_{r-1-s} - a0 psi_{r-s} and the last
+    row psi_{n-2-s} (psi_m = a^m, 0 for m < 0), and C[r] = Y[r] + a C[r+1]
+    bottom up."""
+    a, a0 = Fraction(a), Fraction(a0)
+
+    def psi(m):
+        return a ** m if m >= 0 else 0
+
+    c = [[psi(n - 2 - s) for s in range(n)]]
+    for r in range(n - 2, -1, -1):
+        c.insert(0, [psi(r - 1 - s) - a0 * psi(r - s) + a * v for s, v in enumerate(c[0])])
+    return c
+
+
+def exact_pivot_diagonal(a, a0, n):
+    """The closed pivot diagonal (a - a0) S_i, S_i = sum_{j<n-i} a^(2j),
+    with C_nn = 0, each entry exact and then rounded once to a double.  For
+    a = u / d and a - a0 = g / h (d, h powers of 2), S_m = N_m / d^(2(m-1))
+    with the integers N_1 = 1, N_m = u^2 N_{m-1} + d^(2(m-1)); long paths
+    stay cheap, where Fractions of a tiny a would take seconds."""
+    u, d = a.as_integer_ratio()
+    g, h = (Fraction(a) - Fraction(a0)).as_integer_ratio()
+    sums, big, power = [], 1, 1
+    for _ in range(n - 1):
+        sums.append(g * big / (h * power))
+        power *= d * d
+        big = u * u * big + power
+    return np.array(sums[::-1] + [0.0])
+
+
+@pytest.mark.parametrize("a, a0, n", [(0.7, 0.3, 9), (-1.3, 0.25, 30), (0.5, 0.5, 4),
+                                      (3.0, 2.9999999999999996, 6), (1e-300, 0.5, 12),
+                                      (-2.5, 1.0, 40), (0.0, -0.75, 5), (0.3, 0.1, 1)])
+def test_exact_pivot_diagonal_is_the_exact_forms(a, a0, n):
+    form = exact_pivot_form(a, a0, n)
+    assert exact_pivot_diagonal(a, a0, n).tolist() == [float(form[i][i]) for i in range(n)]
+
+
 @given(a=st.floats(-3.0, 3.0), a0=st.floats(-3.0, 3.0), n=st.integers(1, 400),
        alpha=st.floats(0.3, 4.0))
 @example(a=-1.5, a0=0.0, n=300, alpha=1.5)  # rows the zero rule counts as zero
 @example(a=0.2, a0=0.5, n=8, alpha=1.0)
+@example(a=3.0, a0=2.9999999999999996, n=6, alpha=1.0)  # the dense diagonal's
+@example(a=2.1177997503200245, a0=2.117743308555161, n=10, alpha=2.0)  # signs flip
 @settings(max_examples=150, deadline=None)
 def test_pivot_form_classifies_like_dense(a, a0, n, alpha):
     try:
@@ -498,11 +534,12 @@ def test_pivot_form_classifies_like_dense(a, a0, n, alpha):
         assert str(exc) == "need finite entries"
         assert float(np.max(np.abs(dense.entries))) > 1e290
         return
-    # the pivot form's diagonal is the closed (a - a0) S_i; the dense one
-    # comes by cancellation, which near a = a0 can flip an entry's sign
-    signs = [m.tolist() for m in _diag_signs(form.diagonal())[:2]]
-    assume(signs == [m.tolist() for m in _diag_signs(np.diag(dense.entries))[:2]])
-    same_law(law_or_error(lambda: form, alpha), law_or_error(lambda: dense, alpha))
+    # the dense diagonal comes by cancellation, which near a = a0 loses the
+    # digits the closed (a - a0) S_i keeps, so the reference takes the exact
+    # diagonal; the couplings, the dense ones bit for bit, stay as they are
+    want = dense.entries.copy()
+    np.fill_diagonal(want, exact_pivot_diagonal(a, a0, n))
+    same_law(law_or_error(lambda: form, alpha), law_or_error(lambda: want, alpha))
 
 
 def test_odd_lag_negative_ar1_reads_the_structured_form():
