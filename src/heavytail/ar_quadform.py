@@ -23,11 +23,12 @@ the rows of C + C^T on given indices with their diagonal entry counted as
 zero (couplings, in chunks of rows), and whether the form is identically
 zero (is_zero).  QuadForm answers from its dense matrix, which the
 classifier also reads when every diagonal entry is negative.  ArForm
-(autocov_form, pivot_form) answers from psi, its diagonal in O(n) and
-its couplings holding p rows and one chunk of at most COUPLING_ENTRIES
-couplings (the last k rows of a lag form); it never allocates n x n, and
-never has an all-negative diagonal, as its last diagonal entry is zero.
-matrix and calibrate are the only commands that build a dense form.
+(autocov_form) answers for a lag from psi, its diagonal in O(n) and its
+couplings holding p rows and one chunk of at most COUPLING_ENTRIES
+couplings (the last k rows); it never allocates n x n, and never has an
+all-negative diagonal, as its last diagonal entry is zero.  The pivot's
+law needs no form (see test_stat_tail).  matrix and calibrate are the only
+commands that build a dense form.
 """
 
 import math
@@ -153,32 +154,36 @@ def _impulse_response(model):
 
 def lag_sums(psi, k):
     """G(k), ..., G(n-1) for G(M) = sum_{m=k}^{M} psi_m psi_{m-k}, psi of
-    length n: the lag-k diagonal C_ii = G(n-1-i) of A^T B^k A, bottom up."""
-    return np.cumsum(psi[k:] * psi[:max(psi.size - k, 0)])
+    length n: the lag-k diagonal C_ii = G(n-1-i) of A^T B^k A, bottom up.
+    A product with an exact-zero factor counts as 0, also where the other
+    factor is inf or nan; every finite product keeps its bits.  Past a
+    double's range the sums are inf or nan, without a numpy warning."""
+    left, right = psi[k:], psi[:max(psi.size - k, 0)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        products = left * right
+        products[np.isnan(products) & ((left == 0.0) | (right == 0.0))] = 0.0
+        return np.cumsum(products)
 
 
-def _y_view(psi, k=None, a0=None):
-    """Y = M A as a read-only Toeplitz view Y[r, s] = v[n - 1 + r - s] of one
-    vector v of length 2n - 1, with the row replacing Y's last (None for a
-    lag).  Lag k: v[n - 1 + m] = psi_{m-k}.  Pivot: v[n - 1 + m] =
-    psi_{m-1} - a0 psi_m and the last row psi_{n-2-s} (B^T B zeroes the
-    last entry).  psi of a negative index is 0."""
+def _toeplitz(v, n):
+    """Read-only n x n Toeplitz view Y[r, s] = v[n - 1 + r - s] of a vector
+    v of length 2n - 1."""
+    return np.lib.stride_tricks.sliding_window_view(v, n)[:, ::-1]
+
+
+def _y_view(psi, k):
+    """Y = B^k A as a Toeplitz view of v, v[n - 1 + m] = psi_{m-k} (psi of a
+    negative index is 0)."""
     n = psi.size
-    if a0 is None:
-        v = np.zeros(2 * n - 1)
-        v[n - 1 + k:] = psi[:max(n - k, 0)]
-        last = None
-    else:
-        padded = np.concatenate((np.zeros(n), psi))  # psi_m at index m + n
-        v = padded[:-1] - a0 * padded[1:]
-        last = padded[n - 1:-1][::-1]
-    return np.lib.stride_tricks.sliding_window_view(v, n)[:, ::-1], last
+    v = np.zeros(2 * n - 1)
+    v[n - 1 + k:] = psi[:max(n - k, 0)]
+    return _toeplitz(v, n)
 
 
 def build_a(model):
     """Unit lower triangular A with X = A eps for every innovation vector:
     the Toeplitz matrix A[r, s] = psi_{r-s} (zero above the diagonal)."""
-    return _y_view(_impulse_response(model), k=0)[0].copy()
+    return _y_view(_impulse_response(model), 0).copy()
 
 
 def shift_pow(n, k):
@@ -221,7 +226,7 @@ def autocov_matrix(model, k):
     numpy warning."""
     k = check_statistic(model, k=k)[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        y = _y_view(_impulse_response(model), k=k)[0].copy()
+        y = _y_view(_impulse_response(model), k).copy()
         return QuadForm(n=model.n, entries=_solve_form(model.theta, y).view(_Fresh))
 
 
@@ -233,39 +238,38 @@ def test_matrix(a, a0, n):
     negative index is 0) on every row but the last, which is psi_{n-2-s}."""
     model = ArModel((float(a),), n)
     with np.errstate(over="ignore", invalid="ignore"):
-        view, last = _y_view(_impulse_response(model), a0=float(a0))
-        y = view.copy()
-        y[-1] = last
+        # psi_m at index m + n
+        padded = np.concatenate((np.zeros(n), _impulse_response(model)))
+        y = _toeplitz(padded[:-1] - float(a0) * padded[1:], n).copy()
+        y[-1] = padded[n - 1:-1][::-1]
         return QuadForm(n=n, entries=_solve_form(model.theta, y).view(_Fresh))
 
 
 class ArForm:
-    """Structured form C = A^T M A of an AR path statistic, read from the
-    impulse response psi without an n x n array: M = B^k for the lag-k
-    autocovariance (autocov_form), M = B - a0 B^T B for the pivot
-    (pivot_form).
+    """Structured form C = A^T B^k A of the lag-k autocovariance
+    (autocov_form), read from the impulse response psi without an n x n
+    array.
 
-    The diagonal is O(n), lag_sums for a lag and pivot_diagonal for the
-    pivot, and can differ from the dense one in the last digits.  Rows of
-    C, for the couplings, come from the dense builders' _recursion fed one
-    copied row of Y = M A at a time (_y_view, or the pivot's last row), so
-    every coupling has their bits (as long as psi has no subnormal entry,
-    which is flushed to zero).  Rows i >= _bottom (the last k rows of a
-    lag, the last row of the pivot) have vanishing column entries C_ji, so
-    their couplings are rows of C alone.  Construction checks the
-    Cauchy-Schwarz bound |C_ij| <= |A e_i| |M A e_j|, grown by what the
-    recursion's partial sums can reach, and raises the dense forms' "need
-    finite entries" where it overflows a double: on every form the dense
-    builders reject, and on some whose largest entry is within that factor
-    of the limit.  The bound also caps every |psi_m psi_{m-k}| and prefix
-    sum of them, so the diagonal does not overflow.
+    The diagonal is O(n), lag_sums, and can differ from the dense one in
+    the last digits.  Rows of C, for the couplings, come from the dense
+    builder's _recursion fed one copied row of Y = B^k A at a time
+    (_y_view), so every coupling has its bits (as long as psi has no
+    subnormal entry, which is flushed to zero).  Rows i >= _bottom (the last
+    k rows) have vanishing column entries C_ji, so their couplings are rows
+    of C alone.  Construction checks the Cauchy-Schwarz bound
+    |C_ij| <= |A e_i| |B^k A e_j|, grown by what the recursion's partial
+    sums can reach, and raises the dense form's "need finite entries" where
+    it overflows a double: on every form the dense builder rejects, and on
+    some whose largest entry is within that factor of the limit.  The bound
+    also caps every |psi_m psi_{m-k}| and prefix sum of them, so the
+    diagonal does not overflow.
     """
 
-    def __init__(self, model, k=None, a0=None):
-        self.k, self.a0 = check_statistic(model, k, a0)
+    def __init__(self, model, k):
+        self.k = check_statistic(model, k=k)[0]
         n = self.n = model.n
         self.model = model
-        self._bottom = max(n - self.k, 0) if self.a0 is None else n - 1
+        self._bottom = max(n - self.k, 0)
         with np.errstate(over="ignore", invalid="ignore"):
             psi = _impulse_response(model)
         if self._bottom:  # a zero form has no entry to overflow, whatever psi is
@@ -282,39 +286,30 @@ class ArForm:
             def root(m):
                 return top * math.sqrt(float(energy[m]))
 
-            if self.a0 is None:
-                bound = root(n - 1) * root(n - 1 - self.k)
-            else:
-                bound = root(n - 2) * (root(n - 1) + abs(self.a0) * root(n - 2))
+            bound = root(n - 1) * root(n - 1 - self.k)
             # the recursion's partial sums reach (1 + sum |theta_q|) times the
-            # bound; the margin covers the rounding of the dense builders' sums
+            # bound; the margin covers the rounding of the dense builder's sums
             reach = 1.0 + sum(abs(t) for t in model.theta)
             if not math.isfinite(bound * reach * (1.0 + 1e-6)):
                 raise ValueError("need finite entries")
         self._psi = psi
-        self._y, self._last = _y_view(psi, self.k, self.a0)
+        self._y = _y_view(psi, self.k)
 
     def diagonal(self):
-        if self.a0 is not None:
-            return pivot_diagonal(self.model.theta[0], self.a0, self.n)[1]
         diag = np.zeros(self.n)
         diag[:self._bottom] = lag_sums(self._psi, self.k)[::-1]
         return diag
 
     def is_zero(self, tol):
-        """True when the form is identically zero (lag k >= n, or a pivot of
-        length 1), for tol below max(1, max |C_ii|): every other form has
-        C_{n-1, n-1-k} = psi_0^2 = 1 (lag) or C_{n-1, n-2} = psi_0 = 1
-        (pivot)."""
+        """True when the form is identically zero (lag k >= n), for tol below
+        max(1, max |C_ii|): every other form has C_{n-1, n-1-k} = psi_0^2 = 1."""
         return self._bottom == 0
 
     def _rows(self, lo):
         """Rows r = n - 1, ..., lo of C, bottom up, each made in a copy of
-        row r of Y = M A."""
-        last = self.n - 1
+        row r of Y = B^k A."""
         return _recursion(self.model.theta, (
-            (r, (self._y[r] if r < last or self._last is None else self._last).copy())
-            for r in range(last, lo - 1, -1)))
+            (r, self._y[r].copy()) for r in range(self.n - 1, lo - 1, -1)))
 
     def couplings(self, rows):
         """(indices, chunk) pairs covering the ascending indices rows in
@@ -353,13 +348,7 @@ def _zero_diagonal(chunk, rows):
 def autocov_form(model, k):
     """ArForm of C = A^T B^k A: the classifier's reads of autocov_matrix
     without its n x n array."""
-    return ArForm(model, k=k)
-
-
-def pivot_form(a, a0, n):
-    """ArForm of the studentized lag-1 statistic of an AR(1) model: the
-    classifier's reads of test_matrix without its n x n array."""
-    return ArForm(ArModel((float(a),), n), a0=a0)
+    return ArForm(model, k)
 
 
 def power_sums(x, m):

@@ -22,12 +22,14 @@ with coefficients
 
 The classifier reads a form only through its diagonal, the couplings of
 its zero-diagonal rows and whether it is zero (see ar_quadform), so the
-structured AR forms are classified without an n x n array.
+structured lag forms are classified without an n x n array.
 
 The AR(1) specializations (upper and lower tails of n gamma_n(k), the
 studentized lag-1 test statistic, approximate critical values) are written
-out in closed power-sum form, exact at a = +-1 too.  statistic_tail is the
-one route from an AR path statistic to its law: a closed form or the classifier.
+out in closed power-sum form, exact at a = +-1 too; the test statistic's
+law is closed for every (a, a0), its PowerLog sum taken in O(n) from the
+closed couplings.  statistic_tail is the one route from an AR path
+statistic to its law: a closed form or the classifier.
 """
 
 import math
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ar_quadform import (ArForm, ArModel, QuadForm, autocov_form, check_a0,
-                          check_statistic, pivot_diagonal, pivot_form, power_sums)
+                          check_statistic, pivot_diagonal, power_sums)
 from .student_dist import make_law, tail_constant
 
 POWER_HALF = "PowerHalf"
@@ -66,6 +68,8 @@ class TailLaw:
             raise ValueError("need a regime among %s" % (REGIMES,))
         if not self.alpha > 0.0:
             raise ValueError("need alpha > 0")
+        if self.coef is not None:  # a numpy scalar would print as np.float64(...)
+            object.__setattr__(self, "coef", float(self.coef))
         if self.regime in COEF_REGIMES:
             if self.coef is None or not self.coef >= 0.0:
                 raise ValueError("need coef > 0 in regime %s" % self.regime)
@@ -296,19 +300,19 @@ def test_stat_tail(a, a0, n, alpha):
     coefficient a and reference value a0.
 
     The regime comes from the classifier's zero rule (_diag_signs) on the
-    closed pivot diagonal C_ii = (a - a0) S_i, S_i = sum_{j<n-i} a^(2j) for
-    i < n, and C_nn = 0.  A positive entry (a > a0) gives PowerHalf,
+    closed diagonal C_ii = (a - a0) S(n-1-i), 0-based, S(m) = sum_{t<m} a^(2t).
+    A positive entry (a > a0) gives PowerHalf,
 
-        2 k_s alpha^((alpha-1)/2) (a-a0)^(alpha/2) sum_{i: C_ii > 0} S_i^(alpha/2);
+        2 k_s alpha^((alpha-1)/2) (a-a0)^(alpha/2) sum_{i: C_ii > 0} S(n-1-i)^(alpha/2);
 
-    an all-zero diagonal (a = a0, or a - a0 inside the tolerance) gives
-    PowerLog with the couplings |C_ij + C_ji| = |a|^(|i-j|-1) of a = a0,
+    else the rows Z counted as zero (the last one always) give PowerLog, by
+    the closed couplings (C + C^T)_ij = a^(|i-j|-1) (1 + 2a(a-a0) S(n-1-max(i, j))).
+    With r = |a|^alpha and h_i = |1 + 2a(a-a0) S(n-1-i)|^alpha, in O(n),
 
-        k_s^2 alpha^alpha 2 sum_{m=1}^{n-1} (n-m) |a|^((m-1) alpha),  0^0 = 1;
+        coef = k_s^2 alpha^alpha sum_{i in Z} (h_i P_i + T_i),
+        P_i = sum_{m<i} r^m,  T_i = sum_{j>i} r^(j-i-1) h_j = h_{i+1} + r T_{i+1},
 
-    a < a0 goes to the classifier on the structured pivot form, which finds
-    PowerLog: C_nn = 0 couples to row n - 1 - m through psi_m = a^m, and for
-    |a| > 1 the rows whose small diagonal counts as zero add theirs.
+    with 0^0 = 1 and a product with an exact-zero factor counted as 0.
     """
     a = float(a)
     a0 = check_a0(a0)
@@ -320,11 +324,18 @@ def test_stat_tail(a, a0, n, alpha):
     if pos.any():
         return _power_half_sum(law, a - a0, alpha / 2.0,
                                [s for s, keep in zip(sums, pos) if keep])
-    if zero.all():
-        with _coef_overflow(POWER_LOG):
-            body = sum((n - m) * abs(a) ** ((m - 1) * alpha) for m in range(1, n))
-        return TailLaw(POWER_LOG, alpha, coef=_power_log_scale(law) * 2.0 * body)
-    return tail_law(pivot_form(a, a0, n), alpha)
+    with _coef_overflow(POWER_LOG):
+        ratio = abs(a) ** alpha
+        with np.errstate(over="ignore"):  # an infinite sum reaches TailLaw's check
+            heights = np.abs(1.0 + np.multiply(2.0 * a * (a - a0), sums)) ** alpha
+        heights = heights.tolist() + [1.0]  # S(0) = 0 on the last row
+        heads = [0.0] + power_sums(ratio, n - 1)
+        body = tail = 0.0
+        for h, p, z in zip(heights[::-1], heads[::-1], zero[::-1].tolist()):
+            if z:
+                body += tail + (h * p if h and p else 0.0)
+            tail = h + ratio * tail
+    return TailLaw(POWER_LOG, alpha, coef=_power_log_scale(law) * body)
 
 
 def statistic_tail(model, alpha, k=None, a0=None):

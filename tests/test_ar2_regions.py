@@ -72,6 +72,18 @@ def test_diag_seq_matches_dense_matrix_everywhere():
                     d[k - 1], rel=1e-10, abs=1e-12)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_diag_seq_counts_a_product_with_a_zero_factor_as_zero():
+    # at a = 0 every other psi_m is 0 and psi overflows to inf next to them:
+    # inf * 0 is no number, but each d_k is exactly 0
+    assert np.isinf(a_col(0.0, 1e200, 7)).any()
+    assert np.array_equal(diag_seq(0.0, 1e200, 6), np.zeros(6))
+    assert np.array_equal(diag_seq(0.0, -1e300, 9), np.zeros(9))
+    # finite products keep their bits; overflowing ones are inf, unannounced
+    d = diag_seq(1e100, 0.0, 4)
+    assert d[0] == 1e100 and d[1] == 1e100 + 1e300 and np.all(np.isinf(d[2:]))
+
+
 def test_region_membership_first_region_is_positive_a():
     assert region_membership(0.5, -0.3) == 2
     assert region_membership(2.0, 1.0) == 2

@@ -162,8 +162,9 @@ def test_check_statistic_normalises_one_of_k_and_a0():
                                   (ar2, None, 0.5, "need an order-1 model")]:
         with pytest.raises(ValueError, match=message):
             check_statistic(model, k, a0)
-        with pytest.raises(ValueError, match=message):
-            ar_quadform.ArForm(model, k, a0)
+        if a0 is None:  # an ArForm is a lag form
+            with pytest.raises(ValueError, match=message):
+                ar_quadform.ArForm(model, k)
 
 
 # The row-by-row builders the Toeplitz copies of the impulse response
@@ -379,29 +380,6 @@ def test_ar_form_diagonal_matches_the_exact_one(theta, n, data):
         pos, zero, _ = _diag_signs(got)
         assert np.array_equal(pos[clear], np.array([e > tol for e in exact])[clear])
         assert np.array_equal(zero[clear], np.array([abs(e) <= tol for e in exact])[clear])
-
-
-@given(a=st.floats(-3.0, 3.0), a0=st.floats(-3.0, 3.0), n=st.integers(1, 120))
-@settings(max_examples=100, deadline=None)
-def test_pivot_form_couplings_have_the_dense_bits(a, a0, n):
-    model = ArModel((a,), n)
-    try:
-        dense = statistic_matrix(a, a0, n)
-    except ValueError:
-        with pytest.raises(ValueError, match="need finite entries"):
-            ar_quadform.pivot_form(a, a0, n)
-        return
-    assume(subnormal_free(model))
-    try:
-        form = ar_quadform.pivot_form(a, a0, n)
-    except ValueError:
-        assert float(np.max(np.abs(dense.entries))) > 1e290
-        return
-    rows = np.arange(n)
-    (_, want), = dense.couplings(rows)
-    (_, got), = form.couplings(rows)
-    assert np.array_equal(got, want)
-    assert form.is_zero(1e-12) == (n == 1)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from heavytail.ar2_regions import stable_tail_class
 from heavytail.ar_quadform import (ArModel, autocov_form, autocov_matrix,
-                                   pivot_form, power_sum, shift_pow)
+                                   power_sum, shift_pow)
 from heavytail.ar_quadform import test_matrix as statistic_matrix
 from heavytail.student_dist import make_law
 from heavytail.tail_formulas import (ORDER_ONLY, POWER_HALF, POWER_LOG,
@@ -409,9 +409,8 @@ def test_tail_law_rejects_an_overflowing_coefficient():
         ar1_upper_tail(3.0, 400, 1, 1.5)
 
 
-# The classifier reads an ArForm (autocov_form, pivot_form) through the same
-# three reads as a dense QuadForm, without the n x n array; it must come to
-# the same law.
+# The classifier reads an ArForm (autocov_form) through the same three reads
+# as a dense QuadForm, without the n x n array; it must come to the same law.
 
 def same_law(got, want):
     if isinstance(want, ValueError):
@@ -472,22 +471,30 @@ def test_d_k_crossing_zero_reads_an_interior_zero_row(a):
 
 
 # Exact pivot references: a and a0 are dyadic rationals, so the form and
-# its closed diagonal are exact in Fractions and integers.
+# its closed diagonal are exact in integers.
 
 def exact_pivot_form(a, a0, n):
-    """C = A^T (B - a0 B^T B) A of an AR(1) path as rows of Fractions:
-    Y = (B - a0 B^T B) A has rows psi_{r-1-s} - a0 psi_{r-s} and the last
-    row psi_{n-2-s} (psi_m = a^m, 0 for m < 0), and C[r] = Y[r] + a C[r+1]
-    bottom up."""
-    a, a0 = Fraction(a), Fraction(a0)
+    """C = A^T (B - a0 B^T B) A of an AR(1) path, exact, as integer rows
+    E[r] over row scales D[r], C[r] = E[r] / D[r]: Y = (B - a0 B^T B) A has
+    rows psi_{r-1-s} - a0 psi_{r-s} and the last row psi_{n-2-s}
+    (psi_m = a^m, 0 for m < 0), and C[r] = Y[r] + a C[r+1] bottom up.  For
+    a = u / d and a0 = g / h (d, h powers of 2), D[r] = h d^(2n-2-r) clears
+    every denominator of row r and the step reads E[r] = D[r] Y[r] + u E[r+1],
+    so a tiny a, whose Fractions would take seconds, stays cheap.  Python's
+    int / int rounds E[r][s] / D[r] to a double once."""
+    u, d = a.as_integer_ratio()
+    g, h = a0.as_integer_ratio()
+    up = [u ** m for m in range(n)]
+    down = [d ** m for m in range(2 * n)]
 
-    def psi(m):
-        return a ** m if m >= 0 else 0
+    def psi(m, r):  # D[r] psi_m / h
+        return up[m] * down[2 * n - 2 - r - m] if m >= 0 else 0
 
-    c = [[psi(n - 2 - s) for s in range(n)]]
+    rows = [[h * psi(n - 2 - s, n - 1) for s in range(n)]]
     for r in range(n - 2, -1, -1):
-        c.insert(0, [psi(r - 1 - s) - a0 * psi(r - s) + a * v for s, v in enumerate(c[0])])
-    return c
+        rows.insert(0, [h * psi(r - 1 - s, r) - g * psi(r - s, r) + u * v
+                        for s, v in enumerate(rows[0])])
+    return rows, [h * down[2 * n - 2 - r] for r in range(n)]
 
 
 def exact_pivot_diagonal(a, a0, n):
@@ -510,36 +517,66 @@ def exact_pivot_diagonal(a, a0, n):
                                       (3.0, 2.9999999999999996, 6), (1e-300, 0.5, 12),
                                       (-2.5, 1.0, 40), (0.0, -0.75, 5), (0.3, 0.1, 1)])
 def test_exact_pivot_diagonal_is_the_exact_forms(a, a0, n):
-    form = exact_pivot_form(a, a0, n)
-    assert exact_pivot_diagonal(a, a0, n).tolist() == [float(form[i][i]) for i in range(n)]
+    rows, scales = exact_pivot_form(a, a0, n)
+    assert exact_pivot_diagonal(a, a0, n).tolist() == [rows[i][i] / scales[i]
+                                                        for i in range(n)]
 
 
-@given(a=st.floats(-3.0, 3.0), a0=st.floats(-3.0, 3.0), n=st.integers(1, 400),
+def exact_pivot_law(a, a0, n, alpha):
+    """The classifier's law of exact_pivot_form, read from a float form
+    whose diagonal is the exact one and whose couplings C_ij + C_ji are
+    each summed exactly and rounded once (held above the diagonal, with
+    zeros below)."""
+    rows, scales = exact_pivot_form(a, a0, n)
+    d = a.as_integer_ratio()[1]
+    upper = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):  # D[i] = D[j] d^(j-i)
+            upper[i, j] = (rows[i][j] + rows[j][i] * d ** (j - i)) / scales[i]
+    np.fill_diagonal(upper, exact_pivot_diagonal(a, a0, n))
+    return law_or_error(lambda: upper, alpha)
+
+
+@given(a=st.floats(-3.0, 3.0), a0=st.floats(-3.0, 3.0), n=st.integers(2, 45),
        alpha=st.floats(0.3, 4.0))
 @example(a=-1.5, a0=0.0, n=300, alpha=1.5)  # rows the zero rule counts as zero
 @example(a=0.2, a0=0.5, n=8, alpha=1.0)
-@example(a=3.0, a0=2.9999999999999996, n=6, alpha=1.0)  # the dense diagonal's
-@example(a=2.1177997503200245, a0=2.117743308555161, n=10, alpha=2.0)  # signs flip
+@example(a=3.0, a0=2.9999999999999996, n=6, alpha=1.0)
+@example(a=2.1177997503200245, a0=2.117743308555161, n=10, alpha=2.0)
+# the couplings of the row recursion cancel terms of size |a|^(2n) here
+@example(a=3.0, a0=3.0000000000000004, n=35, alpha=1.0)
+@example(a=2.7949500515103107, a0=2.7949500515113708, n=45, alpha=0.91)
+@example(a=-2.823234131540321, a0=-2.8232341279348994, n=45, alpha=3.24)
 @settings(max_examples=150, deadline=None)
-def test_pivot_form_classifies_like_dense(a, a0, n, alpha):
-    try:
-        dense = statistic_matrix(a, a0, n)
-    except ValueError as exc:
-        with pytest.raises(ValueError, match=str(exc)):
-            pivot_form(a, a0, n)
-        return
-    try:
-        form = pivot_form(a, a0, n)
-    except ValueError as exc:
-        assert str(exc) == "need finite entries"
-        assert float(np.max(np.abs(dense.entries))) > 1e290
-        return
-    # the dense diagonal comes by cancellation, which near a = a0 loses the
-    # digits the closed (a - a0) S_i keeps, so the reference takes the exact
-    # diagonal; the couplings, the dense ones bit for bit, stay as they are
-    want = dense.entries.copy()
-    np.fill_diagonal(want, exact_pivot_diagonal(a, a0, n))
-    same_law(law_or_error(lambda: form, alpha), law_or_error(lambda: want, alpha))
+def test_pivot_law_matches_the_exact_form(a, a0, n, alpha):
+    # the closed diagonal is within a few ulps of the exact one, so a draw
+    # with an exact entry that close to the zero rule's threshold is left out
+    exact = exact_pivot_diagonal(a, a0, n)
+    scale = max(1.0, float(np.max(np.abs(exact))))
+    assume(np.all(np.abs(np.abs(exact) - 1e-12 * scale) > 1e-14 * scale))
+    same_law(stat_tail(a, a0, n, alpha), exact_pivot_law(a, a0, n, alpha))
+
+
+def test_explosive_pivot_law_is_linear_in_n():
+    # about 18600 of the 20000 diagonal entries count as zero here; read
+    # through the form's couplings, one O(n^2) pass per chunk of them took
+    # minutes
+    start = time.perf_counter()
+    law = stat_tail(-1.01, 0.0, 20000, 1.5)
+    assert time.perf_counter() - start < 1.0
+    assert law.regime == POWER_LOG
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("args", [
+    (-3.0, 0.5, 200, 4.0),
+    # row n - 2 counts as zero and its coupling factor 1 + 2a(a - a0) is 0,
+    # while its power sum 2^(4 m) over m < n - 2 is inf: 0 inf is no number
+    (2.0, 2.25, 260, 4.0),
+])
+def test_explosive_pivot_coef_overflow_is_named(args):
+    with pytest.raises(ValueError, match="^coef overflows a double in regime PowerLog$"):
+        stat_tail(*args)
 
 
 def test_odd_lag_negative_ar1_reads_the_structured_form():
@@ -562,7 +599,7 @@ def test_zero_counted_diagonal_term_is_left_out():
     want = k_s ** 2 * 0.5 ** 0.5 * 2.0
     closed = stat_tail(6.7e-13, 0.0, 2, 0.5)
     general = classify(statistic_matrix(6.7e-13, 0.0, 2), 0.5)[1]
-    for law in (closed, general, tail_law(pivot_form(6.7e-13, 0.0, 2), 0.5)):
+    for law in (closed, general):
         assert law.regime == POWER_LOG
         assert law.coef == pytest.approx(0.1028491156, rel=1e-9)
         assert law.coef == pytest.approx(want, rel=1e-15)
@@ -585,6 +622,22 @@ def test_ar_statistics_allocate_no_dense_form(call):
     finally:
         tracemalloc.stop()
     assert peak < 8 * n * n / 4  # a quarter of one n x n array
+
+
+@pytest.mark.parametrize("model, k, a0", [
+    (ArModel((0.7,), 30), None, 0.4),      # pivot, PowerHalf
+    (ArModel((0.2,), 8), None, 0.5),       # pivot, PowerLog below a0
+    (ArModel((0.7,), 30), None, 0.7),      # pivot, PowerLog at a0
+    (ArModel((0.5,), 40), 1, None),        # AR(1) lag, PowerHalf
+    (ArModel((0.0,), 40), 3, None),        # AR(1) lag, white noise
+    (ArModel((-0.6,), 40), 1, None),       # AR(1) odd lag, the classifier
+    (ArModel((0.5, -0.3), 40), 1, None),   # AR(2) lag, the classifier
+])
+def test_statistic_tail_coef_is_a_python_float(model, k, a0):
+    # a numpy scalar prints as np.float64(...) under %r
+    law = statistic_tail(model, 1.5, k=k, a0=a0)
+    assert type(law.coef) is float
+    assert type(TailLaw(law.regime, 1.5, coef=np.float64(law.coef)).coef) is float
 
 
 def test_statistic_tail_takes_each_route_to_its_direct_call():
