@@ -3,12 +3,10 @@
 
 
 def fmt(value):
-    """Text of one value: none / 1-0 / integer / real with 17 significant
-    digits, which round-trips every finite double."""
+    """Text of one value: none / integer (a bool as 1 or 0) / real with 17
+    significant digits, which round-trips every finite double."""
     if value is None:
         return "none"
-    if isinstance(value, bool):
-        return "1" if value else "0"
     if isinstance(value, int):
         return "%d" % value
     return format(float(value), ".17g")

@@ -127,8 +127,9 @@ class QuadForm:
 # entries per chunk of zero-row couplings an ArForm hands the classifier
 COUPLING_ENTRIES = 1 << 20
 
-# longest path ar_paths runs step by step; past it the doubling scan's
-# log2(n) passes over a Monte Carlo block cost less than n single-slice steps
+# longest AR(1)/AR(2) path ar_paths runs step by step.  Per Monte Carlo block
+# the steps stay cheaper than the doubling scan up to n of about 200, but
+# the two round differently, so moving this moves simulate's bytes
 SEQUENTIAL_MAX_N = 32
 
 
@@ -196,23 +197,27 @@ def shift_pow(n, k):
 
 
 def _recursion(theta, rows):
-    """Rows (r, C[r]) of C = A^T Y from the rows (r, Y[r]) fed bottom up,
-    each overwritten in place.  With L = A^{-1} the banded AR filter,
-    L^T C = Y reads C[r] = Y[r] + theta_1 C[r+1] + ... + theta_p C[r+p];
-    p finished rows are held."""
+    """The one AR filter step: each row fed gets theta_1 prev_1 + ... +
+    theta_p prev_p over the last p rows given added in place, left to right,
+    zero coefficients skipped.  Fed (r, Y[r]) bottom up it yields (r, C[r])
+    of C = A^T Y, as L^T C = Y for the banded filter L = A^{-1}; fed eps
+    top down it is X = A eps, since A^T = J A J for J the row reversal."""
     recent = []
     for r, row in rows:
         if not recent:
             step = np.empty(row.shape)
         for t, prev in zip(theta, recent):
-            if t != 0.0:
+            if t == 1.0:  # a unit coefficient adds its row as is
+                row += prev
+            elif t != 0.0:
                 row += np.multiply(t, prev, out=step)
         recent = [row] + recent[:len(theta) - 1]
         yield r, row
 
 
 def _solve_form(theta, y):
-    """C = A^T Y by _recursion over every row of y, overwritten: O(n^2 p)."""
+    """C = A^T Y by _recursion over the rows of y bottom up, overwritten
+    (O(n^2 p)); on reversed innovation rows it is X = A eps top down."""
     for _ in _recursion(theta, zip(range(y.shape[0] - 1, -1, -1), y[::-1])):
         pass
     return y
@@ -403,7 +408,8 @@ def ar_paths(theta, eps):
     as a new C-contiguous array.
 
     Paths of at most SEQUENTIAL_MAX_N steps, and every path of order p >= 3,
-    run the recursion step by step, each step one elementwise update of a
+    run the form recursion _solve_form top down, X[t] = eps[t] + theta_1
+    X[t-1] + ... + theta_p X[t-p], each step one elementwise update of a
     whole time slice.  Longer AR(1)/AR(2) paths use a Hillis-Steele doubling
     scan on the companion state z[t] = (x[t], ..., x[t-p+1]) with companion
     matrix M: z[t] starts at (eps[t], 0, ..., 0), and the pass with stride
@@ -416,25 +422,14 @@ def ar_paths(theta, eps):
     """
     theta = [float(t) for t in theta]
     p = len(theta)
-    eps = np.asarray(eps, dtype=float)
-    n = eps.shape[0]
+    x = np.array(eps, dtype=float, order="C")
+    n = x.shape[0]
     if n <= SEQUENTIAL_MAX_N or p > 2:
-        x = np.empty(eps.shape)
-        step = np.empty((1,) + eps.shape[1:])
-        for t in range(n):
-            row, acc = x[t:t + 1], eps[t:t + 1]
-            for i, c in enumerate(theta[:t], start=1):
-                if c != 0.0:
-                    prev = x[t - i:t - i + 1]
-                    if c != 1.0:  # a unit coefficient adds its slice as is
-                        prev = np.multiply(prev, c, out=step)
-                    np.add(acc, prev, out=row)
-                    acc = row
-            if acc is not row:
-                np.copyto(row, acc)
+        # rows as 2-D views, so that a 1-D eps is written in place too
+        _solve_form(theta, x.reshape(n, math.prod(x.shape[1:]))[::-1])
         return x
-    z = [np.array(eps, order="C")] + [np.zeros(eps.shape) for _ in range(p - 1)]
-    updates = [np.empty(eps.shape) for _ in range(p)]
+    z = [x] + [np.zeros(x.shape) for _ in range(p - 1)]
+    updates = [np.empty(x.shape) for _ in range(p)]
     power = [theta] + [[float(j == i - 1) for j in range(p)] for i in range(1, p)]
     s = 1
     while s < n:

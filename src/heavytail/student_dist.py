@@ -55,24 +55,26 @@ def make_law(alpha):
     return StudentLaw(alpha=alpha, k_s=math.exp(log_ks))
 
 
-def _far_ratio(law, x, far):
-    """alpha / (alpha + x^2) where far marks the x whose square, or x^2 /
-    alpha, overflows a double, taken as (alpha/|x|) / (alpha/|x| + |x|);
-    elsewhere a placeholder."""
-    ax = np.where(far, np.abs(x), 1.0)
-    r = law.alpha / ax
-    return r / (r + ax)
+def _ratio(law, x):
+    """(y, far, t), y = alpha / (alpha + x^2): far marks the x whose y is
+    subnormal or 0 (|x| past about 1e154); t = sqrt(alpha) / |x| there, with
+    y = t^2 (1 + O(y)), and 0 elsewhere."""
+    with np.errstate(over="ignore"):
+        y = law.alpha / (law.alpha + x * x)
+    far = y < np.finfo(float).tiny
+    return y, far, math.sqrt(law.alpha) / np.where(far, np.abs(x), np.inf)
 
 
 def density(law, x):
-    """Density s_alpha(x); symmetric, unimodal, maximal at 0.  Where
-    1 + x^2/alpha overflows a double, its inverse comes from _far_ratio."""
+    """Density s_alpha(x) = k_s y^((alpha+1)/2), y = alpha / (alpha + x^2);
+    symmetric, unimodal, maximal at 0.  Where y is subnormal or 0, the power
+    is taken as t^(alpha+1) (_ratio)."""
     x = np.asarray(x, dtype=float)
     power = (law.alpha + 1.0) / 2.0
+    _, far, t = _ratio(law, x)
     with np.errstate(over="ignore"):
         base = 1.0 + x * x / law.alpha
-    far = np.isinf(base)
-    out = law.k_s * np.where(far, _far_ratio(law, x, far) ** power, base ** -power)
+    out = law.k_s * np.where(far, t ** (2.0 * power), base ** -power)
     return out if out.ndim else float(out)
 
 
@@ -81,16 +83,15 @@ def survival(law, x):
 
     For x >= 0 the tail equals I_y(alpha/2, 1/2) / 2 with y = alpha/(alpha+x^2)
     and I the regularized incomplete beta function; x < 0 goes through symmetry.
-    Where x^2 overflows a double, y comes from _far_ratio.
+    Where y is subnormal or 0, I_y / 2 is its leading term k_s t^alpha /
+    sqrt(alpha) (_ratio), good to a relative O(y) below 1e-300.
     """
     from scipy import special
 
     x = np.asarray(x, dtype=float)
-    with np.errstate(over="ignore"):
-        square = x * x
-    far = np.isinf(square)
-    y = np.where(far, _far_ratio(law, x, far), law.alpha / (law.alpha + square))
-    half_tail = 0.5 * special.betainc(law.alpha / 2.0, 0.5, y)
+    y, far, t = _ratio(law, x)
+    half_tail = np.where(far, law.k_s / math.sqrt(law.alpha) * t ** law.alpha,
+                         0.5 * special.betainc(law.alpha / 2.0, 0.5, y))
     out = np.where(x >= 0.0, half_tail, 1.0 - half_tail)
     return out if out.ndim else float(out)
 

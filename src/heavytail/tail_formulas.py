@@ -252,10 +252,11 @@ def ar1_upper_tail(a, n, k, alpha):
 
     Even lag or a > 0 is PowerHalf with the power-sum diagonal entries;
     a = 0 with k >= 1 is PowerLog with 2 (n - k) unit couplings; odd lag
-    with a < 0 is PowerLog, its coefficient read from the structured form
-    (the couplings of the last k rows, and of any row whose diagonal the
-    zero rule counts as zero when |a| > 1); k >= n makes the form
-    identically zero.
+    with a < 0 is PowerLog: at k = 1 the pivot's closed O(n) law at a0 = 0
+    (test_stat_tail), as A^T B A is that form; at k >= 3 read from the
+    structured form (the couplings of the last k rows, and of any row whose
+    diagonal the zero rule counts as zero when |a| > 1); k >= n makes the
+    form identically zero.
     """
     a = float(a)
     alpha = float(alpha)
@@ -273,7 +274,9 @@ def ar1_upper_tail(a, n, k, alpha):
         # at a = 0, k = 0 every power sum is 1 and the lead 0^0 = 1
         return _power_half_sum(law, abs(a), k * alpha / 2.0,
                                power_sums(a * a, n - k))
-    # odd lag, a < 0: diagonal entries vanish on the last k rows
+    if k == 1:  # A^T B A is the pivot form at a0 = 0
+        return test_stat_tail(a, 0.0, n, alpha)
+    # odd lag k >= 3, a < 0: no closed sum over the |i - j| < k band
     return tail_law(autocov_form(model, k), alpha)
 
 

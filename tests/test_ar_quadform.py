@@ -395,3 +395,13 @@ def test_ar_form_past_the_path_is_zero_however_large_psi(theta):
     assert np.array_equal(autocov_matrix(model, n + 4).entries, np.zeros((n, n)))
     with pytest.raises(ValueError, match="need finite entries"):
         ar_quadform.autocov_form(model, n - 1)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_ar_form_overflow_bound_is_the_dense_error():
+    # psi = (1, 1e150, 1e300) is finite but C_00 = |A e_0|^2 is not: the
+    # Cauchy-Schwarz bound raises where the dense builder does
+    model = ArModel((1e150,), 3)
+    for build in (autocov_matrix, ar_quadform.autocov_form):
+        with pytest.raises(ValueError, match="^need finite entries$"):
+            build(model, 0)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import heavytail.cli
 import heavytail.monte_carlo
+from heavytail._text import fmt
 from heavytail.ar_quadform import ArModel, autocov_matrix
 from heavytail.cli import main
 from heavytail.monte_carlo import McConfig, run_tail_experiment
@@ -565,7 +566,11 @@ def test_non_finite_range_or_reference_is_one_line_error(capsys, argv, message):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("alpha, u, answer", [(100.0, 1e-250, True), (1.5, 1e-320, False)])
+@pytest.mark.parametrize("alpha, u, answer", [
+    (100.0, 1e-250, True),
+    (1.5, 1e-320, True),  # survival is its leading term there
+    (3.0, 1e-310, False),  # the incomplete beta function returns 0 there
+])
 def test_dist_with_tiny_u_ends(capsys, alpha, u, answer):
     # an infinite first-order quantile made upper_quantile halve inf forever
     assert math.isfinite(quantile_tail(make_law(alpha), u))
@@ -573,10 +578,31 @@ def test_dist_with_tiny_u_ends(capsys, alpha, u, answer):
     assert "inf" not in out
     if answer:
         assert (code, err) == (0, "")
-        assert math.isfinite(float(out.split("upper_quantile=")[1].split()[0]))
+        q = float(out.split("upper_quantile=")[1].split()[0])
+        # the first-order quantile is off by O(u^(2/alpha)) relative
+        assert q == pytest.approx(quantile_tail(make_law(alpha), u), rel=1e-5)
     else:
         assert code == 1
         assert err == "error: survival underflows a double before it reaches u=%r\n" % u
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("calibrate --alpha 1.5 --a-min 0.8 --a-max 0.6 --steps 3 --replicas 100",
+     "need a_min < a_max"),
+    ("calibrate --alpha 1.5 --a-min 0.6 --a-max 0.8 --steps 1 --replicas 100",
+     "need steps >= 2"),
+    ("regions --steps 1", "need steps >= 2"),
+])
+def test_bad_grid_is_one_line_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 1
+    assert err == "error: %s\n" % message
+    assert all(line.startswith("# config ") for line in out.splitlines())
+
+
+def test_fmt_prints_a_bool_as_its_int():
+    assert (fmt(True), fmt(False), fmt(None), fmt(3), fmt(0.1)) == (
+        "1", "0", "none", "3", "0.10000000000000001")
 
 
 def test_mc_config_grid_defaults_are_the_simulate_thresholds(capsys):

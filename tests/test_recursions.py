@@ -1,8 +1,9 @@
-"""The AR recursion three ways: the path kernel (step by step for short
-paths and for order p >= 3, a doubling scan for long AR(1)/AR(2) paths)
-against the matrix action A eps, the O(n^2 p) form builders against the
-dense products A^T B^k A, and the Monte Carlo path reductions against
-eps^T C eps.
+"""One AR filter and what is built on it.  Its step kernel runs bottom up
+in the O(n^2 p) form builders, checked against the dense products
+A^T B^k A, and top down in the path kernel X = A eps (with a doubling scan
+for long AR(1)/AR(2) paths), checked against the matrix action A eps and,
+bit for bit, against a plain step loop.  The Monte Carlo path reductions
+are checked against eps^T C eps.
 
 Bounds are relative to the scale each computation rounds at (absolute
 values throughout), times the growth G of the companion powers M^s: the
@@ -101,6 +102,53 @@ def test_ar_paths_leave_the_input_and_read_any_layout(n):
     assert x.flags.c_contiguous and x.shape == (n, 6)
     assert np.array_equal(x, ar_paths((0.6, -0.2), np.ascontiguousarray(eps.T)))
     assert np.array_equal(ar_paths((0.0,), eps.T), eps.T)
+
+
+def plain_step_paths(theta, eps):
+    """X = A eps by a plain step loop over whole time slices: X[t] = eps[t] +
+    theta_1 X[t-1] + ... + theta_p X[t-p], left to right, zero coefficients
+    skipped and unit ones adding their slice as it is."""
+    eps = np.asarray(eps, dtype=float)
+    x = np.empty(eps.shape)
+    step = np.empty((1,) + eps.shape[1:])
+    for t in range(eps.shape[0]):
+        row, acc = x[t:t + 1], eps[t:t + 1]
+        for i, c in enumerate(theta[:t], start=1):
+            if c != 0.0:
+                prev = x[t - i:t - i + 1]
+                if c != 1.0:
+                    prev = np.multiply(prev, c, out=step)
+                np.add(acc, prev, out=row)
+                acc = row
+        if acc is not row:
+            np.copyto(row, acc)
+    return x
+
+
+@pytest.mark.parametrize("theta", [
+    (0.0,), (1.0,), (-1.0,), (0.7,), (1.0, 0.0), (0.0, -1.0), (0.6, -0.2), (-1.0, 1.0),
+    (1.0, 0.0, -0.3), (0.2, 1.0, -1.0), (0.0, 0.0, 0.7, 1.0), (-0.4, 0.3, 0.0, -1.0),
+])
+def test_ar_paths_have_the_plain_step_loops_bits(theta):
+    # the step branch (n <= 32, and p >= 3 at any n) must keep the operation
+    # order: equal values, signs of zero and inf/nan positions.  A nan's own
+    # sign is left out: numpy's in-place add of a single element returns its
+    # second operand's nan
+    rng = np.random.default_rng(len(theta))
+    for n in [1, 2, 5, 17, 32] + ([45] if len(theta) == 3 else []):
+        block = rng.standard_t(1.5, size=(n, 5)) * 10.0 ** rng.integers(-3, 4, size=(n, 5))
+        block[0, 1], block[-1, 2] = -0.0, 1e300
+        special = block.copy()
+        special.ravel()[rng.permutation(special.size)[:3]] = [np.inf, -np.inf, np.nan]
+        for eps in (block, special, block[:, 0], special[:, 3], np.asfortranarray(special)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                got, want = ar_paths(theta, eps), plain_step_paths(theta, eps)
+            nan = np.isnan(want)
+            assert got.shape == want.shape and got.flags.c_contiguous
+            assert np.array_equal(np.isnan(got), nan)
+            assert np.array_equal(np.isinf(got), np.isinf(want))
+            assert np.array_equal(got[~nan], want[~nan])
+            assert np.array_equal(np.signbit(got[~nan]), np.signbit(want[~nan]))
 
 
 def _assert_form_close(got, want, scale, growth):

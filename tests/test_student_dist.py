@@ -94,17 +94,24 @@ def test_survival_no_cancellation_far_out():
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_density_and_survival_past_the_square_of_a_double():
-    # x * x overflows past |x| ~ 1.34e154 (x * x / alpha sooner at alpha < 1);
-    # both stay positive, decreasing and on their first-order laws across it
-    x = np.geomspace(1e150, 1e156, 61)
-    law = make_law(1.5)
-    s = survival(law, x)
-    assert np.all(s > 0.0) and np.all(np.diff(s) < 0.0)
-    assert s == pytest.approx(tail_constant(law) * x ** -1.5, rel=1e-9)
+    # y = alpha / (alpha + x^2) is subnormal past |x| ~ 1e154 and 0 once x * x
+    # overflows; both stay positive, decreasing and on their first-order laws
+    # until the value itself leaves the normal doubles
+    x = np.geomspace(1e150, 1e300, 151)
+    for alpha in (0.5, 1.5):
+        law = make_law(alpha)
+        s = survival(law, x)
+        want = tail_constant(law) * x ** -alpha
+        normal = want >= np.finfo(float).tiny
+        assert normal[0] and np.all(np.diff(s[normal]) < 0.0)
+        assert s[normal] == pytest.approx(want[normal], rel=1e-12, abs=0.0)
     law = make_law(0.5)
     d = density(law, x)
-    assert np.all(d > 0.0) and np.all(np.diff(d) < 0.0)
-    assert d == pytest.approx(law.k_s * (math.sqrt(0.5) / x) ** 1.5, rel=1e-9)
+    want = law.k_s * 0.5 ** 0.75 * x ** -1.5
+    normal = want >= np.finfo(float).tiny
+    assert normal[0] and np.all(np.diff(d[normal]) < 0.0)
+    assert d[normal] == pytest.approx(want[normal], rel=1e-12, abs=0.0)
+    assert survival(law, 1e300) == pytest.approx(3.2070097541422282e-151, rel=1e-12, abs=0.0)
     assert density(law, -1e155) == density(law, 1e155)
     assert survival(law, math.inf) == 0.0 and density(law, math.inf) == 0.0
 

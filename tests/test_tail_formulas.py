@@ -177,6 +177,21 @@ def test_ar1_lower_tail_matches_classifier_of_negated_form():
         ar1_lower_tail(0.3, 5, 1.0)
 
 
+def test_ar1_lower_tail_of_one_step_is_zero():
+    law = ar1_lower_tail(-0.5, 1, 1.5)
+    assert law.regime == ZERO
+    assert evaluate(law, 10.0) == 0.0
+    for t in (0.0, -1.0):
+        with pytest.raises(ValueError, match="^need t > 0$"):
+            evaluate(law, t)
+
+
+def test_zero_rows_without_coupling_are_sub_power():
+    dc, law = classify([[0.0, 0.0], [0.0, -1.0]], 1.5)
+    assert dc == DegeneracyClass("gt2", ())
+    assert law.regime == SUB_POWER and law.coef is None
+
+
 def test_stat_tail_power_half_matches_matrix():
     for a, a0 in ((1.0, 0.5), (0.8, 0.0), (1.2, 1.0)):
         for n in (5, 20):
@@ -567,6 +582,27 @@ def test_explosive_pivot_law_is_linear_in_n():
     assert law.regime == POWER_LOG
 
 
+@pytest.mark.parametrize("a", [-0.5, -0.9, -1.0, -1.01, -1.3, -1e-13, -2.5])
+def test_ar1_lag_1_below_zero_is_the_exact_pivot_law_at_zero(a):
+    # test_matrix(a, 0, n) is A^T B A, so the lag-1 law is the pivot's
+    for n in (2, 3, 10, 45):
+        for alpha in (0.5, 1.5, 3.0):
+            law = ar1_upper_tail(a, n, 1, alpha)
+            exact = exact_pivot_law(a, 0.0, n, alpha)
+            assert law.regime == exact.regime == POWER_LOG
+            assert law.coef == pytest.approx(exact.coef, rel=1e-12)
+
+
+def test_ar1_lag_1_below_zero_is_linear_in_n():
+    # read through the structured form's coupling pass, one O(n^2) pass per
+    # chunk of zero-counted rows, this took seconds at n = 6000
+    start = time.perf_counter()
+    law = ar1_upper_tail(-1.01, 20000, 1, 1.5)
+    assert time.perf_counter() - start < 1.0
+    assert law == stat_tail(-1.01, 0.0, 20000, 1.5)
+    assert law.regime == POWER_LOG
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("args", [
     (-3.0, 0.5, 200, 4.0),
@@ -630,8 +666,9 @@ def test_ar_statistics_allocate_no_dense_form(call):
     (ArModel((0.7,), 30), None, 0.7),      # pivot, PowerLog at a0
     (ArModel((0.5,), 40), 1, None),        # AR(1) lag, PowerHalf
     (ArModel((0.0,), 40), 3, None),        # AR(1) lag, white noise
-    (ArModel((-0.6,), 40), 1, None),       # AR(1) odd lag, the classifier
+    (ArModel((-0.6,), 40), 1, None),       # AR(1) lag 1 below 0, the pivot law
     (ArModel((0.5, -0.3), 40), 1, None),   # AR(2) lag, the classifier
+    (ArModel((-0.6,), 40), 3, None),       # AR(1) odd lag k >= 3, the classifier
 ])
 def test_statistic_tail_coef_is_a_python_float(model, k, a0):
     # a numpy scalar prints as np.float64(...) under %r
