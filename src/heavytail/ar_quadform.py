@@ -24,11 +24,12 @@ zero (couplings, in chunks of rows), and whether the form is identically
 zero (is_zero).  QuadForm answers from its dense matrix, which the
 classifier also reads when every diagonal entry is negative.  ArForm
 (autocov_form) answers for a lag from psi, its diagonal in O(n) and its
-couplings holding p rows and one chunk of at most COUPLING_ENTRIES
-couplings (the last k rows); it never allocates n x n, and never has an
-all-negative diagonal, as its last diagonal entry is zero.  The pivot's
-law needs no form (see test_stat_tail).  matrix and calibrate are the only
-commands that build a dense form.
+couplings in chunks of at most COUPLING_ENTRIES entries, last chunk first,
+from one bottom-up pass of the recursion and a solve on each chunk's
+columns; it holds p rows and at most two chunk-sized arrays, never n x n,
+and never has an all-negative diagonal, as its last diagonal entry is
+zero.  The pivot's law needs no form (see test_stat_tail).  matrix and
+calibrate are the only commands that build a dense form.
 """
 
 import math
@@ -256,12 +257,13 @@ class ArForm:
     array.
 
     The diagonal is O(n), lag_sums, and can differ from the dense one in
-    the last digits.  Rows of C, for the couplings, come from the dense
-    builder's _recursion fed one copied row of Y = B^k A at a time
-    (_y_view), so every coupling has its bits (as long as psi has no
-    subnormal entry, which is flushed to zero).  Rows i >= _bottom (the last
-    k rows) have vanishing column entries C_ji, so their couplings are rows
-    of C alone.  Construction checks the Cauchy-Schwarz bound
+    the last digits.  The couplings take rows of C from one pass of the
+    dense builder's _recursion fed copied rows of Y = B^k A (_y_view)
+    bottom up, and columns from its _solve_form on columns of Y, so every
+    coupling has its bits (as long as psi has no subnormal entry, which is
+    flushed to zero).  Rows i >= _bottom (the last k rows) have vanishing
+    column entries C_ji, so their couplings are rows of C alone.
+    Construction checks the Cauchy-Schwarz bound
     |C_ij| <= |A e_i| |B^k A e_j|, grown by what the recursion's partial
     sums can reach, and raises the dense form's "need finite entries" where
     it overflows a double: on every form the dense builder rejects, and on
@@ -310,38 +312,29 @@ class ArForm:
         max(1, max |C_ii|): every other form has C_{n-1, n-1-k} = psi_0^2 = 1."""
         return self._bottom == 0
 
-    def _rows(self, lo):
-        """Rows r = n - 1, ..., lo of C, bottom up, each made in a copy of
-        row r of Y = B^k A."""
-        return _recursion(self.model.theta, (
-            (r, self._y[r].copy()) for r in range(self.n - 1, lo - 1, -1)))
-
     def couplings(self, rows):
-        """(indices, chunk) pairs covering the ascending indices rows in
-        order: each chunk holds the rows i of C + C^T on its indices, with
-        the entry (i, i) counted as zero, in at most COUPLING_ENTRIES
-        entries, with the bits of the dense QuadForm's chunk."""
+        """(indices, chunk) pairs covering the ascending indices rows, last
+        chunk first: each chunk holds the rows i of C + C^T on its indices,
+        with the entry (i, i) counted as zero, in at most COUPLING_ENTRIES
+        entries, with the bits of the dense QuadForm's chunk.  One bottom-up
+        pass, shared by every chunk, hands each chunk its rows of C as it
+        reaches them; rows before _bottom add their columns A^T Y e_i, solved
+        on those columns of Y alone (n steps per chunk).  At most two
+        chunk-sized arrays are live at once."""
         rows = np.asarray(rows)
+        theta = self.model.theta
         step = max(1, COUPLING_ENTRIES // self.n)
-        for start in range(0, rows.size, step):
+        passed = _recursion(theta, ((r, self._y[r].copy())
+                                    for r in range(self.n - 1, -1, -1)))
+        for start in reversed(range(0, rows.size, step)):
             at = rows[start:start + step]
-            yield at, self._coupling_chunk(at)
-
-    def _coupling_chunk(self, at):
-        """One pass down to at[0] fills the rows of C on at; rows before
-        _bottom also need their columns, so the pass then runs on to row 0 and
-        adds each row's entries on them.  Each entry gets its two nonzero
-        terms added to 0.0, so it is C_ij + C_ji to the bit."""
-        out = np.zeros((len(at), self.n))
-        slot = np.full(self.n, -1)
-        slot[at] = np.arange(len(at))
-        inner = at[at < self._bottom]  # a prefix of at
-        for r, row in self._rows(0 if inner.size else int(at[0])):
-            if slot[r] >= 0:
-                out[slot[r]] += row
+            out = np.empty((at.size, self.n))
+            for s in range(at.size - 1, -1, -1):
+                out[s] = next(row for r, row in passed if r == at[s])
+            inner = at[at < self._bottom]  # a prefix of at
             if inner.size:
-                out[:inner.size, r] += row[inner]
-        return _zero_diagonal(out, at)
+                out[:inner.size] += _solve_form(theta, self._y[:, inner]).T
+            yield at, _zero_diagonal(out, at)
 
 
 def _zero_diagonal(chunk, rows):

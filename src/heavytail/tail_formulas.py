@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ar_quadform import (ArForm, ArModel, QuadForm, autocov_form, check_a0,
-                          check_statistic, pivot_diagonal, power_sums)
+                          check_statistic, pivot_diagonal, power_sum, power_sums)
 from .student_dist import make_law, tail_constant
 
 POWER_HALF = "PowerHalf"
@@ -274,7 +274,9 @@ def ar1_upper_tail(a, n, k, alpha):
         # at a = 0, k = 0 every power sum is 1 and the lead 0^0 = 1
         return _power_half_sum(law, abs(a), k * alpha / 2.0,
                                power_sums(a * a, n - k))
-    if k == 1:  # A^T B A is the pivot form at a0 = 0
+    if k == 1:  # A^T B A is the pivot form at a0 = 0; its overflow names lag 1
+        if not np.isfinite(a * power_sum(a * a, n - 1)):
+            raise OverflowError("lag-1 form overflows a double at a=%r, n=%d" % (a, n))
         return test_stat_tail(a, 0.0, n, alpha)
     # odd lag k >= 3, a < 0: no closed sum over the |i - j| < k band
     return tail_law(autocov_form(model, k), alpha)

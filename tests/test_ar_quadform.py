@@ -303,8 +303,10 @@ def subnormal_free(model):
 @settings(max_examples=150, deadline=None)
 def test_ar_form_reads_have_the_dense_bits(theta, n, data):
     # where psi stays normal the structured couplings are the dense ones bit
-    # for bit, in chunks of a few rows (a tiny COUPLING_ENTRIES) as in one;
-    # the diagonal, a prefix sum, is held to the exact one below
+    # for bit (sign of zero included), in chunks of a few rows (a tiny
+    # COUPLING_ENTRIES) as in one; the chunks come bottom up, so they are
+    # compared after sorting by index.  The diagonal, a prefix sum, is held
+    # to the exact one below
     model = ArModel(theta, n)
     k = data.draw(st.integers(0, n + 1), label="k")
     try:
@@ -327,10 +329,46 @@ def test_ar_form_reads_have_the_dense_bits(theta, n, data):
     step = data.draw(st.sampled_from([1, 3, 10 ** 6]), label="rows per chunk")
     with mock.patch.object(ar_quadform, "COUPLING_ENTRIES", step * n):
         chunks = list(form.couplings(rows))
-    assert np.array_equal(np.concatenate([c[0] for c in chunks]), at)
-    got = np.concatenate([c[1] for c in chunks])
+    assert all(c[1].size <= step * n for c in chunks)
+    # disjoint, bottom up: each chunk's indices lie below the previous one's
+    assert all(c[0][-1] < prev[0][0] for prev, c in zip(chunks, chunks[1:]))
+    got_at = np.concatenate([c[0] for c in chunks])
+    order = np.argsort(got_at)
+    assert np.array_equal(got_at[order], at)
+    got = np.concatenate([c[1] for c in chunks])[order]
     assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
     assert form.is_zero(1e-12) == (k >= n)
+
+
+def test_ar_form_couplings_take_one_row_pass():
+    # an explosive odd lag counts most rows as zero; every chunk of their
+    # couplings reads its rows from one shared bottom-up pass and solves
+    # only its own columns, where each chunk once ran its own O(n^2) pass
+    n, k = 600, 3
+    form = ar_quadform.autocov_form(ArModel((-1.1,), n), k)
+    rows = np.flatnonzero(_diag_signs(form.diagonal())[1])
+    fed = []
+    recursion = ar_quadform._recursion
+
+    def counted(given):
+        for r, row in given:
+            fed.append(row.size)
+            yield r, row
+
+    def spy(theta, given):
+        return recursion(theta, counted(given))
+
+    step = 5
+    with mock.patch.object(ar_quadform, "COUPLING_ENTRIES", step * n), \
+            mock.patch.object(ar_quadform, "_recursion", spy):
+        chunks = list(form.couplings(rows))
+    assert len(chunks) > 50
+    # one n x n row pass, plus an n x (its rows) column solve per chunk
+    assert sum(fed) <= n * n + n * rows.size
+    want = np.concatenate([c for _, c in autocov_matrix(ArModel((-1.1,), n), k)
+                           .couplings(rows)])
+    assert np.array_equal(np.concatenate([c for _, c in chunks[::-1]]), want)
 
 
 # The exact reference: every double is a dyadic rational, so the AR

@@ -193,6 +193,17 @@ def test_overflowed_coefficient_is_one_line_error(capsys, argv, regime):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("cmd, extra", [("tail", ()), ("simulate", ("--replicas", "100"))])
+def test_lag_1_below_zero_overflow_names_the_lag_1_form(capsys, cmd, extra):
+    # lag 1 with a < 0 reads the pivot's law at a0 = 0, but its error names
+    # the statistic asked for; the pivot keeps its own name (calibrate)
+    code, _, err = run(capsys, cmd, "--alpha", "1.5", "--a=-1.5", "--n", "2000",
+                       "--k", "1", *extra)
+    assert code == 1
+    assert err == "error: lag-1 form overflows a double at a=-1.5, n=2000\n"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_subnormal_alpha_is_innovation_overflow(capsys):
     code, _, err = run(capsys, "simulate", "--alpha", "1e-320", "--a", "0.5",
                        "--n", "10", "--replicas", "1000", "--points", "3")
@@ -378,7 +389,7 @@ def test_dist_past_the_square_of_a_double_warns_nothing(capsys):
     assert (code, err) == (0, "")
     fields = dict(ln.split("=", 1) for ln in out.splitlines() if not ln.startswith("#"))
     assert float(fields["survival"]) == pytest.approx(0.37708524320162495 * 1e155 ** -1.5,
-                                                      rel=1e-10)
+                                                      rel=1e-10, abs=0.0)
 
 
 def test_regions_command_to_file(tmp_path, capsys):

@@ -435,7 +435,7 @@ def same_law(got, want):
     if want.coef is None:
         assert got.coef is None
     else:
-        assert got.coef == pytest.approx(want.coef, rel=1e-12)
+        assert got.coef == pytest.approx(want.coef, rel=1e-12, abs=0.0)
 
 
 def law_or_error(build, alpha):
