@@ -1,9 +1,9 @@
 """Finite-sample tail approximations for empirical autocovariances and test
 statistics of AR processes with heavy-tailed (Student-like) innovations."""
 
-from .ar_quadform import (ArForm, ArModel, QuadForm, ar_paths, autocov_form,
-                          autocov_matrix, build_a, empirical_autocov,
-                          power_sum, shift_pow, simulate_path, test_matrix)
+from .ar_quadform import (ArForm, ArModel, QuadForm, ar_paths, autocov_matrix,
+                          build_a, empirical_autocov, power_sum,
+                          simulate_path, test_matrix)
 from .ar2_regions import (a_col, closed_form_diag, diag_seq, region_grid,
                           region_membership, stability_check,
                           stable_tail_class, theorem_region_test)

@@ -23,13 +23,13 @@ the rows of C + C^T on given indices with their diagonal entry counted as
 zero (couplings, in chunks of rows), and whether the form is identically
 zero (is_zero).  QuadForm answers from its dense matrix, which the
 classifier also reads when every diagonal entry is negative.  ArForm
-(autocov_form) answers for a lag from psi, its diagonal in O(n) and its
-couplings in chunks of at most COUPLING_ENTRIES entries, last chunk first,
-from one bottom-up pass of the recursion and a solve on each chunk's
-columns; it holds p rows and at most two chunk-sized arrays, never n x n,
-and never has an all-negative diagonal, as its last diagonal entry is
-zero.  The pivot's law needs no form (see test_stat_tail).  matrix and
-calibrate are the only commands that build a dense form.
+answers for a lag from psi, its diagonal in O(n) and its couplings in
+chunks of at most COUPLING_ENTRIES entries, last chunk first, from one
+bottom-up pass of the recursion and a solve on each chunk's columns; it
+holds p rows and at most two chunk-sized arrays, never n x n, and never
+has an all-negative diagonal, as its last diagonal entry is zero.  The
+pivot's law needs no form (see test_stat_tail).  matrix and calibrate are
+the only commands that build a dense form.
 """
 
 import math
@@ -128,9 +128,9 @@ class QuadForm:
 # entries per chunk of zero-row couplings an ArForm hands the classifier
 COUPLING_ENTRIES = 1 << 20
 
-# longest AR(1)/AR(2) path ar_paths runs step by step.  Per Monte Carlo block
-# the steps stay cheaper than the doubling scan up to n of about 200, but
-# the two round differently, so moving this moves simulate's bytes
+# longest AR(1) path ar_paths runs step by step.  Per Monte Carlo block the
+# steps stay cheaper than the doubling scan up to n of about 200, but the
+# two round differently, so moving this moves simulate's bytes
 SEQUENTIAL_MAX_N = 32
 
 
@@ -142,7 +142,7 @@ def _impulse_response(model):
     summed left to right from 0.0 with zero coefficients skipped.  That
     order fixes the bits of every form built from psi (inf and nan
     included): they are those of A accumulated row by row, which ar_paths,
-    with its doubling scan, does not reproduce."""
+    with its AR(1) doubling scan, does not reproduce."""
     theta = model.theta
     psi = [1.0]
     for r in range(1, model.n):
@@ -186,15 +186,6 @@ def build_a(model):
     """Unit lower triangular A with X = A eps for every innovation vector:
     the Toeplitz matrix A[r, s] = psi_{r-s} (zero above the diagonal)."""
     return _y_view(_impulse_response(model), 0).copy()
-
-
-def shift_pow(n, k):
-    """k-th power of the lag-1 shift: ones at (i, i-k), zeros elsewhere."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if k < 0:
-        raise ValueError("need k >= 0")
-    return np.eye(n, k=-k)
 
 
 def _recursion(theta, rows):
@@ -252,9 +243,9 @@ def test_matrix(a, a0, n):
 
 
 class ArForm:
-    """Structured form C = A^T B^k A of the lag-k autocovariance
-    (autocov_form), read from the impulse response psi without an n x n
-    array.
+    """Structured form C = A^T B^k A of the lag-k autocovariance, read from
+    the impulse response psi without an n x n array: the classifier's reads
+    of autocov_matrix.
 
     The diagonal is O(n), lag_sums, and can differ from the dense one in
     the last digits.  The couplings take rows of C from one pass of the
@@ -343,12 +334,6 @@ def _zero_diagonal(chunk, rows):
     return chunk
 
 
-def autocov_form(model, k):
-    """ArForm of C = A^T B^k A: the classifier's reads of autocov_matrix
-    without its n x n array."""
-    return ArForm(model, k)
-
-
 def power_sums(x, m):
     """Prefix geometric sums [power_sum(x, 1), ..., power_sum(x, m)] in one
     pass of the same Horner recurrence p_j = p_{j-1} x + 1, so every entry
@@ -400,50 +385,27 @@ def ar_paths(theta, eps):
     """AR paths X = A eps of a time-major innovation block eps, shape (n, ...),
     as a new C-contiguous array.
 
-    Paths of at most SEQUENTIAL_MAX_N steps, and every path of order p >= 3,
-    run the form recursion _solve_form top down, X[t] = eps[t] + theta_1
-    X[t-1] + ... + theta_p X[t-p], each step one elementwise update of a
-    whole time slice.  Longer AR(1)/AR(2) paths use a Hillis-Steele doubling
-    scan on the companion state z[t] = (x[t], ..., x[t-p+1]) with companion
-    matrix M: z[t] starts at (eps[t], 0, ..., 0), and the pass with stride
-    s = 1, 2, 4, ... adds M^s z[t-s], after which z[t] sums the innovations
-    eps[t-2s+1..t].
-    Elementwise numpy only, O(n log n p^2) per column.  The scan is kept to
-    p <= 2: near a repeated root of order >= 3 the companion powers grow
-    polynomially and the scan loses digits the step recursion keeps.
+    The form recursion _solve_form runs top down, X[t] = eps[t] + theta_1
+    X[t-1] + ... + theta_p X[t-p], one elementwise update of a whole time
+    slice per step.  An AR(1) path longer than SEQUENTIAL_MAX_N takes a
+    Hillis-Steele doubling scan instead, O(n log n) per column: the pass with
+    stride s = 1, 2, 4, ... adds a^s x[t-s] to x[t], until a^s is 0.
     Explosive models may overflow to inf or nan; callers check finiteness.
     """
     theta = [float(t) for t in theta]
-    p = len(theta)
     x = np.array(eps, dtype=float, order="C")
     n = x.shape[0]
-    if n <= SEQUENTIAL_MAX_N or p > 2:
+    if len(theta) > 1 or n <= SEQUENTIAL_MAX_N:
         # rows as 2-D views, so that a 1-D eps is written in place too
         _solve_form(theta, x.reshape(n, math.prod(x.shape[1:]))[::-1])
         return x
-    z = [x] + [np.zeros(x.shape) for _ in range(p - 1)]
-    updates = [np.empty(x.shape) for _ in range(p)]
-    power = [theta] + [[float(j == i - 1) for j in range(p)] for i in range(1, p)]
-    s = 1
-    while s < n:
-        m = n - s
-        # every update reads z before this pass changes it
-        live = []
-        for row, update in zip(power, updates):
-            terms = [(c, zj[:m]) for c, zj in zip(row, z) if c != 0.0]
-            if terms:
-                (c, src), rest = terms[0], terms[1:]
-                np.multiply(src, c, out=update[:m])
-                for c, src in rest:
-                    update[:m] += c * src
-            live.append(bool(terms))
-        for zi, update, add in zip(z, updates, live):
-            if add:
-                np.add(zi[s:], update[:m], out=zi[s:])
-        power = [[sum(row[q] * power[q][j] for q in range(p)) for j in range(p)]
-                 for row in power]
-        s *= 2
-    return z[0]
+    update = np.empty(x.shape)
+    c, s = theta[0], 1
+    while s < n and c != 0.0:
+        # the update reads x[:n - s] before this pass changes it
+        np.add(x[s:], np.multiply(x[:n - s], c, out=update[:n - s]), out=x[s:])
+        c, s = c * c, 2 * s
+    return x
 
 
 def simulate_path(model, eps):

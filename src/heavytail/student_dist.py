@@ -84,16 +84,39 @@ def survival(law, x):
     For x >= 0 the tail equals I_y(alpha/2, 1/2) / 2 with y = alpha/(alpha+x^2)
     and I the regularized incomplete beta function; x < 0 goes through symmetry.
     Where y is subnormal or 0, I_y / 2 is its leading term k_s t^alpha /
-    sqrt(alpha) (_ratio), good to a relative O(y) below 1e-300.
+    sqrt(alpha) (_ratio), good to a relative O(y) below 1e-300.  Below the
+    normal doubles, where betainc flushes to 0, I_y / 2 is a series sum.
     """
     from scipy import special
 
     x = np.asarray(x, dtype=float)
     y, far, t = _ratio(law, x)
-    half_tail = np.where(far, law.k_s / math.sqrt(law.alpha) * t ** law.alpha,
-                         0.5 * special.betainc(law.alpha / 2.0, 0.5, y))
+    half = np.asarray(0.5 * special.betainc(law.alpha / 2.0, 0.5, y))
+    low = ~far & (half < np.finfo(float).tiny)
+    if np.any(low):
+        half[low] = _half_beta_series(law.alpha / 2.0, y[low])
+    half_tail = np.where(far, law.k_s / math.sqrt(law.alpha) * t ** law.alpha, half)
     out = np.where(x >= 0.0, half_tail, 1.0 - half_tail)
     return out if out.ndim else float(out)
+
+
+def _half_beta_series(a, y):
+    """I_y(a, 1/2) / 2 for 0 < y < 1 by its Pfaff-transformed series
+    (DLMF 8.17.8, 15.8.1), y^a (1 - y)^(-1/2) / (2 a B(a, 1/2)) times
+    sum_j (1/2)_j / (a + 1)_j z^j for z = y / (y - 1), the prefactor in log
+    space.  Where I_y underflows, a |log y| > ~690 bounds each term ratio
+    by (j + 1/2) / 690: the alternating sum ends in a few terms at any a,
+    within its first term left out (the series in y needs ~37 / (1 - y))."""
+    from scipy import special
+
+    z, total, term, j = y / (y - 1.0), 0.0, np.ones(y.shape), 0
+    while np.any(total + term != total):
+        total = total + term
+        term = term * z * ((0.5 + j) / (a + 1.0 + j))
+        j += 1
+    log_prefactor = (a * np.log(y) - 0.5 * np.log1p(-y) - math.log(2.0 * a)
+                     - special.betaln(a, 0.5))
+    return np.exp(log_prefactor + np.log(total))
 
 
 def cdf(law, x):

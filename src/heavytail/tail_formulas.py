@@ -38,8 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ar_quadform import (ArForm, ArModel, QuadForm, autocov_form, check_a0,
-                          check_statistic, pivot_diagonal, power_sum, power_sums)
+from .ar_quadform import (ArForm, ArModel, QuadForm, check_a0, check_statistic,
+                          pivot_diagonal, power_sum, power_sums)
 from .student_dist import make_law, tail_constant
 
 POWER_HALF = "PowerHalf"
@@ -279,7 +279,7 @@ def ar1_upper_tail(a, n, k, alpha):
             raise OverflowError("lag-1 form overflows a double at a=%r, n=%d" % (a, n))
         return test_stat_tail(a, 0.0, n, alpha)
     # odd lag k >= 3, a < 0: no closed sum over the |i - j| < k band
-    return tail_law(autocov_form(model, k), alpha)
+    return tail_law(ArForm(model, k), alpha)
 
 
 def ar1_lower_tail(a, n, alpha):
@@ -352,7 +352,7 @@ def statistic_tail(model, alpha, k=None, a0=None):
         return test_stat_tail(model.theta[0], a0, model.n, alpha)
     if model.p == 1:
         return ar1_upper_tail(model.theta[0], model.n, k, alpha)
-    return tail_law(autocov_form(model, k), alpha)
+    return tail_law(ArForm(model, k), alpha)
 
 
 def check_pivot_n(n):

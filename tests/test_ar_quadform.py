@@ -10,7 +10,7 @@ from heavytail import ar_quadform
 from heavytail.ar_quadform import (ArModel, QuadForm, ar1_offdiag_closed,
                                    autocov_matrix,
                                    build_a, check_statistic, empirical_autocov,
-                                   power_sum, shift_pow, simulate_path)
+                                   power_sum, simulate_path)
 from heavytail.ar_quadform import test_matrix as statistic_matrix
 from heavytail.tail_formulas import _diag_signs
 
@@ -26,18 +26,6 @@ def test_build_a_ar1_powers():
     for i in range(6):
         for j in range(i + 1):
             assert a[i, j] == pytest.approx(0.5 ** (i - j), rel=1e-15)
-
-
-def test_shift_pow_positions():
-    b = shift_pow(5, 2)
-    want = np.zeros((5, 5))
-    for i in range(2, 5):
-        want[i, i - 2] = 1.0
-    assert np.array_equal(b, want)
-    assert np.array_equal(shift_pow(5, 0), np.eye(5))
-    assert np.array_equal(shift_pow(5, 7), np.zeros((5, 5)))
-    with pytest.raises(ValueError):
-        shift_pow(5, -1)
 
 
 @given(p=st.integers(1, 3), n=st.integers(2, 50), k=st.integers(0, 3),
@@ -313,11 +301,11 @@ def test_ar_form_reads_have_the_dense_bits(theta, n, data):
         dense = autocov_matrix(model, k)
     except ValueError:
         with pytest.raises(ValueError, match="need finite entries"):
-            ar_quadform.autocov_form(model, k)
+            ar_quadform.ArForm(model, k)
         return
     assume(subnormal_free(model))
     try:
-        form = ar_quadform.autocov_form(model, k)
+        form = ar_quadform.ArForm(model, k)
     except ValueError:
         # the Cauchy-Schwarz bound overflows only next to a double's limit
         assert float(np.max(np.abs(dense.entries))) > 1e290
@@ -346,7 +334,7 @@ def test_ar_form_couplings_take_one_row_pass():
     # couplings reads its rows from one shared bottom-up pass and solves
     # only its own columns, where each chunk once ran its own O(n^2) pass
     n, k = 600, 3
-    form = ar_quadform.autocov_form(ArModel((-1.1,), n), k)
+    form = ar_quadform.ArForm(ArModel((-1.1,), n), k)
     rows = np.flatnonzero(_diag_signs(form.diagonal())[1])
     fed = []
     recursion = ar_quadform._recursion
@@ -409,7 +397,7 @@ def test_ar_form_diagonal_matches_the_exact_one(theta, n, data):
     # entries within that distance of the rule's threshold
     ks = range(n + 2) if data is None else [data.draw(st.integers(0, n + 1), label="k")]
     for k in ks:
-        got = ar_quadform.autocov_form(ArModel(theta, n), k).diagonal()
+        got = ar_quadform.ArForm(ArModel(theta, n), k).diagonal()
         exact = exact_lag_diagonal(theta, n, k)
         scale = max(1, max(abs(e) for e in exact))
         assert max(abs(Fraction(g) - e) for g, e in zip(got.tolist(), exact)) <= 1e-13 * scale
@@ -427,12 +415,12 @@ def test_ar_form_past_the_path_is_zero_however_large_psi(theta):
     # even where psi overflows a double
     n = 5
     model = ArModel(theta, n)
-    form = ar_quadform.autocov_form(model, n + 4)
+    form = ar_quadform.ArForm(model, n + 4)
     assert form.is_zero(1e-12)
     assert np.array_equal(form.diagonal(), np.zeros(n))
     assert np.array_equal(autocov_matrix(model, n + 4).entries, np.zeros((n, n)))
     with pytest.raises(ValueError, match="need finite entries"):
-        ar_quadform.autocov_form(model, n - 1)
+        ar_quadform.ArForm(model, n - 1)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -440,6 +428,6 @@ def test_ar_form_overflow_bound_is_the_dense_error():
     # psi = (1, 1e150, 1e300) is finite but C_00 = |A e_0|^2 is not: the
     # Cauchy-Schwarz bound raises where the dense builder does
     model = ArModel((1e150,), 3)
-    for build in (autocov_matrix, ar_quadform.autocov_form):
+    for build in (autocov_matrix, ar_quadform.ArForm):
         with pytest.raises(ValueError, match="^need finite entries$"):
             build(model, 0)

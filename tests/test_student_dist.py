@@ -93,6 +93,28 @@ def test_survival_no_cancellation_far_out():
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("alpha, x, want, rel", [
+    (3.0, 1e103, 1.1026577908435840927e-309, 2e-13),
+    (3.0, 3e103, 4.0839177438651262692e-311, 5e-13),  # its ulp is 1.2e-13 of it
+    (30.0, 1e11, 1.0364534652562066912e-309, 2e-13),
+    (300.0, 183.0, 4.1285600738871693351e-310, 2e-13),
+    # a |log y| ~ 710 here, so the rounding of y alone moves I_y by ~a eps
+    (1e6, 37.6, 1.7719135754473523261e-309, 1e-9),
+    (1e9, 37.6, 1.075349204126609306e-309, 1e-7),
+])
+def test_survival_below_the_normal_doubles(alpha, x, want, rel):
+    # betainc flushes all of these to 0; want is 50-digit mpmath betainc
+    assert survival(make_law(alpha), x) == pytest.approx(want, rel=rel, abs=0.0)
+
+
+def test_survival_decreases_across_the_normal_doubles_edge():
+    # betainc's normal results above 2.2e-308, the series below
+    s = survival(make_law(3.0), np.geomspace(3e102, 3e103, 101))
+    assert s[0] > np.finfo(float).tiny > s[-1] > 0.0
+    assert np.all(np.diff(s) < 0.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_density_and_survival_past_the_square_of_a_double():
     # y = alpha / (alpha + x^2) is subnormal past |x| ~ 1e154 and 0 once x * x
     # overflows; both stay positive, decreasing and on their first-order laws

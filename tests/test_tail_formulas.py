@@ -9,8 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from heavytail.ar2_regions import stable_tail_class
-from heavytail.ar_quadform import (ArModel, autocov_form, autocov_matrix,
-                                   power_sum, shift_pow)
+from heavytail.ar_quadform import ArForm, ArModel, autocov_matrix, power_sum
 from heavytail.ar_quadform import test_matrix as statistic_matrix
 from heavytail.student_dist import make_law
 from heavytail.tail_formulas import (ORDER_ONLY, POWER_HALF, POWER_LOG,
@@ -32,7 +31,7 @@ def test_classify_identity_matrix():
 
 
 def test_classify_shift_matrix():
-    dc, law = classify(shift_pow(10, 1), 1.0)
+    dc, law = classify(np.eye(10, k=-1), 1.0)
     assert dc.n_of_c == 2
     assert law.regime == POWER_LOG
     # 2 (n - k) couplings of unit size
@@ -156,7 +155,7 @@ def test_ar1_upper_tail_white_noise_lag_matches_dense_route():
                         (33, 7, 0.3), (1000, 1, 2.0)):
         law = ar1_upper_tail(0.0, n, k, alpha)
         assert law.regime == POWER_LOG
-        assert law.coef == tail_law(shift_pow(n, k), alpha).coef
+        assert law.coef == tail_law(np.eye(n, k=-k), alpha).coef
 
 
 def test_ar1_upper_tail_zero_beyond_path_length():
@@ -424,7 +423,7 @@ def test_tail_law_rejects_an_overflowing_coefficient():
         ar1_upper_tail(3.0, 400, 1, 1.5)
 
 
-# The classifier reads an ArForm (autocov_form) through the same three reads
+# The classifier reads an ArForm through the same three reads
 # as a dense QuadForm, without the n x n array; it must come to the same law.
 
 def same_law(got, want):
@@ -459,7 +458,7 @@ def test_structured_form_classifies_like_dense(theta, n, alpha, data):
     ks = range(n + 2) if data is None else [data.draw(st.integers(0, n + 1), label="k")]
     for k in ks:
         dense = law_or_error(lambda: autocov_matrix(model, k), alpha)
-        structured = law_or_error(lambda: autocov_form(model, k), alpha)
+        structured = law_or_error(lambda: ArForm(model, k), alpha)
         if isinstance(dense, ValueError):
             assert str(structured) == str(dense)
         elif isinstance(structured, ValueError):
@@ -475,7 +474,7 @@ def test_d_k_crossing_zero_reads_an_interior_zero_row(a):
     # b = -1 - a^2 puts d_2 = a (a^2 + b + 1) at zero by cancellation: the
     # interior row n - 3 counts as zero and its couplings are read too
     model = ArModel((a, -1.0 - a * a), 40)
-    form = autocov_form(model, 1)
+    form = ArForm(model, 1)
     diag = form.diagonal()
     assert abs(diag[-3]) <= 1e-12 * max(1.0, float(np.max(np.abs(diag))))
     dense_dc, dense = classify(autocov_matrix(model, 1), 1.5)
@@ -642,7 +641,7 @@ def test_zero_counted_diagonal_term_is_left_out():
 
 
 @pytest.mark.parametrize("call", [
-    lambda n: tail_law(autocov_form(ArModel((0.5, -0.3), n), 2), 1.5),
+    lambda n: tail_law(ArForm(ArModel((0.5, -0.3), n), 2), 1.5),
     lambda n: ar1_upper_tail(-0.6, n, 3, 1.5),
     lambda n: stat_tail(0.2, 0.5, n, 1.0),
     lambda n: stat_tail(-1.01, 0.0, n, 1.5),
@@ -688,7 +687,7 @@ def test_statistic_tail_takes_each_route_to_its_direct_call():
     # an AR(2) lag goes to the classifier on the structured form, b = 0 included
     for theta, k in (((0.5, -0.3), 1), ((-0.8, -0.3), 2), ((0.5, 0.0), 1), ((-0.5, 0.0), 1)):
         model = ArModel(theta, 40)
-        assert statistic_tail(model, alpha, k=k) == tail_law(autocov_form(model, k), alpha)
+        assert statistic_tail(model, alpha, k=k) == tail_law(ArForm(model, k), alpha)
     for k, a0 in ((None, None), (1, 0.5)):
         with pytest.raises(ValueError, match="need exactly one of lag k and reference a0"):
             statistic_tail(ArModel((0.5,), 10), alpha, k=k, a0=a0)
