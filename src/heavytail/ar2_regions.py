@@ -20,14 +20,13 @@ theorem's coverage condition, the stability triangle, and the tail
 classification on the stable region.
 
 Membership, stability and the coverage condition are array kernels
-(first_covering_k, stable_mask, theorem_region_mask); the scalar tests
-region_membership, stability_check and theorem_region_test are their
-one-point case.  region_grid scans the whole lattice at once: one
-recursion step over k for every still-uncovered point, in the operation
-order of the one-point recursion, so the columns (and the CSV bytes) are
-those of a point-by-point scan.  It returns them as a RegionScan, which
-write_region_csv writes straight to text, deriving each point's regime
-from its first covering k.
+(first_covering_k, stable_mask, theorem_region_mask); the scalar
+region_membership is the first one's one-point case.  region_grid scans
+the whole lattice at once: one recursion step over k for every
+still-uncovered point, in the operation order of the one-point recursion,
+so the columns (and the CSV bytes) are those of a point-by-point scan.
+It returns them as a RegionScan, which write_region_csv writes straight
+to text, deriving each point's regime from its first covering k.
 """
 
 import math
@@ -171,18 +170,8 @@ def closed_form_diag(r, phi, k):
 
 
 def theorem_region_mask(a, b):
-    """Array kernel of theorem_region_test: a > 0, or b < -a^2 - 1, or
-    b < min(-a^2/4, a - 1), elementwise over arrays a, b."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    with np.errstate(over="ignore"):  # -a * a = -inf compares as it should
-        return ((a > 0.0) | (b < -a * a - 1.0)
-                | (b < np.minimum(-a * a / 4.0, a - 1.0)))
-
-
-def theorem_region_test(a, b):
-    """True when (a, b) meets the theorem's condition: a > 0, or a <= 0
-    with b < -a^2 - 1, or a <= 0 with b < min(-a^2/4, a - 1).
+    """The theorem's condition, elementwise over arrays a, b: a > 0, or
+    a <= 0 with b < -a^2 - 1, or a <= 0 with b < min(-a^2/4, a - 1).
 
     Coverage is proven for a > 0 at k = 2 (d_1 = a) and for a < 0 with
     b < -a^2 - 1 at k = 3 (d_2 = a (a^2 + b + 1)); on a = 0 every d_k
@@ -190,12 +179,16 @@ def theorem_region_test(a, b):
     no k covers (b = -a^2 for a < -(1 + sqrt 5)/2, as at (-2, -4), and
     b = -a^2/2, as at (-3, -4.5)); near them and b = a - 1 the first
     covering k is unbounded."""
-    return bool(theorem_region_mask(float(a), float(b)))
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    with np.errstate(over="ignore"):  # -a * a = -inf compares as it should
+        return ((a > 0.0) | (b < -a * a - 1.0)
+                | (b < np.minimum(-a * a / 4.0, a - 1.0)))
 
 
 def stable_mask(a, b):
-    """Array kernel of stability_check: both roots (a +- sqrt(a^2 + 4 b)) / 2
-    of z^2 - a z - b strictly inside the unit disk, elementwise."""
+    """Both roots (a +- sqrt(a^2 + 4 b)) / 2 of z^2 - a z - b strictly
+    inside the unit disk, elementwise over arrays a, b."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # inf/nan roots: unstable
@@ -209,11 +202,6 @@ def stable_mask(a, b):
     return top < 1.0
 
 
-def stability_check(a, b):
-    """True when both roots of z^2 - a z - b lie strictly inside the unit disk."""
-    return bool(stable_mask(float(a), float(b)))
-
-
 def stable_tail_class(a, b, n, alpha):
     """TailLaw of P{n gamma_n(1) >= t} for a stable AR(2) model, n >= 3.
 
@@ -223,7 +211,7 @@ def stable_tail_class(a, b, n, alpha):
     """
     if int(n) < 3:
         raise ValueError("need n >= 3")
-    if not stability_check(a, b):
+    if not stable_mask(float(a), float(b)):
         raise ValueError("need a stable pair (a, b)")
     return statistic_tail(ArModel((a, b), n), alpha, k=1)
 

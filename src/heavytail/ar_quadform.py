@@ -24,9 +24,9 @@ zero (couplings, in chunks of rows), and whether the form is identically
 zero (is_zero).  QuadForm answers from its dense matrix, which the
 classifier also reads when every diagonal entry is negative.  ArForm
 answers for a lag from psi, its diagonal in O(n) and its couplings in
-chunks of at most COUPLING_ENTRIES entries, last chunk first, from one
-bottom-up pass of the recursion and a solve on each chunk's columns; it
-holds p rows and at most two chunk-sized arrays, never n x n, and never
+chunks of at most COUPLING_ENTRIES entries, last chunk first, as rows of
+A^T (B^k + B^k^T) A from one bottom-up pass of the recursion; it holds
+p rows and at most two chunk-sized arrays, never n x n, and never
 has an all-negative diagonal, as its last diagonal entry is zero.  The
 pivot's law needs no form (see test_stat_tail).  matrix and calibrate are
 the only commands that build a dense form.
@@ -208,8 +208,8 @@ def _recursion(theta, rows):
 
 
 def _solve_form(theta, y):
-    """C = A^T Y by _recursion over the rows of y bottom up, overwritten
-    (O(n^2 p)); on reversed innovation rows it is X = A eps top down."""
+    """The dense builders' C = A^T Y by _recursion over the rows of y bottom
+    up, overwritten (O(n^2 p)); on reversed innovation rows it is X = A eps."""
     for _ in _recursion(theta, zip(range(y.shape[0] - 1, -1, -1), y[::-1])):
         pass
     return y
@@ -248,19 +248,17 @@ class ArForm:
     of autocov_matrix.
 
     The diagonal is O(n), lag_sums, and can differ from the dense one in
-    the last digits.  The couplings take rows of C from one pass of the
-    dense builder's _recursion fed copied rows of Y = B^k A (_y_view)
-    bottom up, and columns from its _solve_form on columns of Y, so every
-    coupling has its bits (as long as psi has no subnormal entry, which is
-    flushed to zero).  Rows i >= _bottom (the last k rows) have vanishing
-    column entries C_ji, so their couplings are rows of C alone.
+    the last digits.  The couplings, one _recursion pass over rows of W A
+    (see couplings), match the dense form's C_ij + C_ji up to rounding and
+    keep more digits where those two cancel; psi's subnormal entries are
+    flushed to zero.
     Construction checks the Cauchy-Schwarz bound
     |C_ij| <= |A e_i| |B^k A e_j|, grown by what the recursion's partial
-    sums can reach, and raises the dense form's "need finite entries" where
-    it overflows a double: on every form the dense builder rejects, and on
-    some whose largest entry is within that factor of the limit.  The bound
-    also caps every |psi_m psi_{m-k}| and prefix sum of them, so the
-    diagonal does not overflow.
+    sums of C + C^T can reach, and raises the dense form's "need finite
+    entries" where it overflows a double: on every form the dense builder
+    rejects, and on some whose largest entry is within that factor of the
+    limit.  The bound also caps every |psi_m psi_{m-k}| and prefix sum of
+    them, so the diagonal does not overflow.
     """
 
     def __init__(self, model, k):
@@ -285,13 +283,13 @@ class ArForm:
                 return top * math.sqrt(float(energy[m]))
 
             bound = root(n - 1) * root(n - 1 - self.k)
-            # the recursion's partial sums reach (1 + sum |theta_q|) times the
-            # bound; the margin covers the rounding of the dense builder's sums
+            # the recursion's partial sums of C + C^T reach 2 (1 + sum
+            # |theta_q|) times the bound; the margin covers their rounding
             reach = 1.0 + sum(abs(t) for t in model.theta)
-            if not math.isfinite(bound * reach * (1.0 + 1e-6)):
+            if not math.isfinite(2.0 * bound * reach * (1.0 + 1e-6)):
                 raise ValueError("need finite entries")
         self._psi = psi
-        self._y = _y_view(psi, self.k)
+        self._a, self._y = _y_view(psi, 0), _y_view(psi, self.k)
 
     def diagonal(self):
         diag = np.zeros(self.n)
@@ -307,24 +305,22 @@ class ArForm:
         """(indices, chunk) pairs covering the ascending indices rows, last
         chunk first: each chunk holds the rows i of C + C^T on its indices,
         with the entry (i, i) counted as zero, in at most COUPLING_ENTRIES
-        entries, with the bits of the dense QuadForm's chunk.  One bottom-up
-        pass, shared by every chunk, hands each chunk its rows of C as it
-        reaches them; rows before _bottom add their columns A^T Y e_i, solved
-        on those columns of Y alone (n steps per chunk).  At most two
-        chunk-sized arrays are live at once."""
+        entries.  C + C^T = A^T W A for W = B^k + B^k^T, so one bottom-up
+        _recursion pass over the rows of W A, shared by every chunk, yields
+        them: row r of W A is row r - k of A plus, while r + k < n, row
+        r + k (twice row r at k = 0).  At most two chunk-sized arrays, the
+        one handed out and the next, and p rows are live at once."""
         rows = np.asarray(rows)
-        theta = self.model.theta
-        step = max(1, COUPLING_ENTRIES // self.n)
-        passed = _recursion(theta, ((r, self._y[r].copy())
-                                    for r in range(self.n - 1, -1, -1)))
+        n, k = self.n, self.k
+        wa = ((r, self._y[r] + self._a[r + k] if r + k < n else self._y[r].copy())
+              for r in range(n - 1, -1, -1))
+        passed = _recursion(self.model.theta, wa)
+        step = max(1, COUPLING_ENTRIES // n)
         for start in reversed(range(0, rows.size, step)):
             at = rows[start:start + step]
-            out = np.empty((at.size, self.n))
+            out = np.empty((at.size, n))
             for s in range(at.size - 1, -1, -1):
                 out[s] = next(row for r, row in passed if r == at[s])
-            inner = at[at < self._bottom]  # a prefix of at
-            if inner.size:
-                out[:inner.size] += _solve_form(theta, self._y[:, inner]).T
             yield at, _zero_diagonal(out, at)
 
 

@@ -8,14 +8,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from heavytail.ar_quadform import ArModel, autocov_matrix
+from heavytail.ar_quadform import ArForm, ArModel, autocov_matrix
 from heavytail._text import fmt
 from heavytail.ar2_regions import (_RESCALE_AT, RegionScan, a_col, closed_form_diag,
                                    diag_seq, first_covering_k, region_grid,
                                    region_membership, region_polynomials,
-                                   stability_check, stable_mask,
-                                   stable_tail_class, theorem_region_mask,
-                                   theorem_region_test, write_region_csv)
+                                   stable_mask, stable_tail_class,
+                                   theorem_region_mask, write_region_csv)
 from heavytail.student_dist import make_law
 from heavytail.tail_formulas import POWER_HALF, POWER_LOG, classify
 
@@ -196,7 +195,7 @@ def test_theorem_region_implies_coverage(a, b):
     # and to b = a - 1 the first covering k has no bound (the second example
     # is first covered at k = 14760); there the scan must give the first
     # covering k of exact arithmetic.
-    if a != 0.0 and theorem_region_test(a, b):
+    if a != 0.0 and theorem_region_mask(a, b):
         k = region_membership(a, b, kmax=400)
         if a > 0.0 or b < -a * a - 1.0:
             assert k is not None
@@ -205,22 +204,22 @@ def test_theorem_region_implies_coverage(a, b):
 
 
 def test_theorem_region_spot_values():
-    assert theorem_region_test(0.1, 5.0)        # any a > 0
-    assert theorem_region_test(-1.0, -2.5)      # b < -a^2 - 1
-    assert theorem_region_test(-2.0, -3.5)      # b < min(-a^2/4, a - 1)
-    assert not theorem_region_test(-1.0, -0.5)  # inside the uncovered wedge
-    assert not theorem_region_test(0.0, 0.5)
-    assert not theorem_region_test(-0.5, -1.1)  # below -1 is not enough here
+    assert theorem_region_mask(0.1, 5.0)        # any a > 0
+    assert theorem_region_mask(-1.0, -2.5)      # b < -a^2 - 1
+    assert theorem_region_mask(-2.0, -3.5)      # b < min(-a^2/4, a - 1)
+    assert not theorem_region_mask(-1.0, -0.5)  # inside the uncovered wedge
+    assert not theorem_region_mask(0.0, 0.5)
+    assert not theorem_region_mask(-0.5, -1.1)  # below -1 is not enough here
 
 
 def test_stability_triangle():
-    assert stability_check(0.5, 0.3)
-    assert stability_check(1.9, -0.95)
-    assert stability_check(-1.9, -0.95)
-    assert not stability_check(0.5, 0.6)   # real root at 1 crossed
-    assert not stability_check(0.0, -1.0)  # unit modulus pair
-    assert not stability_check(2.0, -1.0)  # double root at 1
-    assert not stability_check(1.0, 0.0)   # root exactly at 1
+    assert stable_mask(0.5, 0.3)
+    assert stable_mask(1.9, -0.95)
+    assert stable_mask(-1.9, -0.95)
+    assert not stable_mask(0.5, 0.6)   # real root at 1 crossed
+    assert not stable_mask(0.0, -1.0)  # unit modulus pair
+    assert not stable_mask(2.0, -1.0)  # double root at 1
+    assert not stable_mask(1.0, 0.0)   # root exactly at 1
 
 
 def test_stable_tail_class_dichotomy():
@@ -238,10 +237,10 @@ def stable_tail_class_oracle(a, b, n, alpha):
     # general classifier, with both coefficients and the zero tolerance
     # written out as they were; a zero row's diagonal entry, zero within
     # the tolerance, counts as zero in its couplings, as in classify.  The
-    # diagonal is the lag-1 prefix sums, held to the exact one in
-    # test_ar_quadform: near b = -1 its small entries cancel, and the dense
-    # recursion pass keeps fewer of their digits
-    c = autocov_matrix(ArModel((a, b), n), 1).entries
+    # diagonal is the lag-1 prefix sums and the couplings the structured
+    # form's rows of C + C^T, both held to the exact ones in
+    # test_ar_quadform: near b = -1 their small entries cancel, and the
+    # dense builder keeps fewer of their digits
     diag = np.append(diag_seq(a, b, n - 1)[::-1], 0.0)
     tol = 1e-12 * max(1.0, float(np.max(np.abs(diag))))
     law = make_law(alpha)
@@ -250,9 +249,8 @@ def stable_tail_class_oracle(a, b, n, alpha):
         return POWER_HALF, 2.0 * scale * float(np.sum(diag[diag > tol] ** (alpha / 2.0)))
     assert not np.any(diag > tol)
     zero_rows = np.flatnonzero(np.abs(diag) <= tol)
-    sym = c + c.T
-    sym[zero_rows, zero_rows] = 0.0
-    total = float(np.sum(np.abs(sym[zero_rows, :]) ** alpha))
+    (_, sym), = ArForm(ArModel((a, b), n), 1).couplings(zero_rows)
+    total = float(np.sum(np.abs(sym) ** alpha))
     return POWER_LOG, law.k_s ** 2 * alpha ** alpha * total
 
 
@@ -265,7 +263,7 @@ def stable_tail_class_oracle(a, b, n, alpha):
 @example(mag=1e-5, negative=False, b=-0.9999999999999999, n=60, alpha=0.3)
 def test_stable_tail_class_matches_sign_of_a_oracle(mag, negative, b, n, alpha):
     a = -mag if negative else mag
-    assume(stability_check(a, b))
+    assume(stable_mask(a, b))
     law = stable_tail_class(a, b, n, alpha)
     regime, coef = stable_tail_class_oracle(a, b, n, alpha)
     assert (law.regime, law.coef) == (regime, coef)
@@ -276,7 +274,7 @@ def test_stable_tail_class_inside_zero_tolerance_is_the_classifier():
     # zero, so the form is PowerLog like any other zero-diagonal form
     law = stable_tail_class(1e-13, 0.3, 10, 1.5)
     assert law.regime == POWER_LOG
-    assert law == classify(autocov_matrix(ArModel((1e-13, 0.3), 10), 1), 1.5)[1]
+    assert law == classify(ArForm(ArModel((1e-13, 0.3), 10), 1), 1.5)[1]
 
 
 def test_stable_negative_a_coefficient_closed_form():
