@@ -19,17 +19,16 @@ AR(1) entries of A^T B^k A also come in closed power-sum form, exact at
 a = +-1 because no geometric ratio is ever formed.
 
 The tail classifier reads a form in three ways: its diagonal (diagonal),
-the rows of C + C^T on given indices with their diagonal entry counted as
-zero (couplings, in chunks of rows), and whether the form is identically
-zero (is_zero).  QuadForm answers from its dense matrix, which the
-classifier also reads when every diagonal entry is negative.  ArForm
-answers for a lag from psi, its diagonal in O(n) and its couplings in
-chunks of at most COUPLING_ENTRIES entries, last chunk first, as rows of
+row i of C + C^T with the entry (i, i) set to zero for each given index i
+(couplings, one row at a time), and whether the form is identically zero
+(is_zero).  QuadForm answers from its dense matrix, which the classifier
+also reads when every diagonal entry is negative.  ArForm answers for a
+lag from psi, its diagonal in O(n) and its couplings as rows of
 A^T (B^k + B^k^T) A from one bottom-up pass of the recursion; it holds
-p rows and at most two chunk-sized arrays, never n x n, and never
-has an all-negative diagonal, as its last diagonal entry is zero.  The
-pivot's law needs no form (see test_stat_tail).  matrix and calibrate are
-the only commands that build a dense form.
+O(p) rows, never n x n, and never has an all-negative diagonal, as its
+last diagonal entry is zero.  The pivot's law needs no form (see
+test_stat_tail).  matrix and calibrate are the only commands that build
+a dense form.
 """
 
 import math
@@ -117,16 +116,15 @@ class QuadForm:
         return max(float(self.entries.max()), -float(self.entries.min())) <= tol
 
     def couplings(self, rows):
-        """The ascending indices rows and, as one C-ordered chunk, the rows
-        i of C + C^T on them with the entry (i, i) counted as zero; C + C^T
+        """(i, row) for each index i in rows: row i of C + C^T with the
+        entry (i, i) set to zero, a new array the caller owns; C + C^T
         itself is never formed."""
         m = self.entries
-        return [(rows, _zero_diagonal(np.add(m[rows, :], m[:, rows].T, order="C"),
-                                      rows))]
+        for i in rows:
+            row = m[i] + m[:, i]
+            row[i] = 0.0
+            yield i, row
 
-
-# entries per chunk of zero-row couplings an ArForm hands the classifier
-COUPLING_ENTRIES = 1 << 20
 
 # longest AR(1) path ar_paths runs step by step.  Per Monte Carlo block the
 # steps stay cheaper than the doubling scan up to n of about 200, but the
@@ -302,32 +300,22 @@ class ArForm:
         return self._bottom == 0
 
     def couplings(self, rows):
-        """(indices, chunk) pairs covering the ascending indices rows, last
-        chunk first: each chunk holds the rows i of C + C^T on its indices,
-        with the entry (i, i) counted as zero, in at most COUPLING_ENTRIES
-        entries.  C + C^T = A^T W A for W = B^k + B^k^T, so one bottom-up
-        _recursion pass over the rows of W A, shared by every chunk, yields
-        them: row r of W A is row r - k of A plus, while r + k < n, row
-        r + k (twice row r at k = 0).  At most two chunk-sized arrays, the
-        one handed out and the next, and p rows are live at once."""
-        rows = np.asarray(rows)
+        """(i, row) for each index i in rows, bottom up: row i of C + C^T
+        with the entry (i, i) set to zero, a copy the caller owns.
+        C + C^T = A^T W A for W = B^k + B^k^T, so one bottom-up _recursion
+        pass over the rows of W A, from row n - 1 down to the lowest index
+        asked for, yields them: row r of W A is row r - k of A plus, while
+        r + k < n, row r + k (twice row r at k = 0).  The pass still reads
+        a row for p more steps, hence the copy."""
+        rows = set(np.asarray(rows).tolist())
         n, k = self.n, self.k
         wa = ((r, self._y[r] + self._a[r + k] if r + k < n else self._y[r].copy())
-              for r in range(n - 1, -1, -1))
-        passed = _recursion(self.model.theta, wa)
-        step = max(1, COUPLING_ENTRIES // n)
-        for start in reversed(range(0, rows.size, step)):
-            at = rows[start:start + step]
-            out = np.empty((at.size, n))
-            for s in range(at.size - 1, -1, -1):
-                out[s] = next(row for r, row in passed if r == at[s])
-            yield at, _zero_diagonal(out, at)
-
-
-def _zero_diagonal(chunk, rows):
-    """Chunk of rows i of C + C^T with each entry (i, i) set to zero."""
-    chunk[np.arange(len(rows)), rows] = 0.0
-    return chunk
+              for r in range(n - 1, min(rows, default=n) - 1, -1))
+        for r, row in _recursion(self.model.theta, wa):
+            if r in rows:
+                out = row.copy()
+                out[r] = 0.0
+                yield r, out
 
 
 def power_sums(x, m):

@@ -94,19 +94,22 @@ def survival(law, x):
     half = np.asarray(0.5 * special.betainc(law.alpha / 2.0, 0.5, y))
     low = ~far & (half < np.finfo(float).tiny)
     if np.any(low):
-        half[low] = _half_beta_series(law.alpha / 2.0, y[low])
+        half[low] = _half_beta_series(law.alpha / 2.0, y[low],
+                                      -np.log1p(x[low] ** 2 / law.alpha))
     half_tail = np.where(far, law.k_s / math.sqrt(law.alpha) * t ** law.alpha, half)
     out = np.where(x >= 0.0, half_tail, 1.0 - half_tail)
     return out if out.ndim else float(out)
 
 
-def _half_beta_series(a, y):
+def _half_beta_series(a, y, log_y):
     """I_y(a, 1/2) / 2 for 0 < y < 1 by its Pfaff-transformed series
     (DLMF 8.17.8, 15.8.1), y^a (1 - y)^(-1/2) / (2 a B(a, 1/2)) times
     sum_j (1/2)_j / (a + 1)_j z^j for z = y / (y - 1), the prefactor in log
-    space.  Where I_y underflows, a |log y| > ~690 bounds each term ratio
-    by (j + 1/2) / 690: the alternating sum ends in a few terms at any a,
-    within its first term left out (the series in y needs ~37 / (1 - y))."""
+    space.  log_y is log y taken from x, not from the rounded y, whose
+    rounding a y^a would amplify a-fold.  Where I_y underflows, a |log y|
+    > ~690 bounds each term ratio by (j + 1/2) / 690: the alternating sum
+    ends in a few terms at any a, within its first term left out (the
+    series in y needs ~37 / (1 - y))."""
     from scipy import special
 
     z, total, term, j = y / (y - 1.0), 0.0, np.ones(y.shape), 0
@@ -114,7 +117,7 @@ def _half_beta_series(a, y):
         total = total + term
         term = term * z * ((0.5 + j) / (a + 1.0 + j))
         j += 1
-    log_prefactor = (a * np.log(y) - 0.5 * np.log1p(-y) - math.log(2.0 * a)
+    log_prefactor = (a * log_y - 0.5 * np.log1p(-y) - math.log(2.0 * a)
                      - special.betaln(a, 0.5))
     return np.exp(log_prefactor + np.log(total))
 

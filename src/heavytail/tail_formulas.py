@@ -129,21 +129,24 @@ def _power_half_coef(pos, alpha):
 def _coupling_sum(form, zero, alpha, witnesses):
     """sum_{i: C_ii = 0} sum_{j != i} |C_ij + C_ji|^alpha and, with
     witnesses, the distinct pairs (i, j), i < j, with a nonzero coupling on
-    a zero-diagonal row, read chunk by chunk from form.couplings."""
+    a zero-diagonal row, read row by row from form.couplings.  The row sums
+    are added exactly rounded (math.fsum), so their order does not matter."""
     n = form.n
-    total = 0.0
-    keys = []
-    for at, chunk in form.couplings(np.flatnonzero(zero)):
+    sums, keys = [], []
+    for i, row in form.couplings(np.flatnonzero(zero)):
         if witnesses:
-            row, col = np.nonzero(chunk)
-            i = at[row]
-            keys.append(np.minimum(i, col) * n + np.maximum(i, col))
-        # in place, the chunk being ours; **= keeps the bits of ** (its fast
+            j = np.flatnonzero(row)
+            keys.append(np.minimum(i, j) * n + np.maximum(i, j))
+        # in place, the row being ours; **= keeps the bits of ** (its fast
         # paths included)
-        np.abs(chunk, out=chunk)
+        np.abs(row, out=row)
         with np.errstate(over="ignore"):  # an infinite sum reaches TailLaw's check
-            chunk **= alpha
-            total += float(np.sum(chunk))
+            row **= alpha
+            sums.append(float(np.sum(row)))
+    try:
+        total = math.fsum(sums)
+    except OverflowError:  # finite row sums past a double's range together
+        total = math.inf
     if not witnesses:
         return total, None
     keys = np.unique(np.concatenate(keys))

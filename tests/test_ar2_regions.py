@@ -240,7 +240,8 @@ def stable_tail_class_oracle(a, b, n, alpha):
     # diagonal is the lag-1 prefix sums and the couplings the structured
     # form's rows of C + C^T, both held to the exact ones in
     # test_ar_quadform: near b = -1 their small entries cancel, and the
-    # dense builder keeps fewer of their digits
+    # dense builder keeps fewer of their digits.  The row sums are added
+    # with math.fsum, as the classifier adds them
     diag = np.append(diag_seq(a, b, n - 1)[::-1], 0.0)
     tol = 1e-12 * max(1.0, float(np.max(np.abs(diag))))
     law = make_law(alpha)
@@ -249,8 +250,8 @@ def stable_tail_class_oracle(a, b, n, alpha):
         return POWER_HALF, 2.0 * scale * float(np.sum(diag[diag > tol] ** (alpha / 2.0)))
     assert not np.any(diag > tol)
     zero_rows = np.flatnonzero(np.abs(diag) <= tol)
-    (_, sym), = ArForm(ArModel((a, b), n), 1).couplings(zero_rows)
-    total = float(np.sum(np.abs(sym) ** alpha))
+    total = math.fsum(float(np.sum(np.abs(row) ** alpha))
+                      for _, row in ArForm(ArModel((a, b), n), 1).couplings(zero_rows))
     return POWER_LOG, law.k_s ** 2 * alpha ** alpha * total
 
 

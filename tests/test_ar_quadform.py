@@ -286,10 +286,9 @@ def test_builders_hand_their_array_to_quadform(build):
 @settings(max_examples=150, deadline=None)
 def test_ar_form_reads_match_the_dense_form(theta, n, data):
     # the structured couplings are the dense ones up to rounding, normwise
-    # (psi's subnormal entries, flushed to zero, included), in chunks of a
-    # few rows (a tiny COUPLING_ENTRIES) as in one; the chunks come bottom
-    # up, so they are compared after sorting by index.  The diagonal, a
-    # prefix sum, and the couplings are held to the exact ones below
+    # (psi's subnormal entries, flushed to zero, included), one row per
+    # index, bottom up.  The diagonal, a prefix sum, and the couplings are
+    # held to the exact ones below
     model = ArModel(theta, n)
     k = data.draw(st.integers(0, n + 1), label="k")
     try:
@@ -307,29 +306,24 @@ def test_ar_form_reads_match_the_dense_form(theta, n, data):
     rows = np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=n, max_size=n),
                                     label="rows"))
     assume(rows.size)
-    (at, want), = dense.couplings(rows)
-    step = data.draw(st.sampled_from([1, 3, 10 ** 6]), label="rows per chunk")
-    with mock.patch.object(ar_quadform, "COUPLING_ENTRIES", step * n):
-        chunks = list(form.couplings(rows))
-    assert all(c[1].size <= step * n for c in chunks)
-    # disjoint, bottom up: each chunk's indices lie below the previous one's
-    assert all(c[0][-1] < prev[0][0] for prev, c in zip(chunks, chunks[1:]))
-    got_at = np.concatenate([c[0] for c in chunks])
-    order = np.argsort(got_at)
-    assert np.array_equal(got_at[order], at)
-    got = np.concatenate([c[1] for c in chunks])[order]
-    assert np.max(np.abs(got - want)) <= 1e-9 * float(np.max(np.abs(dense.entries)))
+    got = list(form.couplings(rows))
+    assert [i for i, _ in got] == rows[::-1].tolist()
+    want = coupling_rows(dense, rows)
+    assert np.max(np.abs(np.array([row for _, row in got[::-1]]) - want)) \
+        <= 1e-9 * float(np.max(np.abs(dense.entries)))
     assert form.is_zero(1e-12) == (k >= n)
 
 
-def test_ar_form_couplings_take_one_row_pass():
-    # an explosive odd lag counts most rows as zero; every chunk of their
-    # couplings reads its rows of C + C^T from one bottom-up pass of n rows,
-    # shared by all chunks, and solves no column of its own
-    n, k = 600, 3
-    model = ArModel((-1.1,), n)
-    form = ar_quadform.ArForm(model, k)
-    rows = np.flatnonzero(_diag_signs(form.diagonal())[1])
+def coupling_rows(form, rows):
+    """The rows form.couplings yields for the indices rows, stacked in the
+    order of rows."""
+    got = dict(form.couplings(rows))
+    return np.array([got[i] for i in rows.tolist()])
+
+
+def fed_rows(form, rows):
+    """The couplings of form on rows, and the sizes of the rows the one
+    _recursion pass was fed, with _solve_form asserted never called."""
     fed = []
     recursion = ar_quadform._recursion
 
@@ -341,18 +335,40 @@ def test_ar_form_couplings_take_one_row_pass():
     def spy(theta, given):
         return recursion(theta, counted(given))
 
-    step = 5
-    with mock.patch.object(ar_quadform, "COUPLING_ENTRIES", step * n), \
-            mock.patch.object(ar_quadform, "_recursion", spy), \
+    with mock.patch.object(ar_quadform, "_recursion", spy), \
             mock.patch.object(ar_quadform, "_solve_form") as solve:
-        chunks = list(form.couplings(rows))
+        got = coupling_rows(form, rows)
     solve.assert_not_called()
-    assert len(chunks) > 50
+    return got, fed
+
+
+def test_ar_form_couplings_take_one_row_pass():
+    # an explosive odd lag counts most rows as zero; their rows of C + C^T
+    # come from one bottom-up pass of at most n rows, and no column is solved
+    n, k = 600, 3
+    model = ArModel((-1.1,), n)
+    form = ar_quadform.ArForm(model, k)
+    rows = np.flatnonzero(_diag_signs(form.diagonal())[1])
+    assert rows.size > 250
+    got, fed = fed_rows(form, rows)
     assert sum(fed) <= n * n
     dense = autocov_matrix(model, k)
-    (_, want), = dense.couplings(rows)
-    got = np.concatenate([c for _, c in chunks[::-1]])
+    want = coupling_rows(dense, rows)
     assert np.max(np.abs(got - want)) <= 1e-12 * float(np.max(np.abs(dense.entries)))
+    # a stable AR(2) lag 1 counts only its last row as zero; the pass feeds
+    # the rows from n - 1 down to it, here one, not all n.  That row of
+    # C + C^T is psi_{n-2-j} on j < n - 1 (row n - 1 of B A, as column n - 1
+    # of B A is zero), subnormals flushed
+    n = 3000
+    model = ArModel((-0.5, -0.3), n)
+    form = ar_quadform.ArForm(model, 1)
+    rows = np.flatnonzero(_diag_signs(form.diagonal())[1])
+    assert rows.tolist() == [n - 1]
+    got, fed = fed_rows(form, rows)
+    assert fed == [n] * (n - rows[0])
+    psi = ar_quadform._impulse_response(model)
+    psi[np.abs(psi) < np.finfo(float).tiny] = 0.0
+    assert np.array_equal(got[0], np.append(psi[n - 2::-1], 0.0))
 
 
 # The exact reference: every double is a dyadic rational, so the AR
@@ -435,8 +451,7 @@ def test_ar_form_couplings_are_no_further_from_exact_than_dense(theta, n, data):
     exact = exact_couplings(theta, n, k)
     rows = np.arange(n)
     forms = (ar_quadform.ArForm(model, k), autocov_matrix(model, k))
-    (_, structured), = forms[0].couplings(rows)
-    (_, dense), = forms[1].couplings(rows)
+    structured, dense = (coupling_rows(form, rows) for form in forms)
     slack = n * Fraction(np.finfo(float).eps)
 
     def miss(got):

@@ -185,6 +185,8 @@ def test_huge_alpha_names_the_tail_constant(capsys, argv):
       "--replicas", "100"), "PowerLog"),
     # couplings of the odd-lag form that sum past a double
     (("tail", "--alpha", "2", "--a=-1.9", "--n", "288", "--k", "1"), "PowerLog"),
+    # odd-lag row sums, each finite (the largest 4.3e307), that sum past a double
+    (("tail", "--alpha", "14", "--a=-1.01", "--n", "3000", "--k", "3"), "PowerLog"),
 ])
 def test_overflowed_coefficient_is_one_line_error(capsys, argv, regime):
     code, _, err = run(capsys, *argv)
