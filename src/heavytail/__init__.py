@@ -5,7 +5,7 @@ from .ar_quadform import (ArForm, ArModel, QuadForm, ar_paths, autocov_matrix,
                           build_a, empirical_autocov, power_sum,
                           simulate_path, test_matrix)
 from .ar2_regions import (a_col, closed_form_diag, diag_seq, region_grid,
-                          region_membership, stable_tail_class)
+                          region_membership)
 from .monte_carlo import (McConfig, McEstimate, RiskRow, calibrate_risk,
                           run_tail_experiment, worker_count, write_risk_csv,
                           write_tail_csv)

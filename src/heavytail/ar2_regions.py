@@ -16,8 +16,7 @@ Some d_k > 0 puts the upper tail of n gamma_n(1) in the t^(-alpha/2) regime;
 all d_k <= 0 leaves the degenerate t^(-alpha) log t regime.  This module
 provides the membership scan over k, low-order polynomial forms of d_k, a
 trigonometric closed form on the negative-discriminant half-plane, the
-theorem's coverage condition, the stability triangle, and the tail
-classification on the stable region.
+theorem's coverage condition and the stability triangle.
 
 Membership, stability and the coverage condition are array kernels
 (first_covering_k, stable_mask, theorem_region_mask); the scalar
@@ -35,7 +34,7 @@ import numpy as np
 
 from ._text import fmt, write_header
 from .ar_quadform import ArModel, _impulse_response, lag_sums
-from .tail_formulas import POWER_HALF, POWER_LOG, check_span, statistic_tail
+from .tail_formulas import POWER_HALF, POWER_LOG, check_span
 
 # entry magnitude that triggers a uniform positive rescale of the scan state
 _RESCALE_AT = 1e100
@@ -200,20 +199,6 @@ def stable_mask(a, b):
         top = np.maximum(np.hypot(plus.real, plus.imag),
                          np.hypot(minus.real, minus.imag))
     return top < 1.0
-
-
-def stable_tail_class(a, b, n, alpha):
-    """TailLaw of P{n gamma_n(1) >= t} for a stable AR(2) model, n >= 3.
-
-    The general classifier on the structured lag-1 form: on the stable
-    region it gives PowerHalf for a > 0 and PowerLog for a < 0 (no diagonal
-    entry is then positive, so the degenerate-case coefficient applies).
-    """
-    if int(n) < 3:
-        raise ValueError("need n >= 3")
-    if not stable_mask(float(a), float(b)):
-        raise ValueError("need a stable pair (a, b)")
-    return statistic_tail(ArModel((a, b), n), alpha, k=1)
 
 
 class RegionScan:

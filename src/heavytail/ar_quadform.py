@@ -21,8 +21,7 @@ a = +-1 because no geometric ratio is ever formed.
 The tail classifier reads a form in three ways: its diagonal (diagonal),
 row i of C + C^T with the entry (i, i) set to zero for each given index i
 (couplings, one row at a time), and whether the form is identically zero
-(is_zero).  QuadForm answers from its dense matrix, which the classifier
-also reads when every diagonal entry is negative.  ArForm answers for a
+(is_zero).  QuadForm answers from its dense matrix.  ArForm answers for a
 lag from psi, its diagonal in O(n) and its couplings as rows of
 A^T (B^k + B^k^T) A from one bottom-up pass of the recursion; it holds
 O(p) rows, never n x n, and never has an all-negative diagonal, as its

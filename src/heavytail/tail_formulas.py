@@ -21,8 +21,9 @@ with coefficients
                                               |C_ij + C_ji|^alpha.
 
 The classifier reads a form only through its diagonal, the couplings of
-its zero-diagonal rows and whether it is zero (see ar_quadform), so the
-structured lag forms are classified without an n x n array.
+its zero-diagonal rows (of every row, when all diagonal entries are
+negative) and whether it is zero (see ar_quadform), one row at a time, so
+no form is classified through an n x n temporary.
 
 The AR(1) specializations (upper and lower tails of n gamma_n(k), the
 studentized lag-1 test statistic, approximate critical values) are written
@@ -77,8 +78,8 @@ class TailLaw:
                 raise ValueError("coef underflows a double in regime %s"
                                  % self.regime)
             if not math.isfinite(self.coef):
-                raise ValueError("coef overflows a double in regime %s"
-                                 % self.regime)
+                raise OverflowError("coef overflows a double in regime %s"
+                                    % self.regime)
         elif self.coef is not None:
             raise ValueError("regime %s carries no coefficient" % self.regime)
 
@@ -117,13 +118,6 @@ def _diag_signs(diag):
     the absolute tolerance tol = 1e-12 max(1, max |C_ii|) count as zero."""
     tol = 1e-12 * max(1.0, float(np.max(np.abs(diag))) if diag.size else 0.0)
     return diag > tol, np.abs(diag) <= tol, tol
-
-
-def _power_half_coef(pos, alpha):
-    """2 k_s alpha^((alpha-1)/2) sum_j pos_j^(alpha/2) over positive entries."""
-    with np.errstate(over="ignore"):  # an infinite sum reaches TailLaw's check
-        body = float(np.sum(pos ** (alpha / 2.0)))
-    return 2.0 * tail_constant(make_law(alpha)) * body
 
 
 def _coupling_sum(form, zero, alpha, witnesses):
@@ -187,8 +181,11 @@ def _classify(form, alpha, witnesses):
     if pos.any():
         witness = (tuple((int(j),) for j in np.flatnonzero(pos))
                    if witnesses else ())
+        with np.errstate(over="ignore"):  # an infinite sum reaches TailLaw's check
+            body = float(np.sum(diag[pos] ** (alpha / 2.0)))
         return (DegeneracyClass(1, witness),
-                TailLaw(POWER_HALF, alpha, coef=_power_half_coef(diag[pos], alpha)))
+                TailLaw(POWER_HALF, alpha,
+                        coef=2.0 * tail_constant(make_law(alpha)) * body))
 
     if form.is_zero(tol):
         return (DegeneracyClass("gt2", ()),
@@ -205,17 +202,17 @@ def _classify(form, alpha, witnesses):
                         note="zero max diagonal with no symmetrized coupling "
                              "on the zero-diagonal rows"))
 
-    # all diagonal entries strictly negative: a dense form, since every
-    # ArForm has a zero last diagonal entry
-    m = form.entries
-    sym = (m + m.T) / 2.0
-    half = np.diag(sym)
-    # pairs i < j, row-major; float_power is libm pow, the square the scalar
-    # test sym[i, j] ** 2 takes
-    rows, cols = np.nonzero(np.triu(np.float_power(sym, 2.0)
-                                    > np.multiply.outer(half, half), 1))
-    if rows.size:
-        return (DegeneracyClass(2, tuple(zip(rows.tolist(), cols.tolist()))),
+    # all diagonal entries strictly negative: the pairs i < j, row-major,
+    # with S_ij^2 > C_ii C_jj for S_ij = (C_ij + C_ji) / 2, squared by libm
+    # pow as the scalar test S_ij ** 2 takes it
+    n = form.n
+    keys = [np.empty(0, dtype=np.int64)]
+    for i, row in form.couplings(range(n - 1)):
+        square = np.float_power(row[i + 1:] * 0.5, 2.0)
+        keys.append(i * n + i + 1 + np.flatnonzero(square > diag[i] * diag[i + 1:]))
+    keys = np.sort(np.concatenate(keys))
+    if keys.size:
+        return (DegeneracyClass(2, tuple(zip((keys // n).tolist(), (keys % n).tolist()))),
                 TailLaw(ORDER_ONLY, alpha,
                         note="negative diagonals with an indefinite coordinate "
                              "pair; exact order t^(-alpha), no closed coefficient"))

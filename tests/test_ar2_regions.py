@@ -13,10 +13,10 @@ from heavytail._text import fmt
 from heavytail.ar2_regions import (_RESCALE_AT, RegionScan, a_col, closed_form_diag,
                                    diag_seq, first_covering_k, region_grid,
                                    region_membership, region_polynomials,
-                                   stable_mask, stable_tail_class,
-                                   theorem_region_mask, write_region_csv)
+                                   stable_mask, theorem_region_mask,
+                                   write_region_csv)
 from heavytail.student_dist import make_law
-from heavytail.tail_formulas import POWER_HALF, POWER_LOG, classify
+from heavytail.tail_formulas import POWER_HALF, POWER_LOG, classify, statistic_tail
 
 
 def test_a_col_recursion_start():
@@ -25,6 +25,15 @@ def test_a_col_recursion_start():
     assert col[1] == 0.5
     assert col[2] == pytest.approx(0.5 * 0.5 - 0.3)
     assert col[3] == pytest.approx(0.5 * col[2] - 0.3 * col[1])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: a_col(0.5, -0.3, 0), "need jmax >= 1"),
+    (lambda: diag_seq(0.5, -0.3, 0), "need kmax >= 1"),
+])
+def test_column_and_diagonal_need_one_entry(call, message):
+    with pytest.raises(ValueError, match="^%s$" % message):
+        call()
 
 
 @given(a=st.floats(-2.0, 2.0), b=st.floats(-2.0, 2.0))
@@ -222,21 +231,25 @@ def test_stability_triangle():
     assert not stable_mask(1.0, 0.0)   # root exactly at 1
 
 
+def stable_tail_class(a, b, n, alpha):
+    # the lag-1 law of a stable AR(2) model, from the one route to it
+    assert stable_mask(a, b)
+    return statistic_tail(ArModel((a, b), n), alpha, k=1)
+
+
 def test_stable_tail_class_dichotomy():
     alpha = 1.0
     law = stable_tail_class(0.5, 0.3, 10, alpha)
     assert law.regime == POWER_HALF
     law = stable_tail_class(-0.5, -0.3, 10, alpha)
     assert law.regime == POWER_LOG
-    with pytest.raises(ValueError):
-        stable_tail_class(1.0, 0.5, 10, alpha)  # unstable
 
 
 def stable_tail_class_oracle(a, b, n, alpha):
-    # the sign-of-a dispatch stable_tail_class had before it became the
-    # general classifier, with both coefficients and the zero tolerance
-    # written out as they were; a zero row's diagonal entry, zero within
-    # the tolerance, counts as zero in its couplings, as in classify.  The
+    # the sign-of-a dispatch the lag-1 law on the stable region had before
+    # it became the general classifier, with both coefficients and the zero
+    # tolerance written out as they were; a zero row's diagonal entry, zero
+    # within the tolerance, counts as zero in its couplings, as in classify.  The
     # diagonal is the lag-1 prefix sums and the couplings the structured
     # form's rows of C + C^T, both held to the exact ones in
     # test_ar_quadform: near b = -1 their small entries cancel, and the

@@ -138,6 +138,19 @@ def test_model_and_quadform_validation():
         form.entries[0, 0] = 99.0  # entries are read-only
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: ar1_offdiag_closed(0.5, 4, 1, 0, 2), "need 1 <= i, j <= n"),
+    (lambda: ar1_offdiag_closed(0.5, 4, 1, 2, 5), "need 1 <= i, j <= n"),
+    (lambda: ar1_offdiag_closed(0.5, 4, -1, 2, 2), "need k >= 0"),
+    (lambda: simulate_path(ArModel((0.5,), 4), np.ones(3)), "need eps of length n"),
+    (lambda: empirical_autocov([], 0), "need a nonempty path"),
+    (lambda: empirical_autocov(np.ones((2, 2)), 0), "need a nonempty path"),
+])
+def test_path_and_entry_helpers_check_their_arguments(call, message):
+    with pytest.raises(ValueError, match="^%s$" % message):
+        call()
+
+
 def test_check_statistic_normalises_one_of_k_and_a0():
     ar1, ar2 = ArModel((0.5,), 4), ArModel((0.5, 0.1), 4)
     k, a0 = check_statistic(ar2, k=np.int64(3))

@@ -183,6 +183,19 @@ def test_normal_quantile_sq_expansion_converges():
     assert gaps[3] < 5e-2
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: quantile_tail(make_law(1.5), 0.0), "need 0 < u < 1"),
+    (lambda: quantile_tail(make_law(1.5), 1.0), "need 0 < u < 1"),
+    (lambda: upper_quantile(make_law(1.5), 0.0), "need 0 < u < 1/2"),
+    (lambda: upper_quantile(make_law(1.5), 0.5), "need 0 < u < 1/2"),
+    (lambda: normal_quantile_sq_expansion(0.0), "need 0 < u < 1"),
+    (lambda: normal_quantile_sq_expansion(math.nan), "need 0 < u < 1"),
+])
+def test_quantiles_check_u(call, message):
+    with pytest.raises(ValueError, match="^%s$" % message):
+        call()
+
+
 def test_phi_inv_compose_s_expansion():
     law = make_law(1.0)
     exact, expansion, ok = phi_inv_compose_s(law, 1e6)

@@ -8,8 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from heavytail.ar2_regions import stable_tail_class
-from heavytail.ar_quadform import ArForm, ArModel, autocov_matrix, power_sum
+from heavytail.ar_quadform import ArForm, ArModel, QuadForm, autocov_matrix, power_sum
 from heavytail.ar_quadform import test_matrix as statistic_matrix
 from heavytail.student_dist import make_law
 from heavytail.tail_formulas import (ORDER_ONLY, POWER_HALF, POWER_LOG,
@@ -393,6 +392,52 @@ def test_classify_pairs_match_the_comprehensions_at_n_800():
     assert dc.j_sets == old_power_log_pairs(c)
 
 
+# classify once tested every pair of a negative diagonal at once, on n x n
+# arrays; the coupling rows must give the same pairs in the same order
+
+def old_dense_order_only_pairs(m):
+    sym = (m + m.T) / 2.0
+    half = np.diag(sym)
+    rows, cols = np.nonzero(np.triu(np.float_power(sym, 2.0)
+                                    > np.multiply.outer(half, half), 1))
+    return tuple(zip(rows.tolist(), cols.tolist()))
+
+
+# couplings of any size against the diagonal, squares below the normal
+# doubles (1e-155) included; none overflows a double
+COUPLINGS = st.one_of(st.just(0.0),
+                      st.builds(float.__mul__, st.floats(-10.0, 10.0),
+                                st.sampled_from([1e-155, 1e-150, 1.0, 1e150])))
+
+
+@st.composite
+def negative_diagonal_forms(draw):
+    n = draw(st.integers(1, 9))
+    # past the zero rule's absolute tolerance 1e-12, so no row counts as zero
+    scale = draw(st.sampled_from([1e-6, 1.0, 1e150]))
+    m = np.diag([-scale * draw(st.floats(0.5, 4.0)) for _ in range(n)])
+    for i in range(n):
+        for j in range(i + 1, n):
+            m[i, j] = draw(COUPLINGS)
+            # an antisymmetric pair couples to an exact zero
+            kind = draw(st.sampled_from(["antisymmetric", "one-sided", "free"]))
+            m[j, i] = (-m[i, j] if kind == "antisymmetric" else
+                       0.0 if kind == "one-sided" else draw(COUPLINGS))
+    return m
+
+
+@given(m=negative_diagonal_forms())
+@example(m=np.array([[-1.0, 4.0], [0.0, -4.0]]))      # S_01^2 = C_00 C_11: semidefinite
+@example(m=np.array([[-1.0, 3.0], [-3.0, -1.0]]))     # antisymmetric: S_01 = 0
+@settings(max_examples=300, deadline=None)
+def test_order_only_pairs_match_the_dense_expression(m):
+    want = old_dense_order_only_pairs(m)
+    dc, law = classify(m, 1.5)
+    assert law.regime == (ORDER_ONLY if want else SUB_POWER)
+    assert dc.j_sets == want
+    assert tail_law(m, 1.5) == law
+
+
 def test_tail_law_names_an_underflowed_coefficient():
     # (a - a0)^(alpha/2) = (1e-11)^50 underflows to 0: no precondition of
     # the caller is broken, so the message must not name one
@@ -417,9 +462,11 @@ def test_float_power_overflow_names_the_regime(tail, args, regime):
 
 
 def test_tail_law_rejects_an_overflowing_coefficient():
-    with pytest.raises(ValueError, match="overflows"):
+    # an overflow is an OverflowError wherever it is caught, in a float
+    # power or in TailLaw's own check
+    with pytest.raises(OverflowError, match="^coef overflows a double in regime PowerHalf$"):
         TailLaw(POWER_HALF, 1.5, coef=math.inf)
-    with pytest.raises(ValueError, match="overflows"):
+    with pytest.raises(OverflowError, match="^coef overflows a double in regime PowerHalf$"):
         ar1_upper_tail(3.0, 400, 1, 1.5)
 
 
@@ -427,7 +474,7 @@ def test_tail_law_rejects_an_overflowing_coefficient():
 # as a dense QuadForm, without the n x n array; it must come to the same law.
 
 def same_law(got, want):
-    if isinstance(want, ValueError):
+    if isinstance(want, (ValueError, OverflowError)):
         assert str(got) == str(want)
         return
     assert got.regime == want.regime
@@ -440,7 +487,7 @@ def same_law(got, want):
 def law_or_error(build, alpha):
     try:
         return tail_law(build(), alpha)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         return exc
 
 
@@ -459,9 +506,9 @@ def test_structured_form_classifies_like_dense(theta, n, alpha, data):
     for k in ks:
         dense = law_or_error(lambda: autocov_matrix(model, k), alpha)
         structured = law_or_error(lambda: ArForm(model, k), alpha)
-        if isinstance(dense, ValueError):
-            assert str(structured) == str(dense)
-        elif isinstance(structured, ValueError):
+        if isinstance(dense, (ValueError, OverflowError)):
+            assert type(structured) is type(dense) and str(structured) == str(dense)
+        elif isinstance(structured, (ValueError, OverflowError)):
             # the structured form's overflow bound fires only next to the limit
             assert str(structured) == "need finite entries"
             assert float(np.max(np.abs(autocov_matrix(model, k).entries))) > 1e290
@@ -610,7 +657,7 @@ def test_ar1_lag_1_below_zero_is_linear_in_n():
     (2.0, 2.25, 260, 4.0),
 ])
 def test_explosive_pivot_coef_overflow_is_named(args):
-    with pytest.raises(ValueError, match="^coef overflows a double in regime PowerLog$"):
+    with pytest.raises(OverflowError, match="^coef overflows a double in regime PowerLog$"):
         stat_tail(*args)
 
 
@@ -645,7 +692,7 @@ def test_zero_counted_diagonal_term_is_left_out():
     lambda n: ar1_upper_tail(-0.6, n, 3, 1.5),
     lambda n: stat_tail(0.2, 0.5, n, 1.0),
     lambda n: stat_tail(-1.01, 0.0, n, 1.5),
-    lambda n: stable_tail_class(-0.5, 0.3, n, 1.5),
+    lambda n: statistic_tail(ArModel((-0.5, 0.3), n), 1.5, k=1),
 ])
 def test_ar_statistics_allocate_no_dense_form(call):
     n = 3000
@@ -657,6 +704,35 @@ def test_ar_statistics_allocate_no_dense_form(call):
     finally:
         tracemalloc.stop()
     assert peak < 8 * n * n / 4  # a quarter of one n x n array
+
+
+def test_order_only_pairs_allocate_no_dense_temporary():
+    # an all-negative diagonal: the pairs come one coupling row at a time
+    n = 1500
+    m = -np.eye(n)
+    m[0, 1] = 3.0  # one indefinite pair
+    form = QuadForm(n, m)
+    classify(form, 1.5)  # warm caches
+    tracemalloc.start()
+    try:
+        dc, law = classify(form, 1.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert law.regime == ORDER_ONLY and dc.j_sets == ((0, 1),)
+    assert peak < 8 * n * n / 4  # a quarter of one n x n array
+
+
+@pytest.mark.parametrize("c, alpha, message", [
+    (np.ones((2, 3)), 1.5, "need a square matrix"),
+    (np.ones(4), 1.5, "need a square matrix"),
+    (np.eye(2), 0.0, "need alpha > 0"),
+    (np.eye(2), math.nan, "need alpha > 0"),
+])
+def test_classify_checks_its_arguments(c, alpha, message):
+    for call in (classify, tail_law):
+        with pytest.raises(ValueError, match="^%s$" % message):
+            call(c, alpha)
 
 
 @pytest.mark.parametrize("model, k, a0", [
