@@ -10,9 +10,11 @@ depends only on (replicas, n), so every statistic is a pure function of
 any block schedule.  The tail experiment spreads its blocks over a pool
 of worker_count() threads (HEAVYTAIL_THREADS, the one worker setting) and
 reduces each along its AR paths, as lagged products of X = A eps; the
-risk calibration runs its blocks serially (its dense products already use
-the BLAS threads, and a pool on top measured slower) and tests every block
-against the dense form of each grid alternative (common random numbers).
+risk calibration runs its blocks serially (a pool on top measured slower)
+and tests every block against every grid alternative (common random
+numbers): with fewer path steps than alternatives, one GEMM of the stacked
+pair weights by the products eps_i eps_j gives every statistic of a chunk
+of replicas, otherwise one matmul per alternative's form.
 Both end in the same OverflowError on a non-finite replica statistic.  The
 empirical survival function comes from one sort of the replica statistics;
 the theory curve is statistic_tail's law, the one the tail command prints,
@@ -235,6 +237,41 @@ def run_tail_experiment(cfg):
                       tail=tail)
 
 
+def _form_hits(eps, forms, t_etas, n):
+    """Replicas of a (rows, n) chunk whose statistic eps_r^T C eps_r reaches
+    t_eta, counted for each form by one matmul."""
+    return np.array([np.count_nonzero(_finite_stats(
+                         np.einsum("ri,ri->r", eps @ entries, eps), n) >= t_eta)
+                     for t_eta, entries in zip(t_etas, forms)], dtype=np.int64)
+
+
+def _pair_weights(forms, n):
+    """(F, n (n + 1) / 2) weights of eps^T C eps = sum over i <= j of
+    w_ij eps_i eps_j (w_ii = C_ii, w_ij = C_ij + C_ji), pairs in
+    np.triu_indices order, halved so that no C_ij + C_ji leaves the
+    doubles; the halving is exact, and _pair_stats doubles the sums back."""
+    upper = np.triu_indices(n)
+    halves = np.stack([(0.5 * entries + 0.5 * entries.T)[upper] for entries in forms])
+    halves[:, upper[0] == upper[1]] *= 0.5
+    return halves
+
+
+def _pair_stats(eps, halves, table, out):
+    """(F, rows) statistics of a (rows, n) chunk from one GEMM, written into
+    the reused buffer out: the halved weights times the time-major products
+    eps_i eps_j, i <= j, written row by row into the reused buffer table."""
+    rows, n = eps.shape
+    e = np.ascontiguousarray(eps.T)
+    pairs = table[:halves.shape[1] * rows].reshape(-1, rows)
+    start = 0
+    for i in range(n):
+        np.multiply(e[i], e[i:], out=pairs[start:start + n - i])
+        start += n - i
+    stats = np.matmul(halves, pairs, out=out[:len(halves) * rows].reshape(-1, rows))
+    stats *= 2.0
+    return stats
+
+
 def calibrate_risk(a_grid, a0, n, alpha, eta, replicas=McConfig.replicas,
                    seed=McConfig.seed):
     """Estimated rejection risk along a grid of alternatives a.
@@ -242,9 +279,14 @@ def calibrate_risk(a_grid, a0, n, alpha, eta, replicas=McConfig.replicas,
     Common random numbers: each innovation block is drawn once and every
     grid value a > a0 is tested on it, counting the replicas whose statistic
     eps^T C_a eps reaches the threshold t_eta from critical_value; risk_hat
-    is the total count over replicas.  Grid values with a <= a0 come back
-    skipped, and with no other value no block is drawn.  A statistic that
-    is not finite raises the OverflowError of collect_stats.
+    is the total count over replicas.  With fewer path steps n than tested
+    values F, all F statistics of a chunk of replicas come from one GEMM of
+    pair weights and pair products (_pair_weights); otherwise each form
+    C_a reduces the block by one matmul.  The two routes round differently,
+    so a count can differ only by a replica within rounding of t_eta.
+    Grid values with a <= a0 come back skipped, and with no other value no
+    block is drawn.  A statistic that is not finite raises the
+    OverflowError of collect_stats.
     """
     a0 = check_a0(a0)
     n = check_pivot_n(n)
@@ -254,19 +296,34 @@ def calibrate_risk(a_grid, a0, n, alpha, eta, replicas=McConfig.replicas,
     grid = [float(a) for a in a_grid]
     alternatives = [a for a in grid if a > a0]
     # critical values first: one whose pivot form overflows a double is
-    # named before any dense form is built
+    # named before any form is built
     t_etas = [critical_value(a, a0, n, law.alpha, eta) for a in alternatives]
     forms = [test_matrix(a, a0, n).entries for a in alternatives]
 
+    pairs = n < len(forms)
+    chunk = BLOCK_DRAWS
+    if pairs:
+        halves = _pair_weights(forms, n)
+        # the pair table and the statistics buffer, reused by every chunk,
+        # hold at most 2 BLOCK_DRAWS doubles each (or one replica's worth)
+        chunk = max(1, 2 * BLOCK_DRAWS // max(halves.shape))
+        table = np.empty(chunk * halves.shape[1])
+        out = np.empty(chunk * len(forms))
+        thresholds = np.array(t_etas)[:, None]
     counts = np.zeros(len(forms), dtype=np.int64)
     for block in replica_blocks(replicas, n) if forms else ():
         eps = block_innovations(law, n, seed, block)
-        # eps_r^T C eps_r, one matmul per form; overflows reach _finite_stats unwarned
-        with np.errstate(over="ignore", invalid="ignore"):
-            hits = [np.count_nonzero(_finite_stats(
-                        np.einsum("ri,ri->r", eps @ entries, eps), n) >= t_eta)
-                    for t_eta, entries in zip(t_etas, forms)]
-        counts += np.array(hits, dtype=np.int64)
+        for lo in range(0, len(eps), chunk):
+            part = eps[lo:lo + chunk]
+            # overflows reach _finite_stats unwarned
+            with np.errstate(over="ignore", invalid="ignore"):
+                stats = _pair_stats(part, halves, table, out) if pairs else None
+                if stats is not None and np.isfinite(stats).all():
+                    counts += np.count_nonzero(stats >= thresholds, axis=1)
+                else:
+                    # one matmul per form, also where a pair product leaves
+                    # the doubles but the form's own statistic does not
+                    counts += _form_hits(part, forms, t_etas, n)
     tested = iter(zip(t_etas, counts))
     rows = []
     for a in grid:

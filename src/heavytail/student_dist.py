@@ -25,6 +25,7 @@ numpy only.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,17 +161,20 @@ def upper_quantile(law, u):
     """Exact solution q of 1 - S_alpha(q) = u for 0 < u < 1/2.
 
     Bracket around the first-order quantile, then Brent refinement on the
-    cancellation-free survival function.  OverflowError when the bracket
-    reaches 0 or inf, or survival underflows before it reaches u.
+    cancellation-free survival function.  The upper end doubles up to the
+    largest double.  OverflowError when the bracket reaches 0, when survival
+    at the largest double is still above u, or when survival underflows
+    before it reaches u.
     """
     from scipy.optimize import brentq
 
     u = float(u)
     if not 0.0 < u < 0.5:
         raise ValueError("need 0 < u < 1/2")
+    top = sys.float_info.max
     lo = hi = quantile_tail(law, u)
     while 0.0 < hi < math.inf and survival(law, hi) > u:
-        hi *= 2.0
+        hi = min(2.0 * hi, top) if hi < top else math.inf
     while 0.0 < survival(law, lo) < u:
         lo /= 2.0
     if not 0.0 < lo <= hi < math.inf:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from heavytail import monte_carlo
-from heavytail.ar_quadform import ArModel, autocov_matrix
+from heavytail.ar_quadform import ArModel, QuadForm, autocov_matrix
 from heavytail.ar_quadform import test_matrix as statistic_matrix
 from heavytail.monte_carlo import (BLOCK_DRAWS, DEFAULT_A_GRID, McConfig,
                                    block_innovations, calibrate_risk,
@@ -13,7 +13,7 @@ from heavytail.monte_carlo import (BLOCK_DRAWS, DEFAULT_A_GRID, McConfig,
                                    run_tail_experiment, worker_count,
                                    write_risk_csv, write_tail_csv)
 from heavytail.student_dist import make_law, sample
-from heavytail.tail_formulas import ar1_upper_tail, evaluate
+from heavytail.tail_formulas import ar1_upper_tail, critical_value, evaluate
 
 
 def small_config(**kw):
@@ -286,15 +286,69 @@ def test_calibrate_risk_independent_of_block_order(monkeypatch):
     assert backward == forward
 
 
-def test_calibrate_risk_reuses_the_simulation_blocks(monkeypatch):
-    # common random numbers: every grid value reads the blocks collect_stats draws
+@pytest.mark.parametrize("grid, n", [
+    pytest.param((0.6, 1.0), 8, id="dense"),  # n >= F: one matmul per form
+    pytest.param(DEFAULT_A_GRID, 10, id="pairs"),  # n < F = 37: one pair GEMM
+])
+def test_calibrate_risk_reuses_the_simulation_blocks(monkeypatch, grid, n):
+    # common random numbers: every grid value reads the blocks collect_stats
+    # draws, and each count is that of the AR path reduction
     law = make_law(1.0)
-    rows = calibrate_risk((0.6, 1.0), 0.5, 8, 1.0, 0.05, replicas=20_000, seed=5)
+    rows = calibrate_risk(grid, 0.5, n, 1.0, 0.05, replicas=20_000, seed=5)
     for row in rows:
-        cfg = McConfig(model=ArModel((row.a,), 8), law=law, a0=0.5,
+        if row.skipped:
+            continue
+        cfg = McConfig(model=ArModel((row.a,), n), law=law, a0=0.5,
                        replicas=20_000, seed=5)
         stats = stats_with_workers(monkeypatch, cfg, 1)
         assert row.risk_hat == np.count_nonzero(stats >= row.t_eta) / 20_000
+
+
+# with n = 6 path steps, F = 7 tested values take the pair-product route
+PAIR_GRID = (0.6, 0.7, 0.8, 0.9, 1.0, 1.02, 1.05)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_calibrate_risk_pair_weights_past_the_doubles(monkeypatch):
+    # forms scaled by 2^1022 keep finite entries (|C| < 4), but C_ij + C_ji
+    # leaves the doubles from a = 1 on (|C_ij + C_ji| >= 5); innovations
+    # scaled by 2^-100 keep the statistics finite.  Powers of two scale
+    # every route exactly, so the pair route counts what the unscaled run
+    # and one form at a time (F = 1) count.
+    grid, n = PAIR_GRID, 6
+    args = (0.5, n, 1.5, 0.05)
+    plain = calibrate_risk(grid, *args, replicas=5000, seed=2)
+    monkeypatch.setattr(monte_carlo, "test_matrix", lambda a, a0, n: QuadForm(
+        n, np.ldexp(statistic_matrix(a, a0, n).entries, 1022)))
+    monkeypatch.setattr(monte_carlo, "critical_value",
+                        lambda *args: math.ldexp(critical_value(*args), 1022 - 200))
+    monkeypatch.setattr(monte_carlo, "block_innovations",
+                        lambda *args: np.ldexp(block_innovations(*args), -100))
+    forms = [monte_carlo.test_matrix(a, 0.5, n).entries for a in grid]
+    with np.errstate(over="ignore"):
+        assert any(np.isinf(c + c.T).any() for c in forms)
+    scaled = calibrate_risk(grid, *args, replicas=5000, seed=2)
+    one_by_one = [calibrate_risk((a,), *args, replicas=5000, seed=2)[0] for a in grid]
+    assert scaled == one_by_one
+    assert [r.risk_hat for r in scaled] == [r.risk_hat for r in plain]
+    assert 0.0 < min(r.risk_hat for r in plain)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_calibrate_risk_pair_product_past_the_doubles(monkeypatch):
+    # eps_{n-1}^2 = 1e400 leaves the doubles, but the pivot form's last
+    # diagonal entry is zero and the statistic stays finite: the per-form
+    # matmuls count such a chunk
+    def huge_last(*args):
+        eps = block_innovations(*args)
+        eps[::100, -1] = 1e200
+        return eps
+
+    monkeypatch.setattr(monte_carlo, "block_innovations", huge_last)
+    grid, args = PAIR_GRID, (0.5, 6, 1.5, 0.05)
+    rows = calibrate_risk(grid, *args, replicas=5000, seed=2)
+    assert rows == [calibrate_risk((a,), *args, replicas=5000, seed=2)[0] for a in grid]
+    assert min(r.risk_hat for r in rows) >= 0.01
 
 
 def test_default_grid_shape():

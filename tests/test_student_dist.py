@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -419,3 +420,24 @@ def test_upper_quantile_bracket_at_zero_or_inf_is_overflow(monkeypatch, start):
     monkeypatch.setattr(student_dist, "quantile_tail", lambda law, u: start)
     with pytest.raises(OverflowError, match="quantile bracket leaves the doubles"):
         upper_quantile(make_law(1.5), 0.01)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_upper_quantile_root_just_below_the_largest_double():
+    # survival at the first-order quantile 1.354e308 is still above u; the
+    # bracket once doubled it straight to inf, though the root is a double
+    law = make_law(0.09508972767494876)
+    u = 2.1043780483204162e-30
+    assert survival(law, quantile_tail(law, u)) > u > survival(law, sys.float_info.max)
+    q = upper_quantile(law, u)
+    assert quantile_tail(law, u) < q < sys.float_info.max
+    assert survival(law, q) == pytest.approx(u, rel=1e-9)
+
+
+def test_upper_quantile_bracket_past_the_largest_double_is_overflow(monkeypatch):
+    # survival at the largest double is still about 0.24 > u: no double brackets the root
+    law = make_law(0.001)
+    monkeypatch.setattr(student_dist, "quantile_tail", lambda law, u: 1e300)
+    assert survival(law, sys.float_info.max) > 0.01
+    with pytest.raises(OverflowError, match="quantile bracket leaves the doubles"):
+        upper_quantile(law, 0.01)
