@@ -202,15 +202,15 @@ def _classify(form, alpha, witnesses):
                         note="zero max diagonal with no symmetrized coupling "
                              "on the zero-diagonal rows"))
 
-    # all diagonal entries strictly negative: the pairs i < j, row-major,
-    # with S_ij^2 > C_ii C_jj for S_ij = (C_ij + C_ji) / 2, squared by libm
-    # pow as the scalar test S_ij ** 2 takes it
+    # all diagonal entries strictly negative: an indefinite coordinate pair,
+    # where a side past a double's range is decided again, scaled
+    try:
+        with np.errstate(over="raise"):
+            keys = _indefinite_pairs(form, diag, False)
+    except FloatingPointError:
+        with np.errstate(over="ignore"):
+            keys = _indefinite_pairs(form, diag, True)
     n = form.n
-    keys = [np.empty(0, dtype=np.int64)]
-    for i, row in form.couplings(range(n - 1)):
-        square = np.float_power(row[i + 1:] * 0.5, 2.0)
-        keys.append(i * n + i + 1 + np.flatnonzero(square > diag[i] * diag[i + 1:]))
-    keys = np.sort(np.concatenate(keys))
     if keys.size:
         return (DegeneracyClass(2, tuple(zip((keys // n).tolist(), (keys % n).tolist()))),
                 TailLaw(ORDER_ONLY, alpha,
@@ -218,6 +218,38 @@ def _classify(form, alpha, witnesses):
                              "pair; exact order t^(-alpha), no closed coefficient"))
     return (DegeneracyClass("gt2", ()),
             TailLaw(SUB_POWER, alpha, note="no coordinate pair carries positive energy"))
+
+
+# a power of two that brings S_ij^2 and C_ii C_jj of any finite S_ij, C_ii and
+# C_jj into range, and a side that overflowed back to 1/8 or more
+_PAIR_SHRINK = 2.0 ** -513
+
+
+def _indefinite_pairs(form, diag, rescale):
+    """Sorted keys i n + j of the pairs i < j of an all-negative diagonal with
+    S_ij^2 > C_ii C_jj for S_ij = (C_ij + C_ji) / 2, squared by libm pow as
+    the scalar test S_ij ** 2 takes it.
+
+    With rescale, each pair with a finite S_ij where a side overflows is
+    decided again on S_ij, C_ii and C_jj times _PAIR_SHRINK, which is
+    exact: a factor the shrink pushes below the normal doubles sits on a
+    side less than 2^-500 times the other, so the decision is the one a
+    double without an exponent limit gives.  Every other pair, one whose
+    coupling C_ij + C_ji itself overflowed included, is decided as without
+    rescale."""
+    n = form.n
+    keys = [np.empty(0, dtype=np.int64)]
+    for i, row in form.couplings(range(n - 1)):
+        half = row[i + 1:] * 0.5
+        square = np.float_power(half, 2.0)
+        energy = diag[i] * diag[i + 1:]
+        hit = square > energy
+        if rescale:
+            over = (np.isinf(square) | np.isinf(energy)) & np.isfinite(half)
+            hit[over] = (np.float_power(half[over] * _PAIR_SHRINK, 2.0)
+                         > (diag[i] * _PAIR_SHRINK) * (diag[i + 1:][over] * _PAIR_SHRINK))
+        keys.append(i * n + i + 1 + np.flatnonzero(hit))
+    return np.sort(np.concatenate(keys))
 
 
 @contextmanager

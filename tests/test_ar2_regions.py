@@ -453,16 +453,37 @@ def first_covering_k_oracle(a, b, kmax=200):
     return first
 
 
-@given(a_lo=st.floats(-1e3, 1e3), a_span=st.floats(1e-3, 2e3),
-       b_lo=st.floats(-1e6, 1e3), b_span=st.floats(1e-3, 1e6),
-       steps=st.integers(2, 12), kmax=st.integers(2, 400))
+def lattice_ends(limit):
+    """Two ends of a lattice axis: floats within limit, and the signed zeros
+    and subnormals that hug a = 0 and b = 0."""
+    end = st.one_of(st.floats(-limit, limit), st.sampled_from([0.0, -0.0, 5e-324, -5e-324]))
+    return st.tuples(end, end)
+
+
+# the stability triangle's scale, moderate ones and magnitudes up to 1e300
+LATTICE_AXIS = st.sampled_from([3.0, 1e3, 1e6, 1e300]).flatmap(lattice_ends)
+
+
+@given(a_ends=LATTICE_AXIS, b_ends=LATTICE_AXIS, quadrant=st.booleans(),
+       steps=st.integers(2, 12), kmax=st.integers(2, 2000))
+# around the covered strip a < 0, b < -a^2 - 1, next to the decided quadrant
+@example(a_ends=(-3.0, 3.0), b_ends=(-3.0, 3.0), quadrant=False, steps=12, kmax=100)
 @settings(max_examples=80, deadline=None)
-def test_first_covering_k_matches_array_oracle_on_lattices(a_lo, a_span, b_lo, b_span,
-                                                           steps, kmax):
-    # |a| up to 1e3 grows the state past _RESCALE_AT within ~35 steps
-    a = np.repeat(np.linspace(a_lo, min(1e3, a_lo + a_span), steps), steps)
-    b = np.tile(np.linspace(b_lo, b_lo + b_span, steps), steps)
-    assert np.array_equal(first_covering_k(a, b, kmax), first_covering_k_oracle(a, b, kmax))
+def test_first_covering_k_matches_array_oracle_on_lattices(a_ends, b_ends, quadrant, steps,
+                                                           kmax):
+    # |a| up to 1e3 grows the state past _RESCALE_AT within ~35 steps.  A
+    # quadrant lattice lies wholly in a < 0 <= b (b = -0.0 included), which
+    # the kernel decides before its recursion
+    if quadrant:
+        a_ends = tuple(-abs(v) or -5e-324 for v in a_ends)
+        b_ends = tuple(v if v >= 0.0 else -v for v in b_ends)
+    a = np.repeat(np.linspace(*a_ends, steps), steps)
+    b = np.tile(np.linspace(*b_ends, steps), steps)
+    first = first_covering_k(a, b, kmax)
+    with np.errstate(all="ignore"):  # the oracle overflows without a guard
+        assert np.array_equal(first, first_covering_k_oracle(a, b, kmax))
+    if quadrant:
+        assert not first.any()
 
 
 def test_first_covering_k_matches_array_oracle_on_special_values():

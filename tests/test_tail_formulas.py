@@ -438,6 +438,54 @@ def test_order_only_pairs_match_the_dense_expression(m):
     assert tail_law(m, 1.5) == law
 
 
+def exact_order_only_pairs(n, diag, rows):
+    """The pairs i < j with S_ij^2 > C_ii C_jj in exact rationals, from the
+    diagonal and the coupling rows {i: row i of C + C^T}."""
+    return tuple((i, j) for i in range(n) for j in range(i + 1, n)
+                 if (Fraction(float(rows[i][j])) / 2) ** 2
+                 > Fraction(float(diag[i])) * Fraction(float(diag[j])))
+
+
+class NegativeDiagonalArForm(ArForm):
+    """An ArForm read with its diagonal replaced by an all-negative one, so
+    the pair test runs on structured coupling rows (the diagonal of an
+    ArForm itself ends in a zero)."""
+
+    def __init__(self, model, k, diag):
+        super().__init__(model, k)
+        self._negative = np.asarray(diag, dtype=float)
+
+    def diagonal(self):
+        return self._negative.copy()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_order_only_pairs_past_a_doubles_range():
+    # S_01^2 = 1e400 > C_00 C_11 = 1e320, both sides past a double's range;
+    # (0, 3) overflows both sides too, but 8.1e309 < 1e310; (0, 2) overflows
+    # one side, (2, 3) none, and (1, 2) squares below the subnormals
+    m = np.array([[-1e160, 2e200, 3.0, 1.8e155],
+                  [0.0, -1e160, 1e-300, 0.0],
+                  [0.0, 0.0, -1e150, 4e150],
+                  [0.0, 0.0, 0.0, -1e150]])
+    want = exact_order_only_pairs(4, np.diag(m), m + m.T)
+    assert want == ((0, 1), (2, 3))
+    for form in (m, QuadForm(4, m)):
+        dc, law = classify(form, 1.5)
+        assert law.regime == ORDER_ONLY and dc.j_sets == want
+    dc, law = classify(np.array([[-1e200, 1.9e200], [0.0, -1e200]]), 1.5)
+    assert law.regime == SUB_POWER and dc.j_sets == ()
+    # structured couplings up to ~2e280 against diagonals 1e150 to 1e160:
+    # pairs past the range on one side, on both and on neither
+    model = ArModel((1e10,), 16)
+    diag = -np.logspace(150.0, 160.0, 16)
+    rows = dict(ArForm(model, 1).couplings(range(16)))
+    want = exact_order_only_pairs(16, diag, rows)
+    assert 0 < len(want) < 120
+    dc, law = classify(NegativeDiagonalArForm(model, 1, diag), 1.5)
+    assert law.regime == ORDER_ONLY and dc.j_sets == want
+
+
 def test_tail_law_names_an_underflowed_coefficient():
     # (a - a0)^(alpha/2) = (1e-11)^50 underflows to 0: no precondition of
     # the caller is broken, so the message must not name one
