@@ -114,13 +114,15 @@ class QuadForm:
         n x n temporary)."""
         return max(float(self.entries.max()), -float(self.entries.min())) <= tol
 
-    def couplings(self, rows):
+    def couplings(self, rows, half=False):
         """(i, row) for each index i in rows: row i of C + C^T with the
         entry (i, i) set to zero, a new array the caller owns; C + C^T
-        itself is never formed."""
+        itself is never formed.  With half, row i of (C + C^T) / 2 taken as
+        0.5 C_ij + 0.5 C_ji, which is exact above the subnormals and stays
+        finite where C_ij + C_ji leaves the doubles."""
         m = self.entries
         for i in rows:
-            row = m[i] + m[:, i]
+            row = m[i] * 0.5 + m[:, i] * 0.5 if half else m[i] + m[:, i]
             row[i] = 0.0
             yield i, row
 
@@ -298,9 +300,10 @@ class ArForm:
         max(1, max |C_ii|): every other form has C_{n-1, n-1-k} = psi_0^2 = 1."""
         return self._bottom == 0
 
-    def couplings(self, rows):
+    def couplings(self, rows, half=False):
         """(i, row) for each index i in rows, bottom up: row i of C + C^T
-        with the entry (i, i) set to zero, a copy the caller owns.
+        with the entry (i, i) set to zero, a copy the caller owns, or with
+        half that row times 0.5 (construction keeps C + C^T finite).
         C + C^T = A^T W A for W = B^k + B^k^T, so one bottom-up _recursion
         pass over the rows of W A, from row n - 1 down to the lowest index
         asked for, yields them: row r of W A is row r - k of A plus, while
@@ -312,7 +315,7 @@ class ArForm:
               for r in range(n - 1, min(rows, default=n) - 1, -1))
         for r, row in _recursion(self.model.theta, wa):
             if r in rows:
-                out = row.copy()
+                out = row * 0.5 if half else row.copy()
                 out[r] = 0.0
                 yield r, out
 

@@ -16,9 +16,12 @@ numbers): with fewer path steps than alternatives, one GEMM of the stacked
 pair weights by the products eps_i eps_j gives every statistic of a chunk
 of replicas, otherwise one matmul per alternative's form.
 Both end in the same OverflowError on a non-finite replica statistic.  The
-empirical survival function comes from one sort of the replica statistics;
-the theory curve is statistic_tail's law, the one the tail command prints,
-on the same threshold grid.  The CSV writers take their number format,
+empirical survival function comes from exceedance counts: each pool task
+counts its own block's statistics past every threshold of the grid and
+the counts are summed, so no replica vector is kept and the memory of
+simulate does not grow with the replica count.  The theory curve is
+statistic_tail's law, the one the tail command prints, on the same
+threshold grid.  The CSV writers take their number format,
 header lines and rows from _text.
 """
 
@@ -188,10 +191,14 @@ def path_stats(eps, theta, k=None, a0=None):
         return np.einsum("ir,ir->r", x[1:] - a0 * x[:-1], x[:-1])
 
 
-def collect_stats(cfg):
+def collect_stats(cfg, t=None):
     """Vector of all replica statistics of a tail experiment, in
     replica-index order, reduced along the AR paths block by block on
     worker_count() threads (keyed substreams: the schedule does not matter).
+
+    With a threshold grid t, each block is reduced on its own thread to its
+    counts of statistics >= t_j, and the summed int64 counts, one per
+    threshold, come back instead: no replica vector is kept.
 
     Raises OverflowError when a statistic is not finite (explosive models).
     """
@@ -199,7 +206,12 @@ def collect_stats(cfg):
 
     def block_stats(block):
         eps = block_innovations(cfg.law, n, cfg.seed, block)
-        return path_stats(eps, cfg.model.theta, k=cfg.k, a0=cfg.a0)
+        stats = path_stats(eps, cfg.model.theta, k=cfg.k, a0=cfg.a0)
+        if t is None:
+            return stats
+        stats = _finite_stats(stats, n)
+        stats.sort()
+        return len(stats) - np.searchsorted(stats, t, side="left")
 
     blocks = replica_blocks(cfg.replicas, n)
     workers = min(worker_count(), len(blocks))
@@ -208,6 +220,8 @@ def collect_stats(cfg):
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             stats = list(pool.map(block_stats, blocks))
+    if t is not None:
+        return np.sum(stats, axis=0)
     return _finite_stats(np.concatenate(stats), n)
 
 
@@ -215,20 +229,19 @@ def run_tail_experiment(cfg):
     """Monte Carlo tail experiment for one configuration.
 
     Takes the configured statistic's law from statistic_tail, the route
-    the tail command takes too (no n x n matrix), draws all replica
-    statistics, and returns the empirical survival curve on a log-spaced
-    threshold grid next to the first-order theory curve.  The PowerLog
-    approximation needs every threshold above e.
+    the tail command takes too (no n x n matrix), counts the replica
+    statistics past each threshold of a log-spaced grid block by block,
+    and returns the empirical survival curve on that grid next to the
+    first-order theory curve.  The PowerLog approximation needs every
+    threshold above e.
     """
     tail = statistic_tail(cfg.model, cfg.law.alpha, k=cfg.k, a0=cfg.a0)
     t = np.logspace(math.log10(cfg.t_min), math.log10(cfg.t_max), cfg.points)
     if tail.regime == POWER_LOG and not cfg.t_min > math.e:
         raise ValueError("need t_min > e in the PowerLog regime")
 
-    stats = np.sort(collect_stats(cfg))
     replicas = cfg.replicas
-    exceed = replicas - np.searchsorted(stats, t, side="left")
-    p_emp = exceed / replicas
+    p_emp = collect_stats(cfg, t) / replicas
     se = np.sqrt(p_emp * (1.0 - p_emp) / replicas)
 
     raw = np.array([evaluate(tail, ti) for ti in t])
@@ -239,9 +252,11 @@ def run_tail_experiment(cfg):
 
 def _form_hits(eps, forms, t_etas, n):
     """Replicas of a (rows, n) chunk whose statistic eps_r^T C eps_r reaches
-    t_eta, counted for each form by one matmul."""
-    return np.array([np.count_nonzero(_finite_stats(
-                         np.einsum("ri,ri->r", eps @ entries, eps), n) >= t_eta)
+    t_eta, counted for each form by one matmul into one reused product
+    buffer (a fresh block-sized product per form page-faults anew)."""
+    product = np.empty_like(eps)
+    return np.array([np.count_nonzero(_finite_stats(np.einsum(
+                         "ri,ri->r", np.matmul(eps, entries, out=product), eps), n) >= t_eta)
                      for t_eta, entries in zip(t_etas, forms)], dtype=np.int64)
 
 

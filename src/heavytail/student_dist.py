@@ -321,7 +321,12 @@ def sample(law, stream, size=None):
     """
     if law.alpha == 1.0:
         u = stream.random(size)
-        out = np.tan(np.pi * (u - 0.5))
-        return out if size is not None else float(out)
+        if size is None:
+            return float(np.tan(np.pi * (u - 0.5)))
+        # in place: no block-sized temporaries
+        u -= 0.5
+        u *= np.pi
+        np.tan(u, out=u)
+        return u
     out = _polar_draws(law.alpha, stream, 1 if size is None else int(np.prod(size)))
     return out.reshape(size) if size is not None else float(out[0])

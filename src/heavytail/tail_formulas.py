@@ -227,25 +227,25 @@ _PAIR_SHRINK = 2.0 ** -513
 
 def _indefinite_pairs(form, diag, rescale):
     """Sorted keys i n + j of the pairs i < j of an all-negative diagonal with
-    S_ij^2 > C_ii C_jj for S_ij = (C_ij + C_ji) / 2, squared by libm pow as
-    the scalar test S_ij ** 2 takes it.
+    S_ij^2 > C_ii C_jj for S_ij = 0.5 C_ij + 0.5 C_ji (finite, also where
+    C_ij + C_ji overflows), squared by libm pow as the scalar test S_ij ** 2
+    takes it.
 
-    With rescale, each pair with a finite S_ij where a side overflows is
-    decided again on S_ij, C_ii and C_jj times _PAIR_SHRINK, which is
-    exact: a factor the shrink pushes below the normal doubles sits on a
-    side less than 2^-500 times the other, so the decision is the one a
-    double without an exponent limit gives.  Every other pair, one whose
-    coupling C_ij + C_ji itself overflowed included, is decided as without
+    With rescale, each pair where a side overflows is decided again on
+    S_ij, C_ii and C_jj times _PAIR_SHRINK, which is exact: a factor the
+    shrink pushes below the normal doubles sits on a side less than 2^-500
+    times the other, so the decision is the one a double without an
+    exponent limit gives.  Every other pair is decided as without
     rescale."""
     n = form.n
     keys = [np.empty(0, dtype=np.int64)]
-    for i, row in form.couplings(range(n - 1)):
-        half = row[i + 1:] * 0.5
+    for i, row in form.couplings(range(n - 1), half=True):
+        half = row[i + 1:]
         square = np.float_power(half, 2.0)
         energy = diag[i] * diag[i + 1:]
         hit = square > energy
         if rescale:
-            over = (np.isinf(square) | np.isinf(energy)) & np.isfinite(half)
+            over = np.isinf(square) | np.isinf(energy)
             hit[over] = (np.float_power(half[over] * _PAIR_SHRINK, 2.0)
                          > (diag[i] * _PAIR_SHRINK) * (diag[i + 1:][over] * _PAIR_SHRINK))
         keys.append(i * n + i + 1 + np.flatnonzero(hit))

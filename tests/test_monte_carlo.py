@@ -1,8 +1,11 @@
 import io
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from heavytail import monte_carlo
 from heavytail.ar_quadform import ArModel, QuadForm, autocov_matrix
@@ -127,6 +130,55 @@ def test_calibrate_risk_rejects_overflowing_statistics():
     with pytest.raises(OverflowError, match="^replica statistics overflow; the "
                                             "model is too explosive for n=870$"):
         calibrate_risk((1.5,), 0.5, 870, 1.5, 0.05, replicas=2000, seed=0)
+
+
+@st.composite
+def count_cases(draw):
+    """(cfg, threads, ties, extra): a lag or pivot experiment on an AR(1)
+    path, one or more blocks (the last one mostly partial; one-row blocks
+    past BLOCK_DRAWS), a worker setting, and thresholds as fractions into
+    the sorted replica statistics (ties) next to free ones."""
+    n = draw(st.sampled_from([2, 3, 10, 37, BLOCK_DRAWS + 1]))
+    rows = max(1, BLOCK_DRAWS // n)
+    statistic = (dict(k=draw(st.integers(0, 3))) if draw(st.booleans())
+                 else dict(a0=draw(st.floats(-1.0, 1.5))))
+    cfg = McConfig(model=ArModel((draw(st.floats(-1.05, 1.05)),), n),
+                   law=make_law(draw(st.sampled_from([0.7, 1.0, 1.5]))),
+                   replicas=draw(st.integers(1, 2 * rows + 1)),
+                   seed=draw(st.integers(0, 2 ** 64 - 1)), **statistic)
+    ties = draw(st.lists(st.floats(0.0, 1.0), max_size=6))
+    extra = draw(st.lists(st.floats(-1e12, 1e12), min_size=1, max_size=6))
+    return cfg, draw(st.sampled_from([1, 3])), ties, extra
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(case=count_cases())
+@example(case=(small_config(replicas=14_000), 3, [0.0, 0.5, 0.5, 1.0], [1e3]))
+@example(case=(small_config(model=ArModel((1.0,), BLOCK_DRAWS + 1), replicas=3),
+               3, [0.5], [0.0]))
+@example(case=(small_config(model=ArModel((0.6,), 10), k=None, a0=0.5, replicas=13_107),
+               1, [0.25, 1.0], [-1.0]))
+# explosive: every statistic of the four blocks overflows
+@example(case=(small_config(model=ArModel((-3.0,), 400), k=None, a0=0.5, replicas=500),
+               3, [], [1.0, 1e6]))
+@settings(max_examples=25, deadline=None)
+def test_threshold_counts_match_the_replica_vector(case):
+    # collect_stats(cfg, t) counts #{statistic >= t_j} block by block; the
+    # sums equal the counts read from the sorted replica vector, and an
+    # overflow ends in the vector route's one-line error
+    cfg, threads, ties, extra = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("HEAVYTAIL_THREADS", str(threads))
+        try:
+            stats = np.sort(collect_stats(cfg))
+        except OverflowError as err:
+            with pytest.raises(OverflowError, match="^%s$" % re.escape(str(err))):
+                collect_stats(cfg, np.array(extra))
+            return
+        t = np.array([stats[round(f * (cfg.replicas - 1))] for f in ties] + extra)
+        counts = collect_stats(cfg, t)
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, cfg.replicas - np.searchsorted(stats, t, side="left"))
 
 
 @pytest.mark.parametrize("replicas,n", [(1, 1), (5, 10), (14_000, 10),

@@ -486,6 +486,26 @@ def test_order_only_pairs_past_a_doubles_range():
     assert law.regime == ORDER_ONLY and dc.j_sets == want
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("m, regime", [
+    # C_01 + C_10 = 3e308 leaves the doubles, S_01 = 1.5e308 does not:
+    # S_01^2 = 2.25e616 > C_00 C_11 = 1e616
+    ([[-1e308, 1.5e308], [1.5e308, -1e308]], ORDER_ONLY),
+    # S_01^2 = 1e616 < C_00 C_11 = 1.7e616
+    ([[-1e308, 1e308], [1e308, -1.7e308]], SUB_POWER),
+])
+def test_order_only_pair_whose_coupling_sum_overflows(m, regime):
+    m = np.array(m)
+    c = [[Fraction(float(v)) for v in row] for row in m]
+    indefinite = ((c[0][1] + c[1][0]) / 2) ** 2 > c[0][0] * c[1][1]
+    want = ((0, 1),) if indefinite else ()
+    assert indefinite == (regime == ORDER_ONLY)
+    for form in (m, QuadForm(2, m)):
+        dc, law = classify(form, 1.5)
+        assert law.regime == regime and dc.j_sets == want
+        assert tail_law(form, 1.5) == law
+
+
 def test_tail_law_names_an_underflowed_coefficient():
     # (a - a0)^(alpha/2) = (1e-11)^50 underflows to 0: no precondition of
     # the caller is broken, so the message must not name one
