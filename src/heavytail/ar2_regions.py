@@ -24,13 +24,18 @@ region_membership is the first one's one-point case.  region_grid scans
 the whole lattice at once: one recursion step over k for every
 still-uncovered point, in the operation order of the one-point recursion,
 so the columns (and the CSV bytes) are those of a point-by-point scan.
-The line a = 0 and the quadrant a < 0 <= b, where no k covers a point
-(see first_covering_k), never enter the recursion.  On `regions --steps
-201` they are 6,901 of the 40,401 points, and deciding them up front took
-the scan from about 17 to 12.5 ms on a 2-vCPU x86_64 machine (CPython
-3.11, numpy 2.4).
-It returns them as a RegionScan, which write_region_csv writes straight
-to text, deriving each point's regime from its first covering k.
+Only points with a < 0 and b < 0 enter the recursion: k = 2 covers every
+a > 0, and no k covers a point on the line a = 0 or in the quadrant
+a < 0 <= b (see first_covering_k); on `regions --steps 201` that settles
+27,001 of the 40,401 points before the first step.  A point's state is
+rescaled once it passes _RESCALE_AT, and the test for that runs only when
+a bound on the whole state, grown by max(1, max|a| + max|b|) and a
+rounding margin per step, passes it (once on that lattice, at k = 167).
+On a 2-vCPU x86_64 machine (CPython 3.11, numpy 2.4) the scan of that
+lattice takes about 6 ms; with a > 0 in the recursion and full rescale
+and coverage tests at every step it took 8 ms.  region_grid returns the
+columns as a RegionScan, which write_region_csv writes straight to text,
+deriving each point's regime from its first covering k.
 """
 
 import math
@@ -43,6 +48,10 @@ from .tail_formulas import POWER_HALF, POWER_LOG, check_span
 
 # entry magnitude that triggers a uniform positive rescale of the scan state
 _RESCALE_AT = 1e100
+# the scan's bound on its state is floored at the smallest normal double and
+# grows by 16 ulps of 1 more than the step can (see first_covering_k)
+_BOUND_FLOOR = 2.0 ** -1022
+_GROW_MARGIN = 1.0 + 2.0 ** -49
 
 
 def a_col(a, b, jmax):
@@ -73,14 +82,41 @@ def first_covering_k(a, b, kmax=200):
     (a positive rescale preserves every sign), so only an a or b near a
     double's limit can overflow a step, which the scan keeps without a
     numpy warning.  From the second check on, |prev| <= _RESCALE_AT, since
-    prev is the cur of the check before (rescaled to at most 1 there if it
-    passed), and a nan prev makes cur nan; so from k = 3 on the test reads
-    |cur| alone.  The first check reads both, as its prev is a itself.
-    Covered points leave the active set, and the scan stops once none is
-    left.
+    prev is the cur of the step before, which was within bounds or rescaled
+    to at most 1 there, and a nan prev makes cur nan; so from k = 3 on the
+    test reads |cur| alone.  The first check reads both, as its prev is a
+    itself.  One reduction, the fmax of d (which skips nan, as d > 0 does),
+    tells whether a step covers any point; only then is the mask built, and
+    covered points leave the active set.  The scan stops once none is left,
+    and the last k makes no step.
 
-    Points with a = +-0 or a < 0 <= b are decided before the loop, with the
-    0 the steps would give at every kmax.  At a < 0 <= b, while cur and prev
+    The rescale test runs only when a bound M (`bound`) on max(|prev|,
+    |cur|) over the points passes _RESCALE_AT: below it no point can pass,
+    so skipping the test changes no bit.  M starts at max(1, A), is reset
+    to the measured maximum after each test, and grows by
+    g = max(1, A + B) (1 + 2^-49) per step, A and B being max|a| and max|b|
+    over the points that enter the loop (a covered point that leaves only
+    lowers them).  The step's new prev is the old cur, which is at most M,
+    so g is at least 1 even when A + B < 1.  Its new cur
+    fl(fl(a cur) + fl(b prev)) is at most ((A + B) M (1 + u) + 2 eta)(1 + u)
+    in size, u = 2^-53, where eta = 2^-1075 bounds the absolute error of a
+    subnormal product (a sum of doubles is exact when subnormal).  As M
+    never drops below the smallest normal double lambda = 2^-1022 (the
+    reset is floored there), 2 eta = 2 u lambda <= 2 u M, so the new
+    maximum is below M max(1, A + B) (1 + 5u).  Forming A + B, g and M g
+    rounds three times, and (1 - u)^3 (1 + 16u) > 1 + 5u, so the computed
+    M still bounds the state.  An infinite a or b, or a nan or inf in the
+    state, makes M inf or nan, which fails the gate `bound <= _RESCALE_AT`,
+    so such a lattice runs the test at every step, as before the bound.  On
+    `regions --steps 201` the test runs once (at k = 167), and with
+    kmax = 2000 the first rescale comes at k = 333.
+
+    Only points with a < 0 and b < 0 enter the loop; the rest are decided
+    before it, as the steps would decide them at every kmax.  At a > 0 the
+    first check reads d_1 = fl(a * 1) = a > 0, so first = 2.  A nan a gives
+    d_1 = nan and a nan b makes every later d nan, so a point with a nan is
+    covered only at k = 2, where a > 0.  Points with a = +-0 or a < 0 <= b
+    get 0.  At a < 0 <= b, while cur and prev
     have opposite signs (or one is zero), fl(a cur) and fl(b prev) share the
     sign opposite to cur, so their sum keeps the alternation without a
     subtraction; rounding and the positive rescale keep every sign, and an
@@ -97,7 +133,8 @@ def first_covering_k(a, b, kmax=200):
     if a.ndim != 1 or a.shape != b.shape:
         raise ValueError("need 1-D a and b of equal length")
     first = np.zeros(a.size, dtype=np.int64)
-    idx = np.flatnonzero(~((a == 0.0) | ((a < 0.0) & (b >= 0.0))))
+    first[a > 0.0] = 2  # d_1 = a
+    idx = np.flatnonzero((a < 0.0) & (b < 0.0))
     if not idx.size:
         return first
     a, b = a[idx], b[idx]
@@ -106,19 +143,27 @@ def first_covering_k(a, b, kmax=200):
     d = np.zeros_like(a)
     m = np.empty_like(a)
     with np.errstate(over="ignore", invalid="ignore"):
+        top_a, top_b = -float(a.min()), -float(b.min())  # every a, b < 0 here
+        bound = max(top_a, 1.0)  # max(|prev|, |cur|) over the points
+        grow = max(top_a + top_b, 1.0) * _GROW_MARGIN
         for k in range(2, kmax + 1):
             d += np.multiply(cur, prev, out=m)  # now a positive multiple of d_{k-1}
-            covered = d > 0.0
-            if covered.any():
+            if np.fmax.reduce(d) > 0.0:  # some d > 0; fmax skips nan as > does
+                covered = d > 0.0
                 first[idx[covered]] = k
                 keep = ~covered
                 if not keep.any():
                     break
                 idx, a, b, prev, cur, d = (v[keep] for v in (idx, a, b, prev, cur, d))
                 m = m[:idx.size]
+            if k == kmax:
+                break
             # prev becomes a * cur + b * prev, the next cur
             np.add(np.multiply(a, cur, out=m), np.multiply(b, prev, out=prev), out=prev)
             prev, cur = cur, prev
+            bound *= grow
+            if bound <= _RESCALE_AT:
+                continue
             m = np.abs(cur, out=m)
             if k == 2:
                 np.maximum(np.abs(prev), m, out=m)
@@ -128,6 +173,8 @@ def first_covering_k(a, b, kmax=200):
                 prev[big] *= s
                 cur[big] *= s
                 d[big] *= s * s
+            bound = float(np.maximum(np.abs(prev, out=m), np.abs(cur), out=m)
+                          .max(initial=_BOUND_FLOOR))
     return first
 
 
@@ -253,17 +300,23 @@ def write_region_csv(scan, fh, header_lines=()):
 
     Every line is the text of its a and a cell, the rest of the line, one
     per distinct pair of a b value and a (first, stable, covered) code:
-    each axis value and each cell is formatted once, and each a-row goes
-    out as one string, its a joining the cells."""
+    each axis value and each code is formatted once, each cell joins the
+    two, the body is one gather from the cells, and each a-row goes out as
+    one string, its a joining the cells.  The cells are found by sorting
+    the lattice's keys, so no table is sized by first (or kmax)."""
     write_header(fh, header_lines)
     fh.write("a,b,stable,first_covering_k,in_theorem_region,regime\n")
     nb = scan.b.size
     codes = ((scan.first * 2 + scan.stable) * 2 + scan.covered).reshape(scan.a.size, nb)
-    keys, inverse = np.unique((codes * nb + np.arange(nb)).ravel(), return_inverse=True)
-    b_text = [fmt(v) for v in scan.b.tolist()]
-    cells = ["%s,%d,%s,%d,%s\n" % (b_text[j], (c >> 1) & 1, "%d" % (c >> 2) if c >> 2 else "",
-                                   c & 1, POWER_HALF if c >> 2 else POWER_LOG)
-             for c, j in (divmod(key, nb) for key in keys.tolist())]
-    for a, row in zip(scan.a.tolist(), inverse.reshape(scan.a.size, nb).tolist()):
+    flat = (codes * nb + np.arange(nb)).ravel()
+    keys = np.sort(flat)
+    keys = np.concatenate((keys[:1], keys[1:][keys[1:] != keys[:-1]]))
+    cell_codes, cell_cols = (v.tolist() for v in np.divmod(keys, nb))
+    b_text = [fmt(v) + "," for v in scan.b.tolist()]
+    tails = {c: "%d,%s,%d,%s\n" % ((c >> 1) & 1, "%d" % (c >> 2) if c >> 2 else "", c & 1,
+                                   POWER_HALF if c >> 2 else POWER_LOG) for c in set(cell_codes)}
+    cells = np.array([b_text[j] + tails[c] for c, j in zip(cell_codes, cell_cols)], dtype=object)
+    body = cells[np.searchsorted(keys, flat)].reshape(scan.a.size, nb)
+    for a, row in zip(scan.a.tolist(), body.tolist()):
         prefix = fmt(a) + ","
-        fh.write(prefix + prefix.join(map(cells.__getitem__, row)))
+        fh.write(prefix + prefix.join(row))

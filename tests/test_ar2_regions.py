@@ -1,6 +1,9 @@
 import cmath
 import io
+import itertools
 import math
+import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -468,6 +471,11 @@ LATTICE_AXIS = st.sampled_from([3.0, 1e3, 1e6, 1e300]).flatmap(lattice_ends)
        steps=st.integers(2, 12), kmax=st.integers(2, 2000))
 # around the covered strip a < 0, b < -a^2 - 1, next to the decided quadrant
 @example(a_ends=(-3.0, 3.0), b_ends=(-3.0, 3.0), quadrant=False, steps=12, kmax=100)
+# the default box: the bound first sends the scan to its rescale test at
+# k = 167, and the first rescale comes at k = 339 (k = 333 on 201 steps)
+@example(a_ends=(-2.0, 2.0), b_ends=(-2.0, 1.0), quadrant=False, steps=21, kmax=2000)
+# max|a| + max|b| < 1: the bound's growth factor is 1 plus its margin
+@example(a_ends=(-0.5, 0.25), b_ends=(-0.375, 0.25), quadrant=False, steps=12, kmax=2000)
 @settings(max_examples=80, deadline=None)
 def test_first_covering_k_matches_array_oracle_on_lattices(a_ends, b_ends, quadrant, steps,
                                                            kmax):
@@ -494,10 +502,22 @@ def test_first_covering_k_matches_array_oracle_on_special_values():
     # the first check, the one check that must also read prev
     a = np.append(a, [-1e150, -1e120, -2e101])
     b = np.append(b, -a[-3:] * a[-3:])
+    moderate = [-0.5, -5e-324, 0.5]
+    cases = [
+        (a, b),
+        # moderate a beside every b: only max|b| makes the bound infinite
+        (np.repeat(moderate, len(special)), np.tile(special, len(moderate))),
+        # two fast points among slow ones: |a| = 1e3 sets the bound's growth
+        # factor, so the bound is loose for every slow point, and stays so
+        # once the second fast point is covered at k = 3
+        (np.append(np.repeat(np.linspace(-1.0, -0.1, 6), 6), [-1e3, -1e3]),
+         np.append(np.tile(np.linspace(-0.9, -0.05, 6), 6), [-1e3, -2e6])),
+    ]
     with np.errstate(all="ignore"):
-        for kmax in (2, 3, 50, 400):
+        for (a, b), kmax in itertools.product(cases, (2, 3, 50, 400)):
             assert np.array_equal(first_covering_k(a, b, kmax),
                                   first_covering_k_oracle(a, b, kmax))
+        a, b = cases[0]
         assert first_covering_k(a[-3:], b[-3:], 50).tolist() == [6, 0, 0]
 
 
@@ -549,6 +569,8 @@ edge = st.one_of(st.floats(-6.0, 6.0), st.sampled_from([0.0, -0.0]))
        steps=st.integers(2, 12), kmax=st.integers(2, 300))
 @example(a_ends=(-1.0, -0.0), b_ends=(-1.0, -0.0), steps=3, kmax=50)
 @example(a_ends=(-1.0, 1.0), b_ends=(-2.0, 2.0), steps=5, kmax=50)
+# a first covering k of 264, past one byte of the cell code
+@example(a_ends=(-2.0, -0.5), b_ends=(-3.0, -1.0), steps=12, kmax=300)
 @settings(max_examples=80, deadline=None)
 def test_region_csv_matches_tuple_writer(a_ends, b_ends, steps, kmax):
     (a_min, a_max), (b_min, b_max) = sorted(a_ends), sorted(b_ends)
@@ -564,3 +586,28 @@ def test_region_csv_matches_tuple_writer(a_ends, b_ends, steps, kmax):
     fh = io.StringIO()
     write_region_csv(scan, fh, header_lines=["config cmd=regions"])
     assert fh.getvalue() == region_csv_oracle(rows, ["config cmd=regions"])
+
+
+def test_write_region_csv_allocates_nothing_sized_by_first_covering_k():
+    # first near 10**9, as a kmax of that size allows: a table indexed by
+    # first would take gigabytes (traced even where the OS maps it lazily),
+    # and a loop over k would take minutes
+    a, b = np.array([-1.5, 0.25]), np.array([-3.0, 0.0])
+    first = np.array([10**9, 0, 10**9 - 1, 2])
+    scan = RegionScan(a, b, stable=np.array([False, True, True, False]), first=first,
+                      covered=np.array([True, False, True, True]))
+    rows = [(a_v, b_v, stable, k or None, covered, POWER_HALF if k else POWER_LOG)
+            for a_v, b_v, stable, k, covered
+            in zip(np.repeat(a, 2).tolist(), np.tile(b, 2).tolist(), scan.stable.tolist(),
+                   first.tolist(), scan.covered.tolist())]
+    fh = io.StringIO()
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        write_region_csv(scan, fh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 2.0
+    assert peak < 1 << 20
+    assert fh.getvalue() == region_csv_oracle(rows, [])
