@@ -13,8 +13,10 @@ reduces each along its AR paths, as lagged products of X = A eps; the
 risk calibration runs its blocks serially (a pool on top measured slower)
 and tests every block against every grid alternative (common random
 numbers): with fewer path steps than alternatives, one GEMM of the stacked
-pair weights by the products eps_i eps_j gives every statistic of a chunk
-of replicas, otherwise one matmul per alternative's form.
+pair weights by the products eps_i eps_j gives every statistic of a block
+(of a chunk of it where the pair table would pass 16 BLOCK_DRAWS doubles;
+on the default grid, n = 3 to 31 take one GEMM per block), otherwise one
+matmul per alternative's form.
 Both end in the same OverflowError on a non-finite replica statistic.  The
 empirical survival function comes from exceedance counts: each pool task
 counts its own block's statistics past every threshold of the grid and
@@ -154,6 +156,11 @@ def _finite_stats(stats, n):
     return stats
 
 
+def _block_rows(n):
+    """Rows of every full replica block of n path steps."""
+    return max(1, BLOCK_DRAWS // int(n))
+
+
 def replica_blocks(replicas, n):
     """Block layout (b, lo, hi): block b holds replica rows [lo, hi).
 
@@ -161,7 +168,7 @@ def replica_blocks(replicas, n):
     layout depends only on (replicas, n) and never on the worker count.
     """
     replicas = int(replicas)
-    rows = max(1, BLOCK_DRAWS // int(n))
+    rows = _block_rows(n)
     return [(b, lo, min(lo + rows, replicas))
             for b, lo in enumerate(range(0, replicas, rows))]
 
@@ -295,10 +302,12 @@ def calibrate_risk(a_grid, a0, n, alpha, eta, replicas=McConfig.replicas,
     grid value a > a0 is tested on it, counting the replicas whose statistic
     eps^T C_a eps reaches the threshold t_eta from critical_value; risk_hat
     is the total count over replicas.  With fewer path steps n than tested
-    values F, all F statistics of a chunk of replicas come from one GEMM of
-    pair weights and pair products (_pair_weights); otherwise each form
-    C_a reduces the block by one matmul.  The two routes round differently,
-    so a count can differ only by a replica within rounding of t_eta.
+    values F, all F statistics of a block come from one GEMM of pair
+    weights and pair products (_pair_weights), in chunks of replicas only
+    where the pair table or the statistics buffer would pass 16 BLOCK_DRAWS
+    doubles; otherwise each form C_a reduces the block by one matmul.  The
+    two routes round differently, so a count can differ only by a replica
+    within rounding of t_eta.
     Grid values with a <= a0 come back skipped, and with no other value no
     block is drawn.  A statistic that is not finite raises the
     OverflowError of collect_stats.
@@ -319,9 +328,10 @@ def calibrate_risk(a_grid, a0, n, alpha, eta, replicas=McConfig.replicas,
     chunk = BLOCK_DRAWS
     if pairs:
         halves = _pair_weights(forms, n)
-        # the pair table and the statistics buffer, reused by every chunk,
-        # hold at most 2 BLOCK_DRAWS doubles each (or one replica's worth)
-        chunk = max(1, 2 * BLOCK_DRAWS // max(halves.shape))
+        # one GEMM per block while the pair table and the statistics buffer,
+        # reused by every chunk, hold at most 16 BLOCK_DRAWS doubles (8 MiB)
+        # each, or one replica's worth; on the default grid n = 3 to 31
+        chunk = min(_block_rows(n), max(1, 16 * BLOCK_DRAWS // max(halves.shape)))
         table = np.empty(chunk * halves.shape[1])
         out = np.empty(chunk * len(forms))
         thresholds = np.array(t_etas)[:, None]

@@ -418,7 +418,8 @@ def critical_value(a, a0, n, alpha, eta):
 
         t_eta = (coef(a) / eta)^(2/alpha)
 
-    with coef(a) the PowerHalf coefficient of test_stat_tail.
+    with coef(a) the PowerHalf coefficient of test_stat_tail.  A threshold
+    too large for a double raises OverflowError.
     """
     a = float(a)
     a0 = float(a0)
@@ -426,7 +427,14 @@ def critical_value(a, a0, n, alpha, eta):
         raise ValueError("need 0 <= a0 < a")
     eta = check_eta(eta)
     coef = test_stat_tail(a, a0, n, alpha).coef
-    return (coef / eta) ** (2.0 / float(alpha))
+    try:
+        t = (coef / eta) ** (2.0 / float(alpha))
+    except OverflowError:
+        t = math.inf
+    if not math.isfinite(t):
+        raise OverflowError("critical value overflows a double at a=%r, eta=%r"
+                            % (a, eta)) from None
+    return t
 
 
 def evaluate(tail, t):

@@ -552,6 +552,31 @@ def test_calibrate_names_an_overflowing_pivot_form(capsys, monkeypatch):
     assert drawn == []
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv, at", [
+    ("--alpha 1.5 --n 20 --eta 1e-300", "a=0.552, eta=1e-300"),
+    ("--alpha 1e-3 --n 20", "a=0.552, eta=0.05"),
+    # coef / eta is already inf here, so the power itself raises nothing
+    ("--alpha 1.5 --n 700 --eta 1e-200 --a-min 1.4 --a-max 1.45 --steps 2 "
+     "--replicas 100", "a=1.4, eta=1e-200"),
+])
+def test_calibrate_names_an_overflowing_critical_value(tmp_path, capsys, monkeypatch,
+                                                        argv, at):
+    # critical values come before any block is drawn, so the run stops there
+    drawn = []
+    monkeypatch.setattr(heavytail.monte_carlo, "block_innovations",
+                        lambda *args: drawn.append(args))
+    target = tmp_path / "risk.csv"
+    code, out, err = run(capsys, "calibrate", "--a0", "0.5", *argv.split(),
+                         "--out", str(target))
+    assert code == 1
+    assert out == ""
+    assert err == "error: critical value overflows a double at %s\n" % at
+    assert drawn == []
+    assert not target.exists()
+    assert os.listdir(tmp_path) == []
+
+
 SPAN_A = "need finite a_min, a_max and a_max - a_min"
 
 

@@ -403,6 +403,50 @@ def test_calibrate_risk_pair_product_past_the_doubles(monkeypatch):
     assert min(r.risk_hat for r in rows) >= 0.01
 
 
+def _pair_stats_calls(monkeypatch):
+    """(rows, table size) of every _pair_stats call from here on."""
+    calls = []
+
+    def recorded(eps, halves, table, out):
+        calls.append((len(eps), len(table)))
+        return pair_stats(eps, halves, table, out)
+
+    pair_stats = monte_carlo._pair_stats
+    monkeypatch.setattr(monte_carlo, "_pair_stats", recorded)
+    return calls
+
+
+def test_calibrate_risk_takes_one_pair_gemm_per_block(monkeypatch):
+    # n = 20 < F = 37: three full 3276-row blocks and one of 172 rows, each
+    # reduced by one GEMM, counting what one form at a time counts
+    args = (0.5, 20, 1.5, 0.05)
+    calls = _pair_stats_calls(monkeypatch)
+    rows = calibrate_risk(DEFAULT_A_GRID, *args, replicas=10_000, seed=4)
+    blocks = replica_blocks(10_000, 20)
+    assert [part for part, _ in calls] == [hi - lo for _, lo, hi in blocks]
+    assert [hi - lo for _, lo, hi in blocks] == [3276] * 3 + [172]
+    # one value at a time takes the per-form route, with no pair GEMM
+    one_by_one = [calibrate_risk((a,), *args, replicas=10_000, seed=4)[0]
+                  for a in DEFAULT_A_GRID]
+    assert len(calls) == 4
+    assert rows == one_by_one
+
+
+def test_calibrate_risk_caps_the_pair_table(monkeypatch):
+    # n = 40 has P = 820 pairs, so a 1638-row block would need a table of
+    # 1.3M doubles; the cap of 16 BLOCK_DRAWS doubles splits it 1278 + 360
+    grid = np.linspace(0.51, 1.4, 60).tolist()
+    args = (0.5, 40, 1.5, 0.05)
+    calls = _pair_stats_calls(monkeypatch)
+    rows = calibrate_risk(grid, *args, replicas=5000, seed=4)
+    assert [part for part, _ in calls] == [1278, 360] * 3 + [86]
+    for part, table in calls:
+        assert part * 820 <= table <= 16 * BLOCK_DRAWS
+    one_by_one = [calibrate_risk((a,), *args, replicas=5000, seed=4)[0] for a in grid]
+    assert len(calls) == 7
+    assert rows == one_by_one
+
+
 def test_default_grid_shape():
     assert len(DEFAULT_A_GRID) == 38
     assert DEFAULT_A_GRID[0] == 0.5

@@ -262,6 +262,19 @@ def test_critical_value_levels():
         critical_value(1.0, 0.5, 20, 1.0, 1.5)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("a, n, alpha, eta", [
+    (0.552, 20, 1.5, 1e-300),  # the power overflows a finite coef / eta
+    (0.552, 20, 1e-3, 0.05),  # a huge exponent 2 / alpha
+    (1.4, 700, 1.5, 1e-200),  # coef / eta is already inf
+])
+def test_critical_value_names_its_overflow(a, n, alpha, eta):
+    assert math.isfinite(stat_tail(a, 0.5, n, alpha).coef)
+    with pytest.raises(OverflowError, match=r"^critical value overflows a double "
+                       r"at a=%r, eta=%r$" % (a, eta)):
+        critical_value(a, 0.5, n, alpha, eta)
+
+
 def test_evaluate_preconditions():
     half = TailLaw(POWER_HALF, 1.0, coef=2.0)
     assert evaluate(half, 400.0) == pytest.approx(0.1)
