@@ -15,6 +15,7 @@ quadratic form
 
 and the studentized lag-1 statistic n (gamma_n(1) - a0 hat_gamma_n(0)), with
 hat_gamma_n(0) = n^{-1} sum_{i<=n-1} X_i^2, has C = A^T B A - a0 A^T B^T B A.
+A Statistic record names one of the two and reduces blocks of paths to it.
 AR(1) entries of A^T B^k A also come in closed power-sum form, exact at
 a = +-1 because no geometric ratio is ever formed.
 
@@ -49,26 +50,59 @@ class ArModel:
             raise ValueError("need at least one coefficient")
         if not all(math.isfinite(v) for v in theta):
             raise ValueError("need finite coefficients")
-        if int(self.n) < 1:
+        n = check_int(self.n, "n")
+        if n < 1:
             raise ValueError("need n >= 1")
         object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", n)
 
     @property
     def p(self):
         return len(self.theta)
 
 
-def check_statistic(model, k=None, a0=None):
-    """(k, a0) of an AR path statistic of model, normalised: (int k, None)
-    for a lag k >= 0, (None, float a0) for a reference a0 (order 1 only)."""
-    if (k is None) == (a0 is None):
-        raise ValueError("need exactly one of lag k and reference a0")
-    if a0 is not None and model.p != 1:
-        raise ValueError("need an order-1 model with a reference a0")
-    if k is not None and int(k) < 0:
-        raise ValueError("need k >= 0")
-    return (int(k), None) if a0 is None else (None, check_a0(a0))
+def check_int(value, name):
+    """value as an int, checked as an integer: an int, a numpy int or an
+    integral float; anything else, nan and inf included, raises."""
+    if isinstance(value, (int, np.integer)) or (
+            isinstance(value, (float, np.floating)) and float(value).is_integer()):
+        return int(value)
+    raise ValueError("need an integer %s" % name)
+
+
+@dataclass(frozen=True)
+class Statistic:
+    """An AR path statistic of model: n gamma_n(k) for a lag k >= 0, or the
+    pivot n (gamma_n(1) - a0 hat_gamma_n(0)) for a reference a0 (order-1
+    models only).  Exactly one of k and a0 is set, as an int or a float."""
+
+    model: ArModel
+    k: int = None
+    a0: float = None
+
+    def __post_init__(self):
+        if (self.k is None) == (self.a0 is None):
+            raise ValueError("need exactly one of lag k and reference a0")
+        if self.a0 is not None and self.model.p != 1:
+            raise ValueError("need an order-1 model with a reference a0")
+        if self.a0 is None and check_int(self.k, "k") < 0:
+            raise ValueError("need k >= 0")
+        object.__setattr__(self, "k", None if self.k is None else int(self.k))
+        object.__setattr__(self, "a0", None if self.a0 is None else check_a0(self.a0))
+
+    def reduce(self, eps):
+        """The statistic of each row of an innovation block eps, shape
+        (rows, n), reduced along the time-major AR paths X = A eps: the sum
+        of x[t] x[t-k] for a lag, of (x[t] - a0 x[t-1]) x[t-1] for a pivot."""
+        rows, n = eps.shape
+        k, a0 = self.k, self.a0
+        if a0 is None and k >= n:
+            return np.zeros(rows)
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = ar_paths(self.model.theta, eps.T)
+            if a0 is None:
+                return np.einsum("ir,ir->r", x[k:], x[:n - k])
+            return np.einsum("ir,ir->r", x[1:] - a0 * x[:-1], x[:-1])
 
 
 def check_a0(a0):
@@ -220,7 +254,7 @@ def autocov_matrix(model, k):
     Y = B^k A is A shifted down k rows, the Toeplitz matrix of psi delayed
     by k.  Overflowing entries reach QuadForm's finiteness check without a
     numpy warning."""
-    k = check_statistic(model, k=k)[0]
+    k = Statistic(model, k=k).k
     with np.errstate(over="ignore", invalid="ignore"):
         y = _y_view(_impulse_response(model), k).copy()
         return QuadForm(n=model.n, entries=_solve_form(model.theta, y).view(_Fresh))
@@ -261,7 +295,7 @@ class ArForm:
     """
 
     def __init__(self, model, k):
-        self.k = check_statistic(model, k=k)[0]
+        self.k = Statistic(model, k=k).k
         n = self.n = model.n
         self.model = model
         self._bottom = max(n - self.k, 0)

@@ -25,7 +25,7 @@ from contextlib import contextmanager, suppress
 import numpy as np
 
 from ._text import fmt, write_header, write_rows
-from .ar_quadform import ArModel, autocov_matrix, check_statistic, test_matrix
+from .ar_quadform import ArModel, Statistic, autocov_matrix, test_matrix
 from .ar2_regions import region_grid, write_region_csv
 from .monte_carlo import (DEFAULT_A_GRID, McConfig, calibrate_risk,
                           run_tail_experiment, write_risk_csv, write_tail_csv)
@@ -66,9 +66,14 @@ def _model(args):
     return ArModel(theta, args.n)
 
 
+def _lag(args):
+    """--k as given, or lag 1 where neither --k nor --a0 is."""
+    return 1 if args.k is None and args.a0 is None else args.k
+
+
 def _cmd_tail(args, fh):
     write_header(fh, [_config_line(args)])
-    tail = statistic_tail(_model(args), args.alpha, k=args.k)
+    tail = statistic_tail(Statistic(_model(args), k=args.k), args.alpha)
     fh.write("regime=%s coef=%s\n" % (tail.regime, fmt(tail.coef)))
     if tail.note:
         fh.write("# note: %s\n" % tail.note)
@@ -79,10 +84,11 @@ def _cmd_tail(args, fh):
 
 
 def _cmd_matrix(args, fh):
-    write_header(fh, [_config_line(args)])
-    model = _model(args)
-    k, a0 = check_statistic(model, None if args.a0 is not None else args.k, args.a0)
-    form = autocov_matrix(model, k) if a0 is None else test_matrix(args.a, a0, args.n)
+    k = _lag(args)
+    write_header(fh, [_config_line(args, k=k)])
+    stat = Statistic(_model(args), k=k, a0=args.a0)
+    form = (autocov_matrix(stat.model, stat.k) if stat.a0 is None
+            else test_matrix(args.a, stat.a0, args.n))
     write_rows(fh, form.entries)
 
 
@@ -92,9 +98,9 @@ def _cmd_regions(args, fh):
 
 
 def _cmd_simulate(args, fh):
-    k = 1 if args.k is None and args.a0 is None else args.k
-    cfg = McConfig(model=_model(args), law=make_law(args.alpha), k=k,
-                   a0=args.a0, replicas=args.replicas, seed=args.seed,
+    k = _lag(args)
+    cfg = McConfig(statistic=Statistic(_model(args), k=k, a0=args.a0),
+                   law=make_law(args.alpha), replicas=args.replicas, seed=args.seed,
                    t_min=args.t_min, t_max=args.t_max, points=args.points)
     est = run_tail_experiment(cfg)
     write_tail_csv(est, fh, header_lines=[_config_line(args, k=k)])
@@ -163,7 +169,8 @@ def build_parser():
     sub.add_argument("--a0", type=float, default=None,
                      help="dump the test-statistic matrix for this reference")
     sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--k", type=int, default=1)
+    sub.add_argument("--k", type=int, default=None,
+                     help="autocovariance lag (default 1 without --a0)")
     _add_out(sub)
     sub.set_defaults(handler=_cmd_matrix)
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._text import fmt, write_header, write_rows
-from .ar_quadform import ArModel, ar_paths, check_a0, check_statistic, test_matrix
+from .ar_quadform import Statistic, check_a0, check_int, test_matrix
 from .student_dist import StudentLaw, make_law, sample
 from .tail_formulas import (POWER_LOG, check_eta, check_pivot_n, check_span,
                             critical_value, evaluate, statistic_tail)
@@ -61,17 +61,13 @@ RISK_CSV_COLUMNS = ("a", "t_eta", "risk_hat", "se")
 class McConfig:
     """One tail experiment: which statistic, how many replicas, which grid.
 
-    Exactly one of lag k (autocovariance statistic n gamma_n(k)) and
-    reference a0 (test statistic n (gamma_n(1) - a0 hat_gamma_n(0)), order-1
-    models only) must be set.  Every field is kept normalised: k, replicas,
-    seed and points as ints, a0, t_min and t_max as floats.  The defaults
-    are those of the simulate and calibrate commands.
+    Every field is kept normalised: replicas, seed and points as ints, t_min
+    and t_max as floats.  The defaults are those of the simulate and
+    calibrate commands.
     """
 
-    model: ArModel
+    statistic: Statistic
     law: StudentLaw
-    k: int = None
-    a0: float = None
     replicas: int = 100_000
     seed: int = 0
     t_min: float = 10.0
@@ -79,16 +75,16 @@ class McConfig:
     points: int = 61
 
     def __post_init__(self):
-        k, a0 = check_statistic(self.model, self.k, self.a0)
         replicas, seed = _check_draws(self.replicas, self.seed)
-        t_min, t_max, points = float(self.t_min), float(self.t_max), int(self.points)
+        t_min, t_max = float(self.t_min), float(self.t_max)
+        points = check_int(self.points, "points")
         if not 0.0 < t_min < t_max:
             raise ValueError("need 0 < t_min < t_max")
         check_span("t", t_min, t_max)
         if points < 2:
             raise ValueError("need points >= 2")
-        for name, value in (("k", k), ("a0", a0), ("replicas", replicas), ("seed", seed),
-                            ("t_min", t_min), ("t_max", t_max), ("points", points)):
+        for name, value in (("replicas", replicas), ("seed", seed), ("t_min", t_min),
+                            ("t_max", t_max), ("points", points)):
             object.__setattr__(self, name, value)
 
 
@@ -140,7 +136,7 @@ def worker_count():
 
 def _check_draws(replicas, seed):
     """(replicas, seed) as checked ints: replicas >= 1, a 64-bit unsigned seed."""
-    replicas, seed = int(replicas), int(seed)
+    replicas, seed = check_int(replicas, "replicas"), check_int(seed, "seed")
     if replicas < 1:
         raise ValueError("need replicas >= 1")
     if not 0 <= seed < 2 ** 64:
@@ -181,23 +177,6 @@ def block_innovations(law, n, seed, block):
     return sample(law, rng, size=(hi - lo, int(n)))
 
 
-def path_stats(eps, theta, k=None, a0=None):
-    """Statistics of an innovation block eps, shape (rows, n), reduced along
-    the time-major AR paths X = A eps: n gamma_n(k), the lagged product sum
-    of x[t] x[t-k], for lag k, or the pivot
-    n (gamma_n(1) - a0 hat_gamma_n(0)) = sum of (x[t] - a0 x[t-1]) x[t-1]
-    for reference a0.  Exactly one of k and a0 is set.
-    """
-    rows, n = eps.shape
-    if k is not None and k >= n:
-        return np.zeros(rows)
-    with np.errstate(over="ignore", invalid="ignore"):
-        x = ar_paths(theta, eps.T)
-        if a0 is None:
-            return np.einsum("ir,ir->r", x[k:], x[:n - k])
-        return np.einsum("ir,ir->r", x[1:] - a0 * x[:-1], x[:-1])
-
-
 def collect_stats(cfg, t=None):
     """Vector of all replica statistics of a tail experiment, in
     replica-index order, reduced along the AR paths block by block on
@@ -209,11 +188,11 @@ def collect_stats(cfg, t=None):
 
     Raises OverflowError when a statistic is not finite (explosive models).
     """
-    n = cfg.model.n
+    n = cfg.statistic.model.n
 
     def block_stats(block):
         eps = block_innovations(cfg.law, n, cfg.seed, block)
-        stats = path_stats(eps, cfg.model.theta, k=cfg.k, a0=cfg.a0)
+        stats = cfg.statistic.reduce(eps)
         if t is None:
             return stats
         stats = _finite_stats(stats, n)
@@ -242,7 +221,7 @@ def run_tail_experiment(cfg):
     first-order theory curve.  The PowerLog approximation needs every
     threshold above e.
     """
-    tail = statistic_tail(cfg.model, cfg.law.alpha, k=cfg.k, a0=cfg.a0)
+    tail = statistic_tail(cfg.statistic, cfg.law.alpha)
     t = np.logspace(math.log10(cfg.t_min), math.log10(cfg.t_max), cfg.points)
     if tail.regime == POWER_LOG and not cfg.t_min > math.e:
         raise ValueError("need t_min > e in the PowerLog regime")

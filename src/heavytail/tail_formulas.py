@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ar_quadform import (ArForm, ArModel, QuadForm, check_a0, check_statistic,
+from .ar_quadform import (ArForm, ArModel, QuadForm, Statistic, check_a0, check_int,
                           pivot_diagonal, power_sum, power_sums)
 from .student_dist import make_law, tail_constant
 
@@ -292,9 +292,8 @@ def ar1_upper_tail(a, n, k, alpha):
     """
     a = float(a)
     alpha = float(alpha)
-    n = int(n)
     model = ArModel((a,), n)
-    k = check_statistic(model, k=k)[0]
+    n, k = model.n, Statistic(model, k=k).k
     law = make_law(alpha)
     if k >= n:
         return TailLaw(ZERO, alpha, note="lag at or beyond the path length")
@@ -375,21 +374,20 @@ def test_stat_tail(a, a0, n, alpha):
     return TailLaw(POWER_LOG, alpha, coef=_power_log_scale(law) * body)
 
 
-def statistic_tail(model, alpha, k=None, a0=None):
-    """TailLaw of n gamma_n(k) for a lag k, or of the pivot n (gamma_n(1) -
-    a0 hat_gamma_n(0)) for a reference a0, on model's paths: test_stat_tail
-    for a pivot, ar1_upper_tail for an AR(1) lag, else the ArForm classifier."""
-    k, a0 = check_statistic(model, k, a0)
-    if a0 is not None:
-        return test_stat_tail(model.theta[0], a0, model.n, alpha)
+def statistic_tail(stat, alpha):
+    """TailLaw of the Statistic stat, a lag or a pivot: test_stat_tail for a
+    pivot, ar1_upper_tail for an AR(1) lag, else the ArForm classifier."""
+    model = stat.model
+    if stat.a0 is not None:
+        return test_stat_tail(model.theta[0], stat.a0, model.n, alpha)
     if model.p == 1:
-        return ar1_upper_tail(model.theta[0], model.n, k, alpha)
-    return tail_law(ArForm(model, k), alpha)
+        return ar1_upper_tail(model.theta[0], model.n, stat.k, alpha)
+    return tail_law(ArForm(model, stat.k), alpha)
 
 
 def check_pivot_n(n):
     """n as an int, checked as the length of a pivot path: n >= 2."""
-    n = int(n)
+    n = check_int(n, "n")
     if n < 2:
         raise ValueError("need n >= 2")
     return n

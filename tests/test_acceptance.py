@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from heavytail.ar_quadform import (ArModel, ar1_offdiag_closed,
+from heavytail.ar_quadform import (ArModel, Statistic, ar1_offdiag_closed,
                                    autocov_matrix, empirical_autocov,
                                    simulate_path)
 from heavytail.ar2_regions import (closed_form_diag, diag_seq,
@@ -149,7 +149,7 @@ def test_criterion_6_ar2_diagnostics(capsys):
 
 @pytest.fixture(scope="module")
 def est_unit_root():
-    cfg = McConfig(model=ArModel((1.0,), 10), law=make_law(1.0), k=1,
+    cfg = McConfig(statistic=Statistic(ArModel((1.0,), 10), k=1), law=make_law(1.0),
                    replicas=100_000, seed=2024, t_min=1e3, t_max=1e8,
                    points=26)
     return run_tail_experiment(cfg)
@@ -157,7 +157,7 @@ def est_unit_root():
 
 @pytest.fixture(scope="module")
 def est_iid_lag():
-    cfg = McConfig(model=ArModel((0.0,), 10), law=make_law(1.0), k=1,
+    cfg = McConfig(statistic=Statistic(ArModel((0.0,), 10), k=1), law=make_law(1.0),
                    replicas=100_000, seed=2024, t_min=10.0, t_max=1e4,
                    points=25)
     return run_tail_experiment(cfg)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from heavytail.ar_quadform import ArForm, ArModel, autocov_matrix
+from heavytail.ar_quadform import ArForm, ArModel, Statistic, autocov_matrix
 from heavytail._text import fmt
 from heavytail.ar2_regions import (_RESCALE_AT, RegionScan, a_col, closed_form_diag,
                                    diag_seq, first_covering_k, region_grid,
@@ -237,7 +237,7 @@ def test_stability_triangle():
 def stable_tail_class(a, b, n, alpha):
     # the lag-1 law of a stable AR(2) model, from the one route to it
     assert stable_mask(a, b)
-    return statistic_tail(ArModel((a, b), n), alpha, k=1)
+    return statistic_tail(Statistic(ArModel((a, b), n), k=1), alpha)
 
 
 def test_stable_tail_class_dichotomy():

@@ -7,12 +7,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from heavytail import ar_quadform
-from heavytail.ar_quadform import (ArModel, QuadForm, ar1_offdiag_closed,
+from heavytail.ar_quadform import (ArModel, QuadForm, Statistic, ar1_offdiag_closed,
                                    autocov_matrix,
-                                   build_a, check_statistic, empirical_autocov,
+                                   build_a, empirical_autocov,
                                    power_sum, simulate_path)
 from heavytail.ar_quadform import test_matrix as statistic_matrix
-from heavytail.tail_formulas import _coupling_sum, _diag_signs
+from heavytail.monte_carlo import McConfig
+from heavytail.student_dist import make_law
+from heavytail.tail_formulas import _coupling_sum, _diag_signs, ar1_upper_tail, statistic_tail
 
 
 def test_build_a_is_unit_lower_triangular():
@@ -151,21 +153,44 @@ def test_path_and_entry_helpers_check_their_arguments(call, message):
         call()
 
 
-def test_check_statistic_normalises_one_of_k_and_a0():
+def test_statistic_normalises_one_of_k_and_a0():
     ar1, ar2 = ArModel((0.5,), 4), ArModel((0.5, 0.1), 4)
-    k, a0 = check_statistic(ar2, k=np.int64(3))
-    assert (k, a0) == (3, None) and type(k) is int
-    k, a0 = check_statistic(ar1, a0=1)
-    assert (k, a0) == (None, 1.0) and type(a0) is float
+    stat = Statistic(ar2, k=np.int64(3))
+    assert (stat.k, stat.a0) == (3, None) and type(stat.k) is int
+    stat = Statistic(ar2, k=2.0)
+    assert (stat.k, stat.a0) == (2, None) and type(stat.k) is int
+    stat = Statistic(ar1, a0=1)
+    assert (stat.k, stat.a0) == (None, 1.0) and type(stat.a0) is float
     one = "need exactly one of lag k and reference a0"
     for model, k, a0, message in [(ar1, None, None, one), (ar1, 1, 0.5, one),
                                   (ar1, -1, None, "need k >= 0"),
-                                  (ar2, None, 0.5, "need an order-1 model")]:
+                                  (ar2, None, 0.5, "need an order-1 model"),
+                                  (ar1, None, np.inf, "need a finite reference a0")]:
         with pytest.raises(ValueError, match=message):
-            check_statistic(model, k, a0)
+            Statistic(model, k, a0)
         if a0 is None:  # an ArForm is a lag form
             with pytest.raises(ValueError, match=message):
                 ar_quadform.ArForm(model, k)
+
+
+@pytest.mark.parametrize("k, a0, message", [
+    (-1, None, "need k >= 0"),
+    (1.5, None, "need an integer k"),
+    (np.nan, None, "need an integer k"),
+    (None, None, "need exactly one of lag k and reference a0"),
+    (1, 0.5, "need exactly one of lag k and reference a0"),
+])
+def test_every_statistic_entry_rejects_with_the_record_message(k, a0, message):
+    # one validation rule: the record's, whichever entry a bad statistic reaches
+    model = ArModel((0.5,), 10)
+    calls = [lambda: statistic_tail(Statistic(model, k, a0), 1.5),
+             lambda: McConfig(statistic=Statistic(model, k, a0), law=make_law(1.5))]
+    if a0 is None:  # the entries that take a lag alone
+        calls += [lambda: autocov_matrix(model, k), lambda: ar_quadform.ArForm(model, k),
+                  lambda: ar1_upper_tail(0.5, 10, k, 1.5)]
+    for call in calls:
+        with pytest.raises(ValueError, match="^%s$" % message):
+            call()
 
 
 # The row-by-row builders the Toeplitz copies of the impulse response

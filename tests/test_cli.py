@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import heavytail.cli
 import heavytail.monte_carlo
 from heavytail._text import fmt
-from heavytail.ar_quadform import ArModel, autocov_matrix
+from heavytail.ar_quadform import ArModel, Statistic, autocov_matrix
 from heavytail.cli import main
 from heavytail.monte_carlo import McConfig, run_tail_experiment
 from heavytail.student_dist import make_law, quantile_tail
@@ -276,6 +276,9 @@ CONFIG_ECHO = [
     ("matrix --a 0.9 --b -0.2 --a0 0.3 --n 4 --k 0",
      "# config cmd=matrix a=0.90000000000000002 b=-0.20000000000000001 "
      "a0=0.29999999999999999 n=4 k=0"),
+    # k resolves as in simulate: none with --a0
+    ("matrix --a 0.5 --a0 0.5 --n 3",
+     "# config cmd=matrix a=0.5 b=none a0=0.5 n=3 k=none"),
     ("regions --steps 3",
      "# config cmd=regions a-min=-2 a-max=2 b-min=-2 b-max=1 steps=3 kmax=200"),
     ("regions --a-min -0.1 --a-max 0.7 --b-min -0.9 --b-max 0.3 --steps 2 --kmax 5",
@@ -457,6 +460,16 @@ def test_simulate_rejects_k_with_a0(capsys):
                        "--replicas", "100")
     assert code == 1
     assert "exactly one" in err
+
+
+def test_matrix_rejects_k_with_a0(tmp_path, capsys):
+    # --k is not dropped next to --a0: one error line and no output file
+    out_path = tmp_path / "matrix.txt"
+    code, out, err = run(capsys, "matrix", "--a", "0.5", "--a0", "0.5", "--n", "3",
+                         "--k", "3", "--out", str(out_path))
+    assert (code, out) == (1, "")
+    assert err == "error: need exactly one of lag k and reference a0\n"
+    assert not out_path.exists()
 
 
 def test_calibrate_command_default_grid(tmp_path, capsys):
@@ -645,7 +658,8 @@ def test_fmt_prints_a_bool_as_its_int():
 
 
 def test_mc_config_grid_defaults_are_the_simulate_thresholds(capsys):
-    cfg = McConfig(model=ArModel((0.5,), 10), law=make_law(1.5), k=1, replicas=100, seed=3)
+    cfg = McConfig(statistic=Statistic(ArModel((0.5,), 10), k=1), law=make_law(1.5),
+                   replicas=100, seed=3)
     code, out, _ = run(capsys, "simulate", "--alpha", "1.5", "--a", "0.5", "--n", "10",
                        "--replicas", "100", "--seed", "3")
     assert code == 0

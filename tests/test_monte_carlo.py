@@ -8,22 +8,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heavytail import monte_carlo
-from heavytail.ar_quadform import ArModel, QuadForm, autocov_matrix
+from heavytail.ar_quadform import ArModel, QuadForm, Statistic, autocov_matrix
 from heavytail.ar_quadform import test_matrix as statistic_matrix
 from heavytail.monte_carlo import (BLOCK_DRAWS, DEFAULT_A_GRID, McConfig,
                                    block_innovations, calibrate_risk,
-                                   collect_stats, path_stats, replica_blocks,
+                                   collect_stats, replica_blocks,
                                    run_tail_experiment, worker_count,
                                    write_risk_csv, write_tail_csv)
 from heavytail.student_dist import make_law, sample
-from heavytail.tail_formulas import ar1_upper_tail, critical_value, evaluate
+from heavytail.tail_formulas import ar1_upper_tail, check_pivot_n, critical_value, evaluate
 
 
-def small_config(**kw):
-    base = dict(model=ArModel((1.0,), 10), law=make_law(1.0), k=1,
-                replicas=4000, seed=7, t_min=1e2, t_max=1e6, points=9)
+def small_config(model=ArModel((1.0,), 10), k=1, a0=None, **kw):
+    base = dict(law=make_law(1.0), replicas=4000, seed=7, t_min=1e2, t_max=1e6, points=9)
     base.update(kw)
-    return McConfig(**base)
+    return McConfig(statistic=Statistic(model, k=k, a0=a0), **base)
 
 
 def test_config_validation():
@@ -49,19 +48,42 @@ def test_config_validation():
     with pytest.raises(ValueError, match="need a finite reference a0"):
         calibrate_risk((0.6,), math.nan, 8, 1.0, 0.05, replicas=100)
     with pytest.raises(ValueError):
-        McConfig(model=ArModel((0.5, 0.1), 10), law=make_law(1.0), a0=0.5,
-                 k=None)  # test statistic needs an order-1 model
+        small_config(model=ArModel((0.5, 0.1), 10), k=None,
+                     a0=0.5)  # test statistic needs an order-1 model
 
 
 def test_config_keeps_normalised_fields():
     cfg = small_config(k=np.int64(2), replicas=4000.0, seed=np.uint64(7),
                        t_min=100, t_max=10 ** 6, points=9.0)
-    assert (cfg.k, cfg.a0, cfg.replicas, cfg.seed) == (2, None, 4000, 7)
+    stat = cfg.statistic
+    assert (stat.k, stat.a0, cfg.replicas, cfg.seed) == (2, None, 4000, 7)
     assert (cfg.t_min, cfg.t_max, cfg.points) == (100.0, 1e6, 9)
-    assert [type(v) for v in (cfg.k, cfg.replicas, cfg.seed, cfg.points)] == [int] * 4
+    assert [type(v) for v in (stat.k, cfg.replicas, cfg.seed, cfg.points)] == [int] * 4
     assert type(cfg.t_min) is float and type(cfg.t_max) is float
-    pivot = small_config(k=None, a0=1)
+    pivot = small_config(k=None, a0=1).statistic
     assert pivot.k is None and type(pivot.a0) is float
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: small_config(replicas=100.7), "replicas"),
+    (lambda: small_config(seed=3.9), "seed"),
+    (lambda: small_config(points=9.5), "points"),
+    (lambda: small_config(replicas=math.inf), "replicas"),
+    (lambda: small_config(seed="3"), "seed"),
+    (lambda: small_config(k=1.5), "k"),
+    (lambda: small_config(k=math.nan), "k"),
+    (lambda: ArModel((0.5,), 10.5), "n"),
+    (lambda: ArModel((0.5,), math.nan), "n"),
+    (lambda: check_pivot_n(8.9), "n"),
+    (lambda: autocov_matrix(ArModel((0.5,), 10), 1.9), "k"),
+    (lambda: calibrate_risk((0.6,), 0.5, 8.9, 1.0, 0.05, replicas=100), "n"),
+    (lambda: calibrate_risk((0.6,), 0.5, 8, 1.0, 0.05, replicas=100.5), "replicas"),
+])
+def test_integer_fields_reject_what_is_not_an_integer(call, name):
+    # one integer rule: ints, numpy ints and integral floats pass (see
+    # test_config_keeps_normalised_fields); nothing is truncated
+    with pytest.raises(ValueError, match="^need an integer %s$" % name):
+        call()
 
 
 def stats_with_workers(monkeypatch, cfg, workers):
@@ -89,7 +111,7 @@ def test_collect_stats_reads_the_worker_setting(monkeypatch):
 
     monkeypatch.setattr(monte_carlo, "ThreadPoolExecutor", Pool)
     cfg = small_config(replicas=14_000)
-    assert len(replica_blocks(cfg.replicas, cfg.model.n)) == 3
+    assert len(replica_blocks(cfg.replicas, cfg.statistic.model.n)) == 3
     one = stats_with_workers(monkeypatch, cfg, 1)
     assert sizes == []
     assert np.array_equal(stats_with_workers(monkeypatch, cfg, 2), one)
@@ -99,8 +121,9 @@ def test_collect_stats_reads_the_worker_setting(monkeypatch):
 
 def test_replica_stats_match_direct_recomputation(monkeypatch):
     cfg = small_config(replicas=14_000)
-    n = cfg.model.n
-    entries = autocov_matrix(cfg.model, cfg.k).entries
+    stat = cfg.statistic
+    n = stat.model.n
+    entries = autocov_matrix(stat.model, stat.k).entries
     rows = max(1, BLOCK_DRAWS // n)
     assert cfg.replicas > 2 * rows  # three blocks, the last one partial
     got = stats_with_workers(monkeypatch, cfg, 2)
@@ -110,7 +133,7 @@ def test_replica_stats_match_direct_recomputation(monkeypatch):
         lo, hi = b * rows, min((b + 1) * rows, cfg.replicas)
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, b]))
         eps = sample(cfg.law, rng, size=(hi - lo, n))
-        assert np.array_equal(got[lo:hi], path_stats(eps, cfg.model.theta, k=cfg.k))
+        assert np.array_equal(got[lo:hi], stat.reduce(eps))
         direct = np.array([e @ entries @ e for e in eps])
         assert np.all(np.abs(got[lo:hi] - direct) <= 1e-12 * np.abs(direct))
 
@@ -142,10 +165,11 @@ def count_cases(draw):
     rows = max(1, BLOCK_DRAWS // n)
     statistic = (dict(k=draw(st.integers(0, 3))) if draw(st.booleans())
                  else dict(a0=draw(st.floats(-1.0, 1.5))))
-    cfg = McConfig(model=ArModel((draw(st.floats(-1.05, 1.05)),), n),
+    cfg = McConfig(statistic=Statistic(ArModel((draw(st.floats(-1.05, 1.05)),), n),
+                                       **statistic),
                    law=make_law(draw(st.sampled_from([0.7, 1.0, 1.5]))),
                    replicas=draw(st.integers(1, 2 * rows + 1)),
-                   seed=draw(st.integers(0, 2 ** 64 - 1)), **statistic)
+                   seed=draw(st.integers(0, 2 ** 64 - 1)))
     ties = draw(st.lists(st.floats(0.0, 1.0), max_size=6))
     extra = draw(st.lists(st.floats(-1e12, 1e12), min_size=1, max_size=6))
     return cfg, draw(st.sampled_from([1, 3])), ties, extra
@@ -195,12 +219,11 @@ def test_replica_blocks_cover_each_replica_once(replicas, n):
 
 def test_block_order_does_not_change_stats(monkeypatch):
     cfg = small_config(replicas=14_000)
-    n = cfg.model.n
+    n = cfg.statistic.model.n
     forward = stats_with_workers(monkeypatch, cfg, 1)
     blocks = replica_blocks(cfg.replicas, n)
     assert len(blocks) >= 2
-    backward = [path_stats(block_innovations(cfg.law, n, cfg.seed, block),
-                           cfg.model.theta, k=cfg.k)
+    backward = [cfg.statistic.reduce(block_innovations(cfg.law, n, cfg.seed, block))
                 for block in reversed(blocks)]
     assert np.concatenate(backward[::-1]).tobytes() == forward.tobytes()
 
@@ -284,7 +307,7 @@ def test_run_tail_experiment_zero_statistic():
 def test_run_tail_experiment_takes_the_ar1_closed_law(a, n, k, alpha):
     # an AR(1) lag has one law, the one the tail command prints: the closed
     # power-sum form, to the bit
-    cfg = McConfig(model=ArModel((a,), n), law=make_law(alpha), k=k,
+    cfg = McConfig(statistic=Statistic(ArModel((a,), n), k=k), law=make_law(alpha),
                    replicas=200, seed=1)
     assert run_tail_experiment(cfg).tail == ar1_upper_tail(a, n, k, alpha)
 
@@ -350,7 +373,7 @@ def test_calibrate_risk_reuses_the_simulation_blocks(monkeypatch, grid, n):
     for row in rows:
         if row.skipped:
             continue
-        cfg = McConfig(model=ArModel((row.a,), n), law=law, a0=0.5,
+        cfg = McConfig(statistic=Statistic(ArModel((row.a,), n), a0=0.5), law=law,
                        replicas=20_000, seed=5)
         stats = stats_with_workers(monkeypatch, cfg, 1)
         assert row.risk_hat == np.count_nonzero(stats >= row.t_eta) / 20_000

@@ -19,9 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heavytail.ar_quadform import ArModel, ar_paths, autocov_matrix, build_a
+from heavytail.ar_quadform import ArModel, Statistic, ar_paths, autocov_matrix, build_a
 from heavytail.ar_quadform import test_matrix as statistic_matrix
-from heavytail.monte_carlo import path_stats
 from heavytail.student_dist import make_law, sample
 
 RTOL = 1e-12
@@ -220,7 +219,7 @@ def test_lagged_reduction_matches_quadratic_form(model, k, seed):
     n = model.n
     eps = sample(make_law(1.5), np.random.default_rng(seed), size=(3, n))
     entries = autocov_matrix(model, k).entries
-    got = path_stats(eps, model.theta, k=k)
+    got = Statistic(model, k=k).reduce(eps)
     direct = np.array([e @ entries @ e for e in eps])
     # the path route rounds at sum |x[t]| |x[t-k]| with |x| <= |A| |eps|
     scale = lagged(np.abs(build_a(model)) @ np.abs(eps.T), k)
@@ -236,7 +235,7 @@ def test_lagged_reduction_matches_quadratic_form(model, k, seed):
 def test_pivot_reduction_matches_quadratic_form(a, a0, n, seed):
     eps = sample(make_law(1.5), np.random.default_rng(seed), size=(3, n))
     entries = statistic_matrix(a, a0, n).entries
-    got = path_stats(eps, (a,), a0=a0)
+    got = Statistic(ArModel((a,), n), a0=a0).reduce(eps)
     direct = np.array([e @ entries @ e for e in eps])
     xa = np.abs(build_a(ArModel((a,), n))) @ np.abs(eps.T)
     scale = lagged(xa, 1) + abs(a0) * lagged(xa[:-1], 0)

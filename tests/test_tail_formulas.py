@@ -8,7 +8,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from heavytail.ar_quadform import ArForm, ArModel, QuadForm, autocov_matrix, power_sum
+from heavytail.ar_quadform import (ArForm, ArModel, QuadForm, Statistic, autocov_matrix,
+                                   power_sum)
 from heavytail.ar_quadform import test_matrix as statistic_matrix
 from heavytail.student_dist import make_law
 from heavytail.tail_formulas import (ORDER_ONLY, POWER_HALF, POWER_LOG,
@@ -773,7 +774,7 @@ def test_zero_counted_diagonal_term_is_left_out():
     lambda n: ar1_upper_tail(-0.6, n, 3, 1.5),
     lambda n: stat_tail(0.2, 0.5, n, 1.0),
     lambda n: stat_tail(-1.01, 0.0, n, 1.5),
-    lambda n: statistic_tail(ArModel((-0.5, 0.3), n), 1.5, k=1),
+    lambda n: statistic_tail(Statistic(ArModel((-0.5, 0.3), n), k=1), 1.5),
 ])
 def test_ar_statistics_allocate_no_dense_form(call):
     n = 3000
@@ -828,7 +829,7 @@ def test_classify_checks_its_arguments(c, alpha, message):
 ])
 def test_statistic_tail_coef_is_a_python_float(model, k, a0):
     # a numpy scalar prints as np.float64(...) under %r
-    law = statistic_tail(model, 1.5, k=k, a0=a0)
+    law = statistic_tail(Statistic(model, k, a0), 1.5)
     assert type(law.coef) is float
     assert type(TailLaw(law.regime, 1.5, coef=np.float64(law.coef)).coef) is float
 
@@ -837,16 +838,13 @@ def test_statistic_tail_takes_each_route_to_its_direct_call():
     alpha = 1.5
     # a pivot goes to test_stat_tail: PowerHalf, PowerLog at a = a0, and a < a0
     for a, a0, n in ((0.7, 0.4, 30), (0.7, 0.7, 30), (0.2, 0.5, 8)):
-        assert statistic_tail(ArModel((a,), n), alpha, a0=a0) == stat_tail(a, a0, n, alpha)
+        assert statistic_tail(Statistic(ArModel((a,), n), a0=a0), alpha) == stat_tail(
+            a, a0, n, alpha)
     # an AR(1) lag goes to the closed ar1_upper_tail, odd lags with a < 0 included
     for a, n, k in ((0.5, 40, 1), (-0.6, 40, 1), (-0.6, 40, 2), (0.0, 40, 3), (0.5, 5, 7)):
-        assert statistic_tail(ArModel((a,), n), alpha, k=k) == ar1_upper_tail(a, n, k, alpha)
+        assert statistic_tail(Statistic(ArModel((a,), n), k=k), alpha) == ar1_upper_tail(
+            a, n, k, alpha)
     # an AR(2) lag goes to the classifier on the structured form, b = 0 included
     for theta, k in (((0.5, -0.3), 1), ((-0.8, -0.3), 2), ((0.5, 0.0), 1), ((-0.5, 0.0), 1)):
         model = ArModel(theta, 40)
-        assert statistic_tail(model, alpha, k=k) == tail_law(ArForm(model, k), alpha)
-    for k, a0 in ((None, None), (1, 0.5)):
-        with pytest.raises(ValueError, match="need exactly one of lag k and reference a0"):
-            statistic_tail(ArModel((0.5,), 10), alpha, k=k, a0=a0)
-    with pytest.raises(ValueError, match="need an order-1 model with a reference a0"):
-        statistic_tail(ArModel((0.5, -0.3), 10), alpha, a0=0.5)
+        assert statistic_tail(Statistic(model, k=k), alpha) == tail_law(ArForm(model, k), alpha)
