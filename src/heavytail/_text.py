@@ -1,5 +1,5 @@
-"""Text forms shared by every output: one number format, the
-'#'-prefixed header lines and the comma-separated rows."""
+"""Text forms shared by every output: one number format and the
+comma-separated rows."""
 
 
 def fmt(value):
@@ -10,12 +10,6 @@ def fmt(value):
     if isinstance(value, int):
         return "%d" % value
     return format(float(value), ".17g")
-
-
-def write_header(fh, lines):
-    """Each line as a '#'-prefixed header line."""
-    for line in lines:
-        fh.write("# %s\n" % line)
 
 
 def write_rows(fh, rows):

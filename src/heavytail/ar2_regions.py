@@ -42,8 +42,8 @@ import math
 
 import numpy as np
 
-from ._text import fmt, write_header
-from .ar_quadform import ArModel, _impulse_response, lag_sums
+from ._text import fmt
+from .ar_quadform import ArModel, _impulse_response, check_int, lag_sums
 from .tail_formulas import POWER_HALF, POWER_LOG, check_span
 
 # entry magnitude that triggers a uniform positive rescale of the scan state
@@ -57,7 +57,7 @@ _GROW_MARGIN = 1.0 + 2.0 ** -49
 def a_col(a, b, jmax):
     """First trajectory column (A_{1,1}, ..., A_{jmax,1}): the impulse
     response of ArModel((a, b), jmax)."""
-    if int(jmax) < 1:
+    if check_int(jmax, "jmax") < 1:
         raise ValueError("need jmax >= 1")
     return _impulse_response(ArModel((a, b), jmax))
 
@@ -65,9 +65,10 @@ def a_col(a, b, jmax):
 def diag_seq(a, b, kmax):
     """The sequence (d_1, ..., d_kmax) of n-free diagonal entries: the
     lag-1 prefix sums of a_col."""
-    if int(kmax) < 1:
+    kmax = check_int(kmax, "kmax")
+    if kmax < 1:
         raise ValueError("need kmax >= 1")
-    return lag_sums(a_col(a, b, int(kmax) + 1), 1)
+    return lag_sums(a_col(a, b, kmax + 1), 1)
 
 
 def first_covering_k(a, b, kmax=200):
@@ -125,7 +126,7 @@ def first_covering_k(a, b, kmax=200):
     of prev and cur is +-0 after the first step, so every product is +-0
     (or nan).
     """
-    kmax = int(kmax)
+    kmax = check_int(kmax, "kmax")
     if kmax < 2:
         raise ValueError("need kmax >= 2")
     a = np.asarray(a, dtype=float)
@@ -214,7 +215,7 @@ def closed_form_diag(r, phi, k):
     """
     r = float(r)
     phi = float(phi)
-    k = int(k)
+    k = check_int(k, "k")
     if k < 1:
         raise ValueError("need k >= 1")
     if r < 0.0:
@@ -281,7 +282,7 @@ class RegionScan:
 
 def region_grid(a_min, a_max, b_min, b_max, steps, kmax=200):
     """RegionScan of an inclusive steps x steps lattice of the (a, b) plane."""
-    steps = int(steps)
+    steps = check_int(steps, "steps")
     if steps < 2:
         raise ValueError("need steps >= 2")
     if not (float(a_min) < float(a_max) and float(b_min) < float(b_max)):
@@ -294,7 +295,7 @@ def region_grid(a_min, a_max, b_min, b_max, steps, kmax=200):
                       first_covering_k(a, b, kmax=kmax), theorem_region_mask(a, b))
 
 
-def write_region_csv(scan, fh, header_lines=()):
+def write_region_csv(scan, fh):
     """Write a RegionScan as CSV: booleans as 1/0, a missing k as an empty
     field, reals with 17 significant digits, LF line endings.
 
@@ -304,7 +305,6 @@ def write_region_csv(scan, fh, header_lines=()):
     two, the body is one gather from the cells, and each a-row goes out as
     one string, its a joining the cells.  The cells are found by sorting
     the lattice's keys, so no table is sized by first (or kmax)."""
-    write_header(fh, header_lines)
     fh.write("a,b,stable,first_covering_k,in_theorem_region,regime\n")
     nb = scan.b.size
     codes = ((scan.first * 2 + scan.stable) * 2 + scan.covered).reshape(scan.a.size, nb)

@@ -391,6 +391,7 @@ def ar1_offdiag_closed(a, n, k, i, j):
 
     covering the diagonal as the case i = j.
     """
+    n, k, i, j = map(check_int, (n, k, i, j), "nkij")
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError("need 1 <= i, j <= n")
     if k < 0:
@@ -442,6 +443,7 @@ def empirical_autocov(x, k):
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size < 1:
         raise ValueError("need a nonempty path")
+    k = check_int(k, "k")
     if k < 0:
         raise ValueError("need k >= 0")
     n = x.size

@@ -5,14 +5,16 @@ matrix (dump a quadratic-form matrix), regions (scan the AR(2) parameter
 plane), simulate (Monte Carlo tail experiment), calibrate (risk along a grid
 of alternatives), dist (innovation-law queries).
 
-Every run echoes its configuration as a '#'-prefixed header line (every
-option in parser order, then the values it resolved), reals carry 17
-significant digits, and line endings are LF; the number format, header
-lines and CSV rows come from the shared text module _text.  Exit codes:
-0 on success, 2 on usage errors, 1 on domain errors (the message names the
-violated precondition), on arithmetic failures such as overflow and on
-output files that cannot be written; a failed run leaves an earlier --out
-file as it was.
+Each handler runs its checks and computation and returns the values it
+resolved and a writer of its body; main alone writes output: the
+configuration echo as one '#'-prefixed line (every option in parser
+order, then the resolved values), then the body, so a run that fails a
+check writes nothing.  Reals carry 17 significant digits, line endings
+are LF, and the number format and CSV rows come from the shared text
+module _text.  Exit codes: 0 on success, 2 on usage errors, 1 on domain
+errors (the message names the violated precondition), on arithmetic
+failures such as overflow and on output files that cannot be written; a
+failed run leaves an earlier --out file as it was.
 HEAVYTAIL_THREADS, the one worker setting, caps the thread pool of
 simulate (calibrate runs serially); results do not depend on it.
 """
@@ -24,7 +26,7 @@ from contextlib import contextmanager, suppress
 
 import numpy as np
 
-from ._text import fmt, write_header, write_rows
+from ._text import fmt, write_rows
 from .ar_quadform import ArModel, Statistic, autocov_matrix, test_matrix
 from .ar2_regions import region_grid, write_region_csv
 from .monte_carlo import (DEFAULT_A_GRID, McConfig, calibrate_risk,
@@ -36,11 +38,11 @@ from .tail_formulas import check_span, evaluate, statistic_tail
 
 
 def _config_line(args, **resolved):
-    """'config cmd=<name> option=value ...': every option of the parsed args
+    """The '# config cmd=<name> option=value ...' line: every option of args
     in parser order, with resolved values replacing theirs or appended."""
     echo = {k: v for k, v in vars(args).items() if k not in ("cmd", "handler", "out")}
     echo.update(resolved)
-    return "config cmd=%s %s" % (args.cmd, " ".join(
+    return "# config cmd=%s %s\n" % (args.cmd, " ".join(
         "%s=%s" % (k.replace("_", "-"), fmt(v)) for k, v in echo.items()))
 
 
@@ -71,42 +73,39 @@ def _lag(args):
     return 1 if args.k is None and args.a0 is None else args.k
 
 
-def _cmd_tail(args, fh):
-    write_header(fh, [_config_line(args)])
+def _cmd_tail(args):
     tail = statistic_tail(Statistic(_model(args), k=args.k), args.alpha)
-    fh.write("regime=%s coef=%s\n" % (tail.regime, fmt(tail.coef)))
+    text = "regime=%s coef=%s\n" % (tail.regime, fmt(tail.coef))
     if tail.note:
-        fh.write("# note: %s\n" % tail.note)
+        text += "# note: %s\n" % tail.note
     if args.t is not None:
         raw = evaluate(tail, args.t)
-        fh.write("t=%s p=%s raw=%s\n"
-                 % (fmt(args.t), fmt(min(max(raw, 0.0), 1.0)), fmt(raw)))
+        text += "t=%s p=%s raw=%s\n" % (fmt(args.t), fmt(min(max(raw, 0.0), 1.0)), fmt(raw))
+    return {}, lambda fh: fh.write(text)
 
 
-def _cmd_matrix(args, fh):
-    k = _lag(args)
-    write_header(fh, [_config_line(args, k=k)])
-    stat = Statistic(_model(args), k=k, a0=args.a0)
+def _cmd_matrix(args):
+    stat = Statistic(_model(args), k=_lag(args), a0=args.a0)
     form = (autocov_matrix(stat.model, stat.k) if stat.a0 is None
             else test_matrix(args.a, stat.a0, args.n))
-    write_rows(fh, form.entries)
+    return {"k": stat.k}, lambda fh: write_rows(fh, form.entries)
 
 
-def _cmd_regions(args, fh):
-    write_region_csv(region_grid(args.a_min, args.a_max, args.b_min, args.b_max, args.steps,
-                                 kmax=args.kmax), fh, header_lines=[_config_line(args)])
+def _cmd_regions(args):
+    scan = region_grid(args.a_min, args.a_max, args.b_min, args.b_max, args.steps,
+                       kmax=args.kmax)
+    return {}, lambda fh: write_region_csv(scan, fh)
 
 
-def _cmd_simulate(args, fh):
-    k = _lag(args)
-    cfg = McConfig(statistic=Statistic(_model(args), k=k, a0=args.a0),
+def _cmd_simulate(args):
+    cfg = McConfig(statistic=Statistic(_model(args), k=_lag(args), a0=args.a0),
                    law=make_law(args.alpha), replicas=args.replicas, seed=args.seed,
                    t_min=args.t_min, t_max=args.t_max, points=args.points)
     est = run_tail_experiment(cfg)
-    write_tail_csv(est, fh, header_lines=[_config_line(args, k=k)])
+    return {"k": cfg.statistic.k}, lambda fh: write_tail_csv(est, fh)
 
 
-def _cmd_calibrate(args, fh):
+def _cmd_calibrate(args):
     custom = [args.a_min, args.a_max, args.steps]
     if any(v is not None for v in custom):
         if any(v is None for v in custom):
@@ -121,24 +120,21 @@ def _cmd_calibrate(args, fh):
         grid = list(DEFAULT_A_GRID)
     rows = calibrate_risk(grid, args.a0, args.n, args.alpha, args.eta,
                           replicas=args.replicas, seed=args.seed)
-    write_risk_csv(rows, fh, header_lines=[_config_line(args, grid_size=len(grid))])
+    return {"grid_size": len(grid)}, lambda fh: write_risk_csv(rows, fh)
 
 
-def _cmd_dist(args, fh):
-    write_header(fh, [_config_line(args)])
+def _cmd_dist(args):
     law = make_law(args.alpha)
-    fh.write("alpha=%s\n" % fmt(law.alpha))
-    fh.write("k_s=%s\n" % fmt(law.k_s))
-    fh.write("tail_constant=%s\n" % fmt(tail_constant(law)))
+    values = [("alpha", law.alpha), ("k_s", law.k_s), ("tail_constant", tail_constant(law))]
     if args.x is not None:
-        fh.write("density=%s\n" % fmt(density(law, args.x)))
-        fh.write("cdf=%s\n" % fmt(cdf(law, args.x)))
-        fh.write("survival=%s\n" % fmt(survival(law, args.x)))
+        values += [("density", density(law, args.x)), ("cdf", cdf(law, args.x)),
+                   ("survival", survival(law, args.x))]
     if args.u is not None:
-        fh.write("quantile_tail=%s\n" % fmt(quantile_tail(law, args.u)))
+        values.append(("quantile_tail", quantile_tail(law, args.u)))
         if args.u < 0.5:
-            fh.write("upper_quantile=%s\n" % fmt(upper_quantile(law, args.u)))
-        fh.write("normal_quantile=%s\n" % fmt(normal_quantile(args.u)))
+            values.append(("upper_quantile", upper_quantile(law, args.u)))
+        values.append(("normal_quantile", normal_quantile(args.u)))
+    return {}, lambda fh: fh.writelines("%s=%s\n" % (name, fmt(v)) for name, v in values)
 
 
 def _add_out(sub):
@@ -237,8 +233,10 @@ def main(argv=None):
     except SystemExit as exc:
         return 0 if exc.code is None else int(exc.code)
     try:
-        with _open_out(args) as fh:
-            args.handler(args, fh)
+        with _open_out(args) as fh:  # an unwritable --out fails before the handler runs
+            resolved, write = args.handler(args)
+            fh.write(_config_line(args, **resolved))
+            write(fh)
         return 0
     except (ValueError, OSError, ArithmeticError) as exc:
         print("error: %s" % exc, file=sys.stderr)

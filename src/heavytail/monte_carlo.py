@@ -23,8 +23,8 @@ counts its own block's statistics past every threshold of the grid and
 the counts are summed, so no replica vector is kept and the memory of
 simulate does not grow with the replica count.  The theory curve is
 statistic_tail's law, the one the tail command prints, on the same
-threshold grid.  The CSV writers take their number format,
-header lines and rows from _text.
+threshold grid.  The CSV writers take their number format and rows from
+_text.
 """
 
 import math
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._text import fmt, write_header, write_rows
+from ._text import fmt, write_rows
 from .ar_quadform import Statistic, check_a0, check_int, test_matrix
 from .student_dist import StudentLaw, make_law, sample
 from .tail_formulas import (POWER_LOG, check_eta, check_pivot_n, check_span,
@@ -346,15 +346,12 @@ def _log10_or_ninf(p):
     return -math.inf if p <= 0.0 else math.log10(p)
 
 
-def write_tail_csv(est, fh, header_lines=()):
-    """CSV dump of a tail experiment.
-
-    Columns: t, log10_t, p_emp, log10_p_emp, p_theory, log10_p_theory, se,
-    raw_p_theory.  p_theory is clamped to [0, 1] while raw_p_theory keeps
-    the unclamped approximation.  '#'-prefixed header lines come
-    first, reals carry 17 significant digits, line endings are LF.
-    """
-    write_header(fh, header_lines)
+def write_tail_csv(est, fh):
+    """CSV dump of a tail experiment: a '# replicas seed regime coef' line,
+    then columns t, log10_t, p_emp, log10_p_emp, p_theory, log10_p_theory,
+    se, raw_p_theory.  p_theory is clamped to [0, 1] while raw_p_theory
+    keeps the unclamped approximation.  Reals carry 17 significant digits,
+    line endings are LF."""
     fh.write("# replicas=%d seed=%d regime=%s coef=%s\n"
              % (est.replicas, est.seed, est.tail.regime, fmt(est.tail.coef)))
     fh.write(",".join(TAIL_CSV_COLUMNS) + "\n")
@@ -363,12 +360,11 @@ def write_tail_csv(est, fh, header_lines=()):
                     for t, p, q, se, raw in zip(*(c.tolist() for c in columns))))
 
 
-def write_risk_csv(rows, fh, header_lines=()):
-    """CSV dump of a calibration run: columns a, t_eta, risk_hat, se, with
-    NaN slots on skipped rows; '#' header lines first, 17 significant
-    digits, LF line endings."""
+def write_risk_csv(rows, fh):
+    """CSV dump of a calibration run: a '# skipped' line when a row is,
+    then columns a, t_eta, risk_hat, se, with NaN slots on skipped rows;
+    17 significant digits, LF line endings."""
     skipped = [row.a for row in rows if row.skipped]
-    write_header(fh, header_lines)
     if skipped:
         fh.write("# skipped (need a > a0): %s\n" % " ".join(fmt(a) for a in skipped))
     fh.write(",".join(RISK_CSV_COLUMNS) + "\n")

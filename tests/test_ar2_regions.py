@@ -319,13 +319,12 @@ def test_region_grid_rows_and_csv(tmp_path):
     assert np.all(scan.first[scan.covered] >= 2)
     out = tmp_path / "grid.csv"
     with open(out, "w", newline="\n") as fh:
-        write_region_csv(scan, fh, header_lines=["config cmd=regions"])
+        write_region_csv(scan, fh)
     lines = out.read_text().splitlines()
-    assert lines[0] == "# config cmd=regions"
-    assert lines[1] == "a,b,stable,first_covering_k,in_theorem_region,regime"
-    assert len(lines) == 2 + 9
+    assert lines[0] == "a,b,stable,first_covering_k,in_theorem_region,regime"
+    assert len(lines) == 1 + 9
     # uncovered rows leave the k field empty; every row parses strictly
-    for line in lines[2:]:
+    for line in lines[1:]:
         a_s, b_s, stable_s, first_s, covered_s, regime_s = line.split(",")
         float(a_s), float(b_s)
         assert stable_s in ("0", "1") and covered_s in ("0", "1")
@@ -551,10 +550,8 @@ def region_rows_oracle(a_min, a_max, b_min, b_max, steps, kmax):
                    first.tolist(), theorem_region_mask(a, b).tolist())]
 
 
-def region_csv_oracle(rows, header_lines):
-    text = "".join("# %s\n" % line for line in header_lines)
-    text += "a,b,stable,first_covering_k,in_theorem_region,regime\n"
-    return text + "".join(
+def region_csv_oracle(rows):
+    return "a,b,stable,first_covering_k,in_theorem_region,regime\n" + "".join(
         "%s,%s,%d,%s,%d,%s\n" % (fmt(a), fmt(b), stable,
                                  "" if first is None else "%d" % first, covered, regime)
         for a, b, stable, first, covered, regime in rows)
@@ -584,8 +581,8 @@ def test_region_csv_matches_tuple_writer(a_ends, b_ends, steps, kmax):
     assert [k or None for k in scan.first.tolist()] == list(first)
     assert scan.covered.tolist() == list(covered)
     fh = io.StringIO()
-    write_region_csv(scan, fh, header_lines=["config cmd=regions"])
-    assert fh.getvalue() == region_csv_oracle(rows, ["config cmd=regions"])
+    write_region_csv(scan, fh)
+    assert fh.getvalue() == region_csv_oracle(rows)
 
 
 def test_write_region_csv_allocates_nothing_sized_by_first_covering_k():
@@ -610,4 +607,4 @@ def test_write_region_csv_allocates_nothing_sized_by_first_covering_k():
         tracemalloc.stop()
     assert time.perf_counter() - start < 2.0
     assert peak < 1 << 20
-    assert fh.getvalue() == region_csv_oracle(rows, [])
+    assert fh.getvalue() == region_csv_oracle(rows)

@@ -96,7 +96,7 @@ def test_out_file_replaces_the_earlier_one_with_umask_mode(tmp_path, capsys):
 def test_overflow_is_one_line_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1
-    assert "inf" not in out
+    assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
@@ -118,7 +118,7 @@ def test_overflow_is_one_line_error_without_warnings(capsys, argv):
     # the error line fails the test instead of going unseen
     code, out, err = run(capsys, *argv)
     assert code == 1
-    assert "inf" not in out
+    assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
@@ -273,9 +273,9 @@ CONFIG_ECHO = [
      "b=0.10000000000000001 n=12 k=2 t=1000000"),
     ("matrix --a 0.5 --n 4",
      "# config cmd=matrix a=0.5 b=none a0=none n=4 k=1"),
-    ("matrix --a 0.9 --b -0.2 --a0 0.3 --n 4 --k 0",
+    ("matrix --a 0.9 --b -0.2 --n 4 --k 0",
      "# config cmd=matrix a=0.90000000000000002 b=-0.20000000000000001 "
-     "a0=0.29999999999999999 n=4 k=0"),
+     "a0=none n=4 k=0"),
     # k resolves as in simulate: none with --a0
     ("matrix --a 0.5 --a0 0.5 --n 3",
      "# config cmd=matrix a=0.5 b=none a0=0.5 n=3 k=none"),
@@ -613,7 +613,7 @@ def test_non_finite_range_or_reference_is_one_line_error(capsys, argv, message):
     code, out, err = run(capsys, *argv.split())
     assert code == 1
     assert err == "error: %s\n" % message
-    assert all(line.startswith("# config ") for line in out.splitlines())
+    assert out == ""
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -644,12 +644,15 @@ def test_dist_with_tiny_u_ends(capsys, alpha, u, answer):
     ("calibrate --alpha 1.5 --a-min 0.6 --a-max 0.8 --steps 1 --replicas 100",
      "need steps >= 2"),
     ("regions --steps 1", "need steps >= 2"),
+    # a bad threshold or probability is found before the echo is written
+    ("tail --alpha 1.5 --a 0.5 --n 20 --k 1 --t -1", "need t > 0"),
+    ("dist --alpha 2 --u 2", "need 0 < u < 1"),
 ])
 def test_bad_grid_is_one_line_error(capsys, argv, message):
     code, out, err = run(capsys, *argv.split())
     assert code == 1
     assert err == "error: %s\n" % message
-    assert all(line.startswith("# config ") for line in out.splitlines())
+    assert out == ""
 
 
 def test_fmt_prints_a_bool_as_its_int():

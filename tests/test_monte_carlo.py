@@ -8,7 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heavytail import monte_carlo
-from heavytail.ar_quadform import ArModel, QuadForm, Statistic, autocov_matrix
+from heavytail.ar2_regions import (a_col, closed_form_diag, diag_seq, first_covering_k,
+                                   region_grid, region_membership)
+from heavytail.ar_quadform import (ArModel, QuadForm, Statistic, ar1_offdiag_closed,
+                                   autocov_matrix, empirical_autocov)
 from heavytail.ar_quadform import test_matrix as statistic_matrix
 from heavytail.monte_carlo import (BLOCK_DRAWS, DEFAULT_A_GRID, McConfig,
                                    block_innovations, calibrate_risk,
@@ -78,6 +81,18 @@ def test_config_keeps_normalised_fields():
     (lambda: autocov_matrix(ArModel((0.5,), 10), 1.9), "k"),
     (lambda: calibrate_risk((0.6,), 0.5, 8.9, 1.0, 0.05, replicas=100), "n"),
     (lambda: calibrate_risk((0.6,), 0.5, 8, 1.0, 0.05, replicas=100.5), "replicas"),
+    (lambda: region_grid(-2, 2, -2, 1, 5.7), "steps"),
+    (lambda: region_grid(-2, 2, -2, 1, 5, kmax=math.nan), "kmax"),
+    (lambda: closed_form_diag(0.5, 1.0, 3.7), "k"),
+    (lambda: diag_seq(0.5, 0.1, 6.9), "kmax"),
+    (lambda: first_covering_k([-0.5], [-0.1], 20.5), "kmax"),
+    (lambda: region_membership(-0.5, -0.1, 20.5), "kmax"),
+    (lambda: a_col(0.5, 0.1, 6.5), "jmax"),
+    (lambda: ar1_offdiag_closed(0.5, 4, 1.5, 2, 1), "k"),
+    (lambda: ar1_offdiag_closed(0.5, 4.5, 1, 2, 1), "n"),
+    (lambda: ar1_offdiag_closed(0.5, 4, 1, 2.5, 1), "i"),
+    (lambda: ar1_offdiag_closed(0.5, 4, 1, 2, math.inf), "j"),
+    (lambda: empirical_autocov(np.ones(5), 1.5), "k"),
 ])
 def test_integer_fields_reject_what_is_not_an_integer(call, name):
     # one integer rule: ints, numpy ints and integral floats pass (see
@@ -492,13 +507,12 @@ def test_write_tail_csv_shape():
     cfg = small_config(replicas=500, points=4)
     est = run_tail_experiment(cfg)
     buf = io.StringIO()
-    write_tail_csv(est, buf, header_lines=["config cmd=simulate"])
+    write_tail_csv(est, buf)
     lines = buf.getvalue().split("\n")
-    assert lines[0] == "# config cmd=simulate"
-    assert lines[1].startswith("# replicas=500 seed=7 regime=PowerHalf coef=")
-    assert lines[2] == ("t,log10_t,p_emp,log10_p_emp,p_theory,"
+    assert lines[0].startswith("# replicas=500 seed=7 regime=PowerHalf coef=")
+    assert lines[1] == ("t,log10_t,p_emp,log10_p_emp,p_theory,"
                         "log10_p_theory,se,raw_p_theory")
-    body = [ln for ln in lines[3:] if ln]
+    body = [ln for ln in lines[2:] if ln]
     assert len(body) == 4
     for ln in body:
         cells = ln.split(",")
@@ -512,15 +526,14 @@ def test_write_tail_csv_shape():
 def test_write_risk_csv_shape():
     rows = calibrate_risk((0.4, 0.8), 0.5, 8, 1.0, 0.05, replicas=2000, seed=0)
     buf = io.StringIO()
-    write_risk_csv(rows, buf, header_lines=["config cmd=calibrate"])
+    write_risk_csv(rows, buf)
     lines = [ln for ln in buf.getvalue().split("\n") if ln]
-    assert lines[0] == "# config cmd=calibrate"
-    assert lines[1].startswith("# skipped (need a > a0): 0.4")
-    assert lines[2] == "a,t_eta,risk_hat,se"
-    assert len(lines) == 5
-    nan_cells = lines[3].split(",")
+    assert lines[0].startswith("# skipped (need a > a0): 0.4")
+    assert lines[1] == "a,t_eta,risk_hat,se"
+    assert len(lines) == 4
+    nan_cells = lines[2].split(",")
     assert math.isnan(float(nan_cells[1]))
-    good_cells = lines[4].split(",")
+    good_cells = lines[3].split(",")
     assert float(good_cells[1]) > 0.0
 
 
