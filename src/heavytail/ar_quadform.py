@@ -20,15 +20,15 @@ AR(1) entries of A^T B^k A also come in closed power-sum form, exact at
 a = +-1 because no geometric ratio is ever formed.
 
 The tail classifier reads a form in three ways: its diagonal (diagonal),
-row i of C + C^T with the entry (i, i) set to zero for each given index i
-(couplings, one row at a time), and whether the form is identically zero
-(is_zero).  QuadForm answers from its dense matrix.  ArForm answers for a
-lag from psi, its diagonal in O(n) and its couplings as rows of
-A^T (B^k + B^k^T) A from one bottom-up pass of the recursion; it holds
-O(p) rows, never n x n, and never has an all-negative diagonal, as its
-last diagonal entry is zero.  The pivot's law needs no form (see
-test_stat_tail).  matrix and calibrate are the only commands that build
-a dense form.
+row i of the symmetrized couplings S = (C + C^T) / 2 with the entry (i, i)
+set to zero for each given index i (couplings, one row at a time), and
+whether the form is identically zero (is_zero).  QuadForm answers from
+its dense matrix.  ArForm answers for a lag from psi, its diagonal in
+O(n) and its couplings as half the rows of A^T (B^k + B^k^T) A from one
+bottom-up pass of the recursion; it holds O(p) rows, never n x n, and
+never has an all-negative diagonal, as its last diagonal entry is zero.
+The pivot's law needs no form (see test_stat_tail).  matrix and
+calibrate are the only commands that build a dense form.
 """
 
 import math
@@ -133,6 +133,8 @@ class QuadForm:
             entries = self.entries.view(np.ndarray)
         else:
             entries = np.array(self.entries, dtype=float)
+        if self.n < 1:
+            raise ValueError("need n >= 1")
         if entries.shape != (self.n, self.n):
             raise ValueError("need square entries of shape (n, n)")
         if not np.all(np.isfinite(entries)):
@@ -148,15 +150,14 @@ class QuadForm:
         n x n temporary)."""
         return max(float(self.entries.max()), -float(self.entries.min())) <= tol
 
-    def couplings(self, rows, half=False):
-        """(i, row) for each index i in rows: row i of C + C^T with the
-        entry (i, i) set to zero, a new array the caller owns; C + C^T
-        itself is never formed.  With half, row i of (C + C^T) / 2 taken as
-        0.5 C_ij + 0.5 C_ji, which is exact above the subnormals and stays
-        finite where C_ij + C_ji leaves the doubles."""
+    def couplings(self, rows):
+        """(i, row) for each index i in rows: row i of S = (C + C^T) / 2 with
+        the entry (i, i) set to zero, a new array the caller owns, taken as
+        0.5 C_ij + 0.5 C_ji: exact above the subnormals and finite for
+        finite entries; S itself is never formed."""
         m = self.entries
         for i in rows:
-            row = m[i] * 0.5 + m[:, i] * 0.5 if half else m[i] + m[:, i]
+            row = m[i] * 0.5 + m[:, i] * 0.5
             row[i] = 0.0
             yield i, row
 
@@ -282,9 +283,9 @@ class ArForm:
 
     The diagonal is O(n), lag_sums, and can differ from the dense one in
     the last digits.  The couplings, one _recursion pass over rows of W A
-    (see couplings), match the dense form's C_ij + C_ji up to rounding and
-    keep more digits where those two cancel; psi's subnormal entries are
-    flushed to zero.
+    times 0.5 (see couplings), match the dense form's S_ij up to rounding
+    and keep more digits where C_ij and C_ji cancel; psi's subnormal
+    entries are flushed to zero.
     Construction checks the Cauchy-Schwarz bound
     |C_ij| <= |A e_i| |B^k A e_j|, grown by what the recursion's partial
     sums of C + C^T can reach, and raises the dense form's "need finite
@@ -334,22 +335,21 @@ class ArForm:
         max(1, max |C_ii|): every other form has C_{n-1, n-1-k} = psi_0^2 = 1."""
         return self._bottom == 0
 
-    def couplings(self, rows, half=False):
-        """(i, row) for each index i in rows, bottom up: row i of C + C^T
-        with the entry (i, i) set to zero, a copy the caller owns, or with
-        half that row times 0.5 (construction keeps C + C^T finite).
-        C + C^T = A^T W A for W = B^k + B^k^T, so one bottom-up _recursion
-        pass over the rows of W A, from row n - 1 down to the lowest index
-        asked for, yields them: row r of W A is row r - k of A plus, while
-        r + k < n, row r + k (twice row r at k = 0).  The pass still reads
-        a row for p more steps, hence the copy."""
+    def couplings(self, rows):
+        """(i, row) for each index i in rows, bottom up: row i of
+        S = (C + C^T) / 2 with the entry (i, i) set to zero (construction
+        keeps C + C^T finite).  C + C^T = A^T W A for W = B^k + B^k^T, so
+        one bottom-up _recursion pass over the rows of W A, from row n - 1
+        down to the lowest index asked for, yields them: row r of W A is row
+        r - k of A plus, while r + k < n, row r + k (twice row r at k = 0).
+        The pass reads a row for p more steps, so its half is a new array."""
         rows = set(np.asarray(rows).tolist())
         n, k = self.n, self.k
         wa = ((r, self._y[r] + self._a[r + k] if r + k < n else self._y[r].copy())
               for r in range(n - 1, min(rows, default=n) - 1, -1))
         for r, row in _recursion(self.model.theta, wa):
             if r in rows:
-                out = row * 0.5 if half else row.copy()
+                out = row * 0.5
                 out[r] = 0.0
                 yield r, out
 

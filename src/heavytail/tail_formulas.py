@@ -18,12 +18,12 @@ with coefficients
 
     PowerHalf coef = k_s alpha^((alpha-1)/2) * 2 * sum_{j: C_jj > 0} C_jj^(alpha/2)
     PowerLog  coef = k_s^2 alpha^alpha * sum_{i: C_ii = 0} sum_{j != i}
-                                              |C_ij + C_ji|^alpha.
+                                              |2 S_ij|^alpha
 
-The classifier reads a form only through its diagonal, the couplings of
-its zero-diagonal rows (of every row, when all diagonal entries are
-negative) and whether it is zero (see ar_quadform), one row at a time, so
-no form is classified through an n x n temporary.
+for S = (C + C^T) / 2.  The classifier reads a form only through its
+diagonal, the rows of S on its zero-diagonal rows (on every row, when all
+diagonal entries are negative) and whether it is zero (see ar_quadform),
+one row at a time, so no form is classified through an n x n temporary.
 
 The AR(1) specializations (upper and lower tails of n gamma_n(k), the
 studentized lag-1 test statistic, approximate critical values) are written
@@ -121,29 +121,34 @@ def _diag_signs(diag):
 
 
 def _coupling_sum(form, zero, alpha, witnesses):
-    """sum_{i: C_ii = 0} sum_{j != i} |C_ij + C_ji|^alpha and, with
-    witnesses, the distinct pairs (i, j), i < j, with a nonzero coupling on
-    a zero-diagonal row, read row by row from form.couplings.  The row sums
+    """sum_{i: C_ii = 0} sum_{j != i} |2 S_ij|^alpha and the distinct pairs
+    (i, j), i < j, with a nonzero coupling on a zero-diagonal row (none
+    without witnesses), read row by row from form.couplings.  The row sums
     are added exactly rounded (math.fsum), so their order does not matter."""
     n = form.n
-    sums, keys = [], []
+    sums, keys = [], [np.empty(0, dtype=np.int64)]
     for i, row in form.couplings(np.flatnonzero(zero)):
         if witnesses:
             j = np.flatnonzero(row)
+            j = j[(j > i) | ~zero[j]]  # a pair of zero rows from the lower one
             keys.append(np.minimum(i, j) * n + np.maximum(i, j))
-        # in place, the row being ours; **= keeps the bits of ** (its fast
-        # paths included)
+        # in place, the row being ours; doubling is exact above the
+        # subnormals and **= keeps the bits of ** (its fast paths included)
         np.abs(row, out=row)
         with np.errstate(over="ignore"):  # an infinite sum reaches TailLaw's check
+            if alpha < 1.0:  # from 2^1023 on 2 |S_ij| overflows, 2^alpha |S_ij|^alpha need not
+                over = row >= 2.0 ** 1023
+                big = row[over] ** alpha * 2.0 ** alpha
+            row *= 2.0
             row **= alpha
+            if alpha < 1.0:
+                row[over] = big
             sums.append(float(np.sum(row)))
     try:
         total = math.fsum(sums)
     except OverflowError:  # finite row sums past a double's range together
         total = math.inf
-    if not witnesses:
-        return total, None
-    keys = np.unique(np.concatenate(keys))
+    keys = np.sort(np.concatenate(keys))
     return total, tuple(zip((keys // n).tolist(), (keys % n).tolist()))
 
 
@@ -194,7 +199,7 @@ def _classify(form, alpha, witnesses):
     if zero.any():
         coupled, pairs = _coupling_sum(form, zero, alpha, witnesses)
         if coupled > 0.0:
-            return (DegeneracyClass(2, pairs or ()),
+            return (DegeneracyClass(2, pairs),
                     TailLaw(POWER_LOG, alpha,
                             coef=_power_log_scale(make_law(alpha)) * coupled))
         return (DegeneracyClass("gt2", ()),
@@ -202,14 +207,8 @@ def _classify(form, alpha, witnesses):
                         note="zero max diagonal with no symmetrized coupling "
                              "on the zero-diagonal rows"))
 
-    # all diagonal entries strictly negative: an indefinite coordinate pair,
-    # where a side past a double's range is decided again, scaled
-    try:
-        with np.errstate(over="raise"):
-            keys = _indefinite_pairs(form, diag, False)
-    except FloatingPointError:
-        with np.errstate(over="ignore"):
-            keys = _indefinite_pairs(form, diag, True)
+    # all diagonal entries strictly negative: an indefinite coordinate pair
+    keys = _indefinite_pairs(form, diag)
     n = form.n
     if keys.size:
         return (DegeneracyClass(2, tuple(zip((keys // n).tolist(), (keys % n).tolist()))),
@@ -225,30 +224,27 @@ def _classify(form, alpha, witnesses):
 _PAIR_SHRINK = 2.0 ** -513
 
 
-def _indefinite_pairs(form, diag, rescale):
+def _indefinite_pairs(form, diag):
     """Sorted keys i n + j of the pairs i < j of an all-negative diagonal with
-    S_ij^2 > C_ii C_jj for S_ij = 0.5 C_ij + 0.5 C_ji (finite, also where
-    C_ij + C_ji overflows), squared by libm pow as the scalar test S_ij ** 2
-    takes it.
-
-    With rescale, each pair where a side overflows is decided again on
-    S_ij, C_ii and C_jj times _PAIR_SHRINK, which is exact: a factor the
-    shrink pushes below the normal doubles sits on a side less than 2^-500
-    times the other, so the decision is the one a double without an
-    exponent limit gives.  Every other pair is decided as without
-    rescale."""
+    S_ij^2 > C_ii C_jj, S_ij squared by libm pow as the scalar S_ij ** 2.  A
+    side that overflows alone decides its pair as inf against a finite
+    side; a pair where both do is decided again on S_ij, C_ii and C_jj times
+    _PAIR_SHRINK, exactly: a factor the shrink pushes below the normal
+    doubles sits on a side less than 2^-500 times the other."""
     n = form.n
     keys = [np.empty(0, dtype=np.int64)]
-    for i, row in form.couplings(range(n - 1), half=True):
-        half = row[i + 1:]
-        square = np.float_power(half, 2.0)
-        energy = diag[i] * diag[i + 1:]
-        hit = square > energy
-        if rescale:
-            over = np.isinf(square) | np.isinf(energy)
-            hit[over] = (np.float_power(half[over] * _PAIR_SHRINK, 2.0)
-                         > (diag[i] * _PAIR_SHRINK) * (diag[i + 1:][over] * _PAIR_SHRINK))
-        keys.append(i * n + i + 1 + np.flatnonzero(hit))
+    with np.errstate(over="ignore"):
+        wide = math.isinf(diag.min() * diag.min())  # can any C_ii C_jj overflow?
+        for i, row in form.couplings(range(n - 1)):
+            half = row[i + 1:]
+            square = np.float_power(half, 2.0)
+            energy = diag[i] * diag[i + 1:]
+            hit = square > energy
+            if wide and math.isinf(square.max(initial=0.0)):
+                over = np.isinf(square) & np.isinf(energy)
+                hit[over] = (np.float_power(half[over] * _PAIR_SHRINK, 2.0)
+                             > (diag[i] * _PAIR_SHRINK) * (diag[i + 1:][over] * _PAIR_SHRINK))
+            keys.append(i * n + i + 1 + np.flatnonzero(hit))
     return np.sort(np.concatenate(keys))
 
 
@@ -282,13 +278,12 @@ def _power_half_sum(law, base, power, sums):
 def ar1_upper_tail(a, n, k, alpha):
     """TailLaw of P{n gamma_n(k) >= t} for an AR(1) model with coefficient a.
 
-    Even lag or a > 0 is PowerHalf with the power-sum diagonal entries;
-    a = 0 with k >= 1 is PowerLog with 2 (n - k) unit couplings; odd lag
-    with a < 0 is PowerLog: at k = 1 the pivot's closed O(n) law at a0 = 0
-    (test_stat_tail), as A^T B A is that form; at k >= 3 read from the
-    structured form (the couplings of the last k rows, and of any row whose
-    diagonal the zero rule counts as zero when |a| > 1); k >= n makes the
-    form identically zero.
+    Even lag or a > 0 is PowerHalf with the power-sum diagonal entries,
+    unless the zero rule counts them all as zero; a = 0 with k >= 1 is
+    PowerLog with 2 (n - k) unit couplings.  Any other lag k < n reads its
+    couplings: at k = 1 by the pivot's closed O(n) law at a0 = 0
+    (test_stat_tail), as A^T B A is that form, at k >= 2 from the
+    structured form; k >= n makes the form identically zero.
     """
     a = float(a)
     alpha = float(alpha)
@@ -302,14 +297,16 @@ def ar1_upper_tail(a, n, k, alpha):
         # C + C^T holds 2 (n - k) unit couplings
         return TailLaw(POWER_LOG, alpha, coef=_power_log_scale(law) * 2.0 * (n - k))
     if k % 2 == 0 or a > 0.0:
-        # at a = 0, k = 0 every power sum is 1 and the lead 0^0 = 1
-        return _power_half_sum(law, abs(a), k * alpha / 2.0,
-                               power_sums(a * a, n - k))
+        sums = power_sums(a * a, n - k)
+        # the zero rule's tolerance is 1e-12 where the largest entry
+        # |a|^k S(n - k) is at most 1; at a = 0, k = 0 it is 0^0 = 1
+        if abs(a) >= 1.0 or abs(a) ** k * sums[-1] > 1e-12:
+            return _power_half_sum(law, abs(a), k * alpha / 2.0, sums)
     if k == 1:  # A^T B A is the pivot form at a0 = 0; its overflow names lag 1
         if not np.isfinite(a * power_sum(a * a, n - 1)):
             raise OverflowError("lag-1 form overflows a double at a=%r, n=%d" % (a, n))
         return test_stat_tail(a, 0.0, n, alpha)
-    # odd lag k >= 3, a < 0: no closed sum over the |i - j| < k band
+    # no closed sum over the |i - j| < k band of a zero diagonal
     return tail_law(ArForm(model, k), alpha)
 
 
@@ -416,17 +413,19 @@ def critical_value(a, a0, n, alpha, eta):
 
         t_eta = (coef(a) / eta)^(2/alpha)
 
-    with coef(a) the PowerHalf coefficient of test_stat_tail.  A threshold
-    too large for a double raises OverflowError.
+    with coef(a) the PowerHalf coefficient of test_stat_tail: another regime
+    raises ValueError, a threshold too large for a double OverflowError.
     """
     a = float(a)
     a0 = float(a0)
     if not 0.0 <= a0 < a:
         raise ValueError("need 0 <= a0 < a")
     eta = check_eta(eta)
-    coef = test_stat_tail(a, a0, n, alpha).coef
+    law = test_stat_tail(a, a0, n, alpha)
+    if law.regime != POWER_HALF:
+        raise ValueError("need a PowerHalf law to invert at a=%r, not %s" % (a, law.regime))
     try:
-        t = (coef / eta) ** (2.0 / float(alpha))
+        t = (law.coef / eta) ** (2.0 / float(alpha))
     except OverflowError:
         t = math.inf
     if not math.isfinite(t):

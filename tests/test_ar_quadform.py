@@ -381,7 +381,7 @@ def fed_rows(form, rows):
 
 
 def test_ar_form_couplings_take_one_row_pass():
-    # an explosive odd lag counts most rows as zero; their rows of C + C^T
+    # an explosive odd lag counts most rows as zero; their rows of S
     # come from one bottom-up pass of at most n rows, and no column is solved
     n, k = 600, 3
     model = ArModel((-1.1,), n)
@@ -395,8 +395,8 @@ def test_ar_form_couplings_take_one_row_pass():
     assert np.max(np.abs(got - want)) <= 1e-12 * float(np.max(np.abs(dense.entries)))
     # a stable AR(2) lag 1 counts only its last row as zero; the pass feeds
     # the rows from n - 1 down to it, here one, not all n.  That row of
-    # C + C^T is psi_{n-2-j} on j < n - 1 (row n - 1 of B A, as column n - 1
-    # of B A is zero), subnormals flushed
+    # S is psi_{n-2-j} / 2 on j < n - 1 (half row n - 1 of B A, as column
+    # n - 1 of B A is zero), subnormals flushed
     n = 3000
     model = ArModel((-0.5, -0.3), n)
     form = ar_quadform.ArForm(model, 1)
@@ -406,7 +406,7 @@ def test_ar_form_couplings_take_one_row_pass():
     assert fed == [n] * (n - rows[0])
     psi = ar_quadform._impulse_response(model)
     psi[np.abs(psi) < np.finfo(float).tiny] = 0.0
-    assert np.array_equal(got[0], np.append(psi[n - 2::-1], 0.0))
+    assert np.array_equal(got[0], np.append(psi[n - 2::-1], 0.0) * 0.5)
 
 
 # The exact reference: every double is a dyadic rational, so the AR
@@ -459,8 +459,9 @@ def test_ar_form_diagonal_matches_the_exact_one(theta, n, data):
 
 
 def exact_couplings(theta, n, k):
-    """C + C^T of C = A^T B^k A with a zero diagonal, exactly: C by the
-    bottom-up recursion of solve_form_oracle on the rows of Y = B^k A."""
+    """S = (C + C^T) / 2 of C = A^T B^k A with a zero diagonal, exactly: C
+    by the bottom-up recursion of solve_form_oracle on the rows of
+    Y = B^k A."""
     psi = exact_psi(theta, n)
     c = [[psi[r - k - s] if r - k - s >= 0 else Fraction(0) for s in range(n)]
          for r in range(n)]
@@ -468,7 +469,7 @@ def exact_couplings(theta, n, k):
         for i, t in enumerate(theta[:n - 1 - r], start=1):
             if t != 0.0:
                 c[r] = [x + Fraction(t) * y for x, y in zip(c[r], c[r + i])]
-    return [[c[i][j] + c[j][i] if i != j else Fraction(0) for j in range(n)]
+    return [[(c[i][j] + c[j][i]) / 2 if i != j else Fraction(0) for j in range(n)]
             for i in range(n)]
 
 
@@ -494,6 +495,9 @@ def exact_couplings(theta, n, k):
 # roundings per entry; the factor 1 + 1e-9 covers them.  The recursion
 # amplifies rounding by psi: on explosive paths this bound, not the dense
 # form's miss or n roundings, is what the structured couplings meet.
+# 4. The couplings are fl(R^ / 2), rows of S = R / 2: halving is exact
+#    above the subnormals, and below them it loses at most 2^-1075, far less
+#    than the 1e-9 tiny / 2 that the factor 1 + 1e-9 adds to the halved bound.
 
 UNIT_ROUNDOFF, TINY = 2.0 ** -53, np.finfo(float).tiny
 
@@ -504,7 +508,7 @@ def gamma(m):
 
 def coupling_rounding_bound(theta, n, k, exact):
     """Entrywise bound on |ArForm(ArModel(theta, n), k) couplings - exact|,
-    as derived above, for exact = exact_couplings(theta, n, k)."""
+    as derived above, for exact = exact_couplings(theta, n, k) = R / 2."""
     p = len(theta)
 
     def at(v, m):  # v[m] where 0 <= m < n, else 0
@@ -524,7 +528,7 @@ def coupling_rounding_bound(theta, n, k, exact):
     below = s + k < n
     w = np.abs(at(psi_hat, s - k - j) + np.where(below, at(psi_hat, s + k - j), 0.0))
     drive = UNIT_ROUNDOFF * w + at(err, s - k - j) + np.where(below, at(err, s + k - j), 0.0)
-    rows = np.abs(np.array([[float(e) for e in row] for row in exact]))
+    rows = 2.0 * np.abs(np.array([[float(e) for e in row] for row in exact]))
     rows[np.diag_indices(n)] = [2.0 * abs(float(d)) for d in exact_lag_diagonal(theta, n, k)]
     bound = np.zeros((n, n))
     for r in range(n - 1, -1, -1):
@@ -533,7 +537,7 @@ def coupling_rounding_bound(theta, n, k, exact):
         drive[r] += gamma(p + 1) * (w[r] + reach) + TINY
         bound[r] = psi[:n - r] @ drive[r:]
     bound[np.diag_indices(n)] = 0.0
-    return bound * (1.0 + 1e-9)
+    return bound * (1.0 + 1e-9) * 0.5
 
 
 @given(theta=st.lists(exact_coefficient, min_size=1, max_size=3),
@@ -550,9 +554,9 @@ def coupling_rounding_bound(theta, n, k, exact):
 @settings(max_examples=30, deadline=None)
 def test_ar_form_couplings_meet_the_recursion_rounding_bound(theta, n, k):
     # entry by entry the structured couplings meet the bound derived above,
-    # and so does their PowerLog sum at alpha = 2 over every row, |R^^2 -
-    # R^2| <= B (2 |R| + B) per entry, whose squares, row sums and fsum add
-    # gamma_{n+1} of the computed sum
+    # and so does their PowerLog sum at alpha = 2 over every row of R = 2 S,
+    # |R^^2 - R^2| <= B (2 |R| + B) per entry for B twice the bound on S,
+    # whose squares, row sums and fsum add gamma_{n+1} of the computed sum
     assume(k < n)
     exact = exact_couplings(theta, n, k)
     form = ar_quadform.ArForm(ArModel(theta, n), k)
@@ -561,11 +565,12 @@ def test_ar_form_couplings_meet_the_recursion_rounding_bound(theta, n, k):
     for got_row, row, bound_row in zip(got.tolist(), exact, bound.tolist()):
         for g, e, b in zip(got_row, row, bound_row):
             assert abs(Fraction(g) - e) <= Fraction(b)
-    magnitude = np.abs(np.array([[float(e) for e in row] for row in exact]))
+    magnitude = 2.0 * np.abs(np.array([[float(e) for e in row] for row in exact]))
+    bound *= 2.0
     slack = (float(np.sum(bound * (2.0 * magnitude + bound)))
              + gamma(n + 1) * float(np.sum((magnitude + bound) ** 2))
              + n * n * TINY) * (1.0 + 1e-9)
-    total = sum(e * e for row in exact for e in row)
+    total = sum((2 * e) ** 2 for row in exact for e in row)
     got_sum = _coupling_sum(form, np.ones(n, bool), 2.0, False)[0]
     assert abs(Fraction(got_sum) - total) <= Fraction(slack)
 

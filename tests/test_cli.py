@@ -148,11 +148,23 @@ def test_explosive_pivot_simulate_is_one_line_error(a, negative, a0, n):
 
 
 def test_underflowed_coefficient_is_one_line_error(capsys):
-    # a^(alpha/2) summed over the path underflows to 0 at a = 1e-200
-    code, _, err = run(capsys, "tail", "--alpha", "4", "--a", "1e-200",
-                       "--n", "50", "--k", "1")
+    # the one diagonal entry a = 1e-11 passes the zero rule; (a - a0)^(alpha/2)
+    # = (1e-11)^50 underflows to 0
+    code, _, err = run(capsys, "tail", "--alpha", "100", "--a", "1e-11",
+                       "--n", "2", "--k", "1")
     assert code == 1
     assert err == "error: coef underflows a double in regime PowerHalf\n"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("b", [(), ("--b", "0")])
+def test_ar1_lag_within_the_zero_rule_is_power_log(capsys, b):
+    # a diagonal of size a = 1e-200 counts as zero, by the closed AR(1) route
+    # and by the classifier alike; the couplings near 1 give the law
+    code, out, err = run(capsys, "tail", "--alpha", "4", "--a", "1e-200", *b,
+                         "--n", "50", "--k", "1")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == "regime=PowerLog coef=3528.0000000000027"
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -646,6 +658,10 @@ def test_dist_with_tiny_u_ends(capsys, alpha, u, answer):
     ("regions --steps 1", "need steps >= 2"),
     # a bad threshold or probability is found before the echo is written
     ("tail --alpha 1.5 --a 0.5 --n 20 --k 1 --t -1", "need t > 0"),
+    # every alternative is within the zero rule of a0: no PowerHalf law to invert
+    ("calibrate --alpha 1.5 --n 20 --a0 0.5 --a-min 0.5 --a-max 0.50000000000002 "
+     "--steps 3 --replicas 1000",
+     "need a PowerHalf law to invert at a=0.50000000000001, not PowerLog"),
     ("dist --alpha 2 --u 2", "need 0 < u < 1"),
 ])
 def test_bad_grid_is_one_line_error(capsys, argv, message):

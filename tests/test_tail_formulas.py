@@ -16,7 +16,7 @@ from heavytail.tail_formulas import (ORDER_ONLY, POWER_HALF, POWER_LOG,
                                      SUB_POWER, ZERO, DegeneracyClass,
                                      TailLaw, ar1_lower_tail, ar1_upper_tail,
                                      classify, critical_value,
-                                     _diag_signs, evaluate, statistic_tail,
+                                     _diag_signs, _power_log_scale, evaluate, statistic_tail,
                                      tail_law)
 from heavytail.tail_formulas import test_stat_tail as stat_tail
 
@@ -158,6 +158,27 @@ def test_ar1_upper_tail_white_noise_lag_matches_dense_route():
         assert law.coef == tail_law(np.eye(n, k=-k), alpha).coef
 
 
+@given(mag=st.floats(1e-300, 1e-5), negative=st.booleans(), n=st.integers(1, 60),
+       k=st.integers(0, 4), alpha=st.floats(0.5, 4.0))
+@example(mag=1e-7, negative=False, n=20, k=2, alpha=1.5)   # once PowerHalf, coef 4.29e-10
+@example(mag=1e-200, negative=False, n=50, k=1, alpha=4.0)
+@settings(max_examples=150, deadline=None)
+def test_ar1_upper_tail_tiny_a_takes_the_zero_rule(mag, negative, n, k, alpha):
+    # the closed PowerHalf branch is taken only where the classifier's zero
+    # rule sees a positive diagonal entry; below it both read the couplings
+    a = -mag if negative else mag
+    # every diagonal entry |a|^k S(m) is within 1e-8 of |a|^k here; where
+    # that is within 1e-6 of the rule's 1e-12, the entries can fall on both
+    # sides of it, and the closed PowerHalf sum still counts every entry,
+    # also those the rule calls zero, a known gap left open
+    assume(k == 0 or abs(mag ** k / 1e-12 - 1.0) > 1e-6)
+    closed = ar1_upper_tail(a, n, k, alpha)
+    general = tail_law(ArForm(ArModel((a,), n), k), alpha)
+    assert closed.regime == general.regime
+    if general.coef is not None:
+        assert closed.coef == pytest.approx(general.coef, rel=1e-9, abs=0.0)
+
+
 def test_ar1_upper_tail_zero_beyond_path_length():
     law = ar1_upper_tail(0.7, 5, 5, 1.0)
     assert law.regime == ZERO
@@ -261,6 +282,10 @@ def test_critical_value_levels():
         critical_value(1.0, -0.1, 20, 1.0, 0.05)
     with pytest.raises(ValueError):
         critical_value(1.0, 0.5, 20, 1.0, 1.5)
+    # a within the zero rule of a0 has a PowerLog law, which has no inverse
+    with pytest.raises(ValueError, match=r"^need a PowerHalf law to invert "
+                       r"at a=0.5000000000001, not PowerLog$"):
+        critical_value(0.5 + 1e-13, 0.5, 20, 1.5, 0.05)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -404,6 +429,14 @@ def test_classify_pairs_match_the_comprehensions_at_n_800():
     dc, law = classify(c, 1.5)
     assert law.regime == POWER_LOG
     assert dc.j_sets == old_power_log_pairs(c)
+    # an explosive odd lag: most rows count as zero, many of them adjacent,
+    # and a pair of two zero rows is read from both
+    c = autocov_matrix(ArModel((-1.1,), 400), 3).entries
+    zero = _diag_signs(np.diag(c))[1]
+    assert zero.sum() > 250 and (zero[1:] & zero[:-1]).sum() > 250
+    dc, law = classify(c, 1.5)
+    assert law.regime == POWER_LOG
+    assert dc.j_sets == old_power_log_pairs(c)
 
 
 # classify once tested every pair of a negative diagonal at once, on n x n
@@ -454,9 +487,9 @@ def test_order_only_pairs_match_the_dense_expression(m):
 
 def exact_order_only_pairs(n, diag, rows):
     """The pairs i < j with S_ij^2 > C_ii C_jj in exact rationals, from the
-    diagonal and the coupling rows {i: row i of C + C^T}."""
+    diagonal and the coupling rows {i: row i of S}."""
     return tuple((i, j) for i in range(n) for j in range(i + 1, n)
-                 if (Fraction(float(rows[i][j])) / 2) ** 2
+                 if Fraction(float(rows[i][j])) ** 2
                  > Fraction(float(diag[i])) * Fraction(float(diag[j])))
 
 
@@ -482,7 +515,7 @@ def test_order_only_pairs_past_a_doubles_range():
                   [0.0, -1e160, 1e-300, 0.0],
                   [0.0, 0.0, -1e150, 4e150],
                   [0.0, 0.0, 0.0, -1e150]])
-    want = exact_order_only_pairs(4, np.diag(m), m + m.T)
+    want = exact_order_only_pairs(4, np.diag(m), (m + m.T) / 2.0)
     assert want == ((0, 1), (2, 3))
     for form in (m, QuadForm(4, m)):
         dc, law = classify(form, 1.5)
@@ -518,6 +551,23 @@ def test_order_only_pair_whose_coupling_sum_overflows(m, regime):
         dc, law = classify(form, 1.5)
         assert law.regime == regime and dc.j_sets == want
         assert tail_law(form, 1.5) == law
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_power_log_at_alpha_below_1_past_a_doubles_range():
+    # 2 |S_01| = 3e308 leaves the doubles, 2^alpha |S_01|^alpha does not at
+    # alpha < 1; the one-sided form has 2 |S_01| = 1.5e308 itself
+    scale = _power_log_scale(make_law(0.5))
+    law = tail_law([[0.0, 1.5e308], [1.5e308, -1.0]], 0.5)
+    assert law.regime == POWER_LOG
+    assert law.coef == scale * (1.5e308 ** 0.5 * 2.0 ** 0.5)
+    assert law.coef == pytest.approx(8.9e152, rel=1e-2)
+    one_sided = tail_law([[0.0, 1.5e308], [0.0, -1.0]], 0.5)
+    assert one_sided.coef == scale * 1.5e308 ** 0.5
+    assert one_sided.coef == pytest.approx(6.298e152, rel=1e-3)
+    # at alpha >= 1 the coefficient itself is past a double's range
+    with pytest.raises(OverflowError, match="^coef overflows a double in regime PowerLog$"):
+        tail_law([[0.0, 1.5e308], [1.5e308, -1.0]], 1.0)
 
 
 def test_tail_law_names_an_underflowed_coefficient():
@@ -805,11 +855,13 @@ def test_order_only_pairs_allocate_no_dense_temporary():
     assert peak < 8 * n * n / 4  # a quarter of one n x n array
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("c, alpha, message", [
     (np.ones((2, 3)), 1.5, "need a square matrix"),
     (np.ones(4), 1.5, "need a square matrix"),
     (np.eye(2), 0.0, "need alpha > 0"),
     (np.eye(2), math.nan, "need alpha > 0"),
+    (np.zeros((0, 0)), 1.5, "need n >= 1"),
 ])
 def test_classify_checks_its_arguments(c, alpha, message):
     for call in (classify, tail_law):
