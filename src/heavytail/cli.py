@@ -63,29 +63,28 @@ def _open_out(args):
         raise
 
 
-def _model(args):
+def _statistic(args):
+    """The Statistic of --a, --b, --a0, --n and --k: lag 1 where neither --k nor --a0 is."""
+    a0 = getattr(args, "a0", None)  # tail takes no pivot
     theta = (args.a,) if args.b is None else (args.a, args.b)
-    return ArModel(theta, args.n)
-
-
-def _lag(args):
-    """--k as given, or lag 1 where neither --k nor --a0 is."""
-    return 1 if args.k is None and args.a0 is None else args.k
+    return Statistic(ArModel(theta, args.n), k=1 if args.k is None and a0 is None else args.k,
+                     a0=a0)
 
 
 def _cmd_tail(args):
-    tail = statistic_tail(Statistic(_model(args), k=args.k), args.alpha)
+    stat = _statistic(args)
+    tail = statistic_tail(stat, args.alpha)
     text = "regime=%s coef=%s\n" % (tail.regime, fmt(tail.coef))
     if tail.note:
         text += "# note: %s\n" % tail.note
     if args.t is not None:
         raw = evaluate(tail, args.t)
         text += "t=%s p=%s raw=%s\n" % (fmt(args.t), fmt(min(max(raw, 0.0), 1.0)), fmt(raw))
-    return {}, lambda fh: fh.write(text)
+    return {"k": stat.k}, lambda fh: fh.write(text)
 
 
 def _cmd_matrix(args):
-    stat = Statistic(_model(args), k=_lag(args), a0=args.a0)
+    stat = _statistic(args)
     form = (autocov_matrix(stat.model, stat.k) if stat.a0 is None
             else test_matrix(args.a, stat.a0, args.n))
     return {"k": stat.k}, lambda fh: write_rows(fh, form.entries)
@@ -98,7 +97,7 @@ def _cmd_regions(args):
 
 
 def _cmd_simulate(args):
-    cfg = McConfig(statistic=Statistic(_model(args), k=_lag(args), a0=args.a0),
+    cfg = McConfig(statistic=_statistic(args),
                    law=make_law(args.alpha), replicas=args.replicas, seed=args.seed,
                    t_min=args.t_min, t_max=args.t_max, points=args.points)
     est = run_tail_experiment(cfg)
@@ -141,6 +140,16 @@ def _add_out(sub):
     sub.add_argument("--out", help="write output to this file instead of stdout")
 
 
+def _add_statistic(sub, pivot):
+    """--a, --b, with pivot --a0, --n and --k: the options _statistic reads."""
+    sub.add_argument("--a", type=float, required=True)
+    sub.add_argument("--b", type=float)
+    if pivot:
+        sub.add_argument("--a0", type=float, help="the test statistic at this a0, not a lag")
+    sub.add_argument("--n", type=int, required=True)
+    sub.add_argument("--k", type=int, help="autocovariance lag (default 1 without --a0)")
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="heavytail",
@@ -150,23 +159,14 @@ def build_parser():
 
     sub = subs.add_parser("tail", help="classify one statistic's tail regime")
     sub.add_argument("--alpha", type=float, required=True)
-    sub.add_argument("--a", type=float, required=True)
-    sub.add_argument("--b", type=float, default=None)
-    sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--k", type=int, default=1)
+    _add_statistic(sub, pivot=False)
     sub.add_argument("--t", type=float, default=None,
                      help="also evaluate the approximation at this threshold")
     _add_out(sub)
     sub.set_defaults(handler=_cmd_tail)
 
     sub = subs.add_parser("matrix", help="dump a quadratic-form matrix")
-    sub.add_argument("--a", type=float, required=True)
-    sub.add_argument("--b", type=float, default=None)
-    sub.add_argument("--a0", type=float, default=None,
-                     help="dump the test-statistic matrix for this reference")
-    sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--k", type=int, default=None,
-                     help="autocovariance lag (default 1 without --a0)")
+    _add_statistic(sub, pivot=True)
     _add_out(sub)
     sub.set_defaults(handler=_cmd_matrix)
 
@@ -182,13 +182,7 @@ def build_parser():
 
     sub = subs.add_parser("simulate", help="Monte Carlo tail experiment")
     sub.add_argument("--alpha", type=float, required=True)
-    sub.add_argument("--a", type=float, required=True)
-    sub.add_argument("--b", type=float, default=None)
-    sub.add_argument("--a0", type=float, default=None,
-                     help="simulate the test statistic instead of a lag")
-    sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--k", type=int, default=None,
-                     help="autocovariance lag (default 1 without --a0)")
+    _add_statistic(sub, pivot=True)
     sub.add_argument("--replicas", type=int, default=McConfig.replicas)
     sub.add_argument("--seed", type=int, default=McConfig.seed)
     sub.add_argument("--t-min", type=float, default=McConfig.t_min)

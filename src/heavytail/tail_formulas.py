@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ar_quadform import (ArForm, ArModel, QuadForm, Statistic, check_a0, check_int,
-                          pivot_diagonal, power_sum, power_sums)
+                          pivot_diagonal, power_sums)
 from .student_dist import make_law, tail_constant
 
 POWER_HALF = "PowerHalf"
@@ -263,24 +263,31 @@ def _power_log_scale(law):
         return law.k_s ** 2 * law.alpha ** law.alpha
 
 
-def _power_half_sum(law, base, power, sums):
-    """PowerHalf TailLaw with coefficient 2 tail_constant lead sum_p p^(alpha/2)
-    over the power sums in the order given, with lead = base ** power; the
-    caller picks the split, as (|a|^k)^(alpha/2) and |a|^(k alpha/2) differ
-    in the last bits."""
+def _power_half_sum(law, base, power, sums, factor):
+    """PowerHalf TailLaw, coefficient 2 tail_constant base^power sum_p p^(alpha/2)
+    over the power sums, in order, whose closed diagonal entry factor * p the
+    zero rule counts positive; None where it counts none.  An entry past a
+    double leaves the rule's tolerance infinite, so there every positive
+    entry counts.  The caller picks the split, as (|a|^k)^(alpha/2) and
+    |a|^(k alpha/2) differ in the last bits."""
+    with np.errstate(over="ignore"):
+        diag = np.multiply(factor, sums)
+    pos = diag > 0.0 if np.isposinf(diag).any() else _diag_signs(diag)[0]
+    if not pos.any():
+        return None
     scale = tail_constant(law)
     with _coef_overflow(POWER_HALF):
         lead = base ** power
-        body = sum(p ** (law.alpha / 2.0) for p in sums)
+        body = sum(p ** (law.alpha / 2.0) for p, keep in zip(sums, pos.tolist()) if keep)
     return TailLaw(POWER_HALF, law.alpha, coef=scale * 2.0 * lead * body)
 
 
 def ar1_upper_tail(a, n, k, alpha):
     """TailLaw of P{n gamma_n(k) >= t} for an AR(1) model with coefficient a.
 
-    Even lag or a > 0 is PowerHalf with the power-sum diagonal entries,
-    unless the zero rule counts them all as zero; a = 0 with k >= 1 is
-    PowerLog with 2 (n - k) unit couplings.  Any other lag k < n reads its
+    The diagonal entries a^k S(m), m = 1 .. n - k, that the zero rule
+    counts positive give PowerHalf; a = 0 with k >= 1 is PowerLog with
+    2 (n - k) unit couplings.  A lag k < n with no positive entry reads its
     couplings: at k = 1 by the pivot's closed O(n) law at a0 = 0
     (test_stat_tail), as A^T B A is that form, at k >= 2 from the
     structured form; k >= n makes the form identically zero.
@@ -296,14 +303,12 @@ def ar1_upper_tail(a, n, k, alpha):
         # the form is the lag-k shift: every diagonal entry vanishes and
         # C + C^T holds 2 (n - k) unit couplings
         return TailLaw(POWER_LOG, alpha, coef=_power_log_scale(law) * 2.0 * (n - k))
-    if k % 2 == 0 or a > 0.0:
-        sums = power_sums(a * a, n - k)
-        # the zero rule's tolerance is 1e-12 where the largest entry
-        # |a|^k S(n - k) is at most 1; at a = 0, k = 0 it is 0^0 = 1
-        if abs(a) >= 1.0 or abs(a) ** k * sums[-1] > 1e-12:
-            return _power_half_sum(law, abs(a), k * alpha / 2.0, sums)
+    sums = power_sums(a * a, n - k)
+    half = _power_half_sum(law, abs(a), k * alpha / 2.0, sums, np.float_power(a, k))
+    if half is not None:
+        return half
     if k == 1:  # A^T B A is the pivot form at a0 = 0; its overflow names lag 1
-        if not np.isfinite(a * power_sum(a * a, n - 1)):
+        if not math.isfinite(a * sums[-1]):
             raise OverflowError("lag-1 form overflows a double at a=%r, n=%d" % (a, n))
         return test_stat_tail(a, 0.0, n, alpha)
     # no closed sum over the |i - j| < k band of a zero diagonal
@@ -311,11 +316,13 @@ def ar1_upper_tail(a, n, k, alpha):
 
 
 def ar1_lower_tail(a, n, alpha):
-    """TailLaw of the lower tail P{n gamma_n(1) <= -t} for a < 0:
+    """TailLaw of the lower tail P{n gamma_n(1) <= -t} for a < 0, PowerHalf
+    over the entries |a| S_i of -C's diagonal the zero rule counts positive,
 
         coef = k_s alpha^((alpha-1)/2) * 2 |a|^(alpha/2)
-               * sum_{i=1}^{n-1} (sum_{j=0}^{n-i-1} a^(2j))^(alpha/2).
-    """
+               * sum_{i: |a| S_i > 0} S_i^(alpha/2),  S_i = sum_{j<n-i} a^(2j);
+
+    with none, -C has the zero rows and |couplings| of test_stat_tail(a, 0)."""
     a = float(a)
     alpha = float(alpha)
     if not a < 0.0:
@@ -324,8 +331,9 @@ def ar1_lower_tail(a, n, alpha):
     law = make_law(alpha)
     if n == 1:
         return TailLaw(ZERO, alpha, note="lag 1 at path length 1; the form is zero")
-    return _power_half_sum(law, abs(a), alpha / 2.0,
-                           reversed(power_sums(a * a, n - 1)))
+    sums = power_sums(a * a, n - 1)[::-1]
+    half = _power_half_sum(law, abs(a), alpha / 2.0, sums, abs(a))
+    return test_stat_tail(a, 0.0, n, alpha) if half is None else half
 
 
 def test_stat_tail(a, a0, n, alpha):
@@ -353,10 +361,10 @@ def test_stat_tail(a, a0, n, alpha):
     n = check_pivot_n(n)
     law = make_law(alpha)
     sums, diag = pivot_diagonal(a, a0, n)
-    pos, zero, _ = _diag_signs(diag)
-    if pos.any():
-        return _power_half_sum(law, a - a0, alpha / 2.0,
-                               [s for s, keep in zip(sums, pos) if keep])
+    half = _power_half_sum(law, a - a0, alpha / 2.0, sums, a - a0)
+    if half is not None:
+        return half
+    zero = _diag_signs(diag)[1]  # with C_nn = 0, the rows the PowerLog sum reads
     with _coef_overflow(POWER_LOG):
         ratio = abs(a) ** alpha
         with np.errstate(over="ignore"):  # an infinite sum reaches TailLaw's check

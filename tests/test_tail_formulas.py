@@ -162,16 +162,14 @@ def test_ar1_upper_tail_white_noise_lag_matches_dense_route():
        k=st.integers(0, 4), alpha=st.floats(0.5, 4.0))
 @example(mag=1e-7, negative=False, n=20, k=2, alpha=1.5)   # once PowerHalf, coef 4.29e-10
 @example(mag=1e-200, negative=False, n=50, k=1, alpha=4.0)
+# entries on both sides of the rule's tolerance: once every one was counted
+@example(mag=1e-6, negative=False, n=4, k=2, alpha=1.0)     # once 2x the classifier
+@example(mag=1.01, negative=False, n=2000, k=2, alpha=1.5)  # once 1e-9 relative off
 @settings(max_examples=150, deadline=None)
 def test_ar1_upper_tail_tiny_a_takes_the_zero_rule(mag, negative, n, k, alpha):
-    # the closed PowerHalf branch is taken only where the classifier's zero
-    # rule sees a positive diagonal entry; below it both read the couplings
+    # the closed PowerHalf sum counts the diagonal entries the classifier's
+    # zero rule counts positive; with none, both read the couplings
     a = -mag if negative else mag
-    # every diagonal entry |a|^k S(m) is within 1e-8 of |a|^k here; where
-    # that is within 1e-6 of the rule's 1e-12, the entries can fall on both
-    # sides of it, and the closed PowerHalf sum still counts every entry,
-    # also those the rule calls zero, a known gap left open
-    assume(k == 0 or abs(mag ** k / 1e-12 - 1.0) > 1e-6)
     closed = ar1_upper_tail(a, n, k, alpha)
     general = tail_law(ArForm(ArModel((a,), n), k), alpha)
     assert closed.regime == general.regime
@@ -186,13 +184,14 @@ def test_ar1_upper_tail_zero_beyond_path_length():
 
 
 def test_ar1_lower_tail_matches_classifier_of_negated_form():
-    for a in (-1.0, -0.6, -0.2):
-        for n in (2, 5, 12):
-            closed = ar1_lower_tail(a, n, 1.0)
-            _, general = classify(-autocov_matrix(ArModel((a,), n), 1).entries,
-                                  1.0)
-            assert closed.regime == general.regime == POWER_HALF
-            assert closed.coef == pytest.approx(general.coef, rel=1e-12)
+    cases = [(a, n, 1.0, POWER_HALF) for a in (-1.0, -0.6, -0.2) for n in (2, 5, 12)]
+    cases += [(-1e-13, 5, 1.0, POWER_LOG),     # every entry within the zero rule
+              (-1.01, 2000, 1.5, POWER_HALF)]  # the short sums within the zero rule
+    for a, n, alpha, regime in cases:
+        closed = ar1_lower_tail(a, n, alpha)
+        _, general = classify(-autocov_matrix(ArModel((a,), n), 1).entries, alpha)
+        assert closed.regime == general.regime == regime
+        assert closed.coef == pytest.approx(general.coef, rel=1e-12)
     with pytest.raises(ValueError):
         ar1_lower_tail(0.3, 5, 1.0)
 
@@ -335,9 +334,10 @@ def test_tail_law_validation():
 # read one prefix sequence of the same recurrence, summed in the same order,
 # so the coefficients must keep every bit.
 
-def old_upper_coef(a, n, k, alpha):
+def old_upper_coef(a, n, k, alpha, keep=lambda s: True):
     law = make_law(alpha)
-    body = sum(power_sum(a * a, i) ** (alpha / 2.0) for i in range(1, n - k + 1))
+    body = sum(power_sum(a * a, i) ** (alpha / 2.0) for i in range(1, n - k + 1)
+               if keep(power_sum(a * a, i)))
     return (law.k_s * alpha ** ((alpha - 1.0) / 2.0) * 2.0
             * abs(a) ** (k * alpha / 2.0) * body)
 
@@ -352,16 +352,24 @@ def old_descending_coef(a, lead, n, alpha, keep=lambda s: True):
 
 @given(a=st.floats(-1.5, 1.5), a0=st.floats(-1.0, 1.0), n=st.integers(2, 300),
        k=st.sampled_from([0, 1, 2, 4]), alpha=st.floats(0.2, 6.0))
+@example(a=1.5, a0=0.0, n=35, k=0, alpha=1.0)  # S(1) = 1 within the rule of S(35)
 @settings(max_examples=150, deadline=None)
 def test_closed_form_power_sums_keep_every_bit(a, a0, n, k, alpha):
-    # leads below 1e-6 can underflow the coefficient to 0, which TailLaw rejects
+    # each closed diagonal drops the power sums that the zero rule puts
+    # within 1e-12 of its largest entry (|a| > 1, long paths); leads below
+    # 1e-6 can underflow the coefficient to 0, which TailLaw rejects
+    lead = float(np.float_power(a, k))
     if k < n and abs(a) > 1e-6 and (k % 2 == 0 or a > 0.0):
-        assert ar1_upper_tail(a, n, k, alpha).coef == old_upper_coef(a, n, k, alpha)
+        top = lead * power_sum(a * a, n - k)
+        tol = 1e-12 * max(1.0, top)
+        if top > tol:  # else no entry counts, and the law reads couplings
+            assert ar1_upper_tail(a, n, k, alpha).coef == old_upper_coef(
+                a, n, k, alpha, keep=lambda s: lead * s > tol)
     if a < -1e-6:
-        assert ar1_lower_tail(a, n, alpha).coef == old_descending_coef(a, abs(a), n, alpha)
+        tol = 1e-12 * max(1.0, abs(a) * power_sum(a * a, n - 1))
+        assert ar1_lower_tail(a, n, alpha).coef == old_descending_coef(
+            a, abs(a), n, alpha, keep=lambda s: abs(a) * s > tol)
     if a - a0 > 1e-6:
-        # the pivot diagonal (a - a0) S_i drops the S_i that the zero rule
-        # puts within 1e-12 of the largest entry (|a| > 1, long paths)
         tol = 1e-12 * max(1.0, (a - a0) * power_sum(a * a, n - 1))
         assert stat_tail(a, a0, n, alpha).coef == old_descending_coef(
             a, a - a0, n, alpha, keep=lambda s: (a - a0) * s > tol)
@@ -373,6 +381,15 @@ def test_closed_form_power_sums_keep_every_bit_at_n_1000():
         assert stat_tail(a, -0.95, 1000, 1.5).coef == old_descending_coef(
             a, a + 0.95, 1000, 1.5)
     assert ar1_lower_tail(-0.9, 1000, 1.5).coef == old_descending_coef(-0.9, 0.9, 1000, 1.5)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.5])
+def test_closed_form_power_sums_past_a_double_count_every_entry(alpha):
+    # 10 S(155) overflows while every S(m) stays finite: the rule's tolerance
+    # is then infinite, and every positive entry must still count
+    assert ar1_upper_tail(10.0, 156, 1, alpha).coef == old_upper_coef(10.0, 156, 1, alpha)
+    assert ar1_lower_tail(-10.0, 156, alpha).coef == old_descending_coef(
+        -10.0, 10.0, 156, alpha)
 
 
 # classify once enumerated its witness pairs with Python comprehensions; the
