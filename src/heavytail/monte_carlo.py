@@ -1,22 +1,23 @@
 """Reproducible Monte Carlo oracle for the tail approximations.
 
-RNG scheme block-v2: replicas are split into fixed blocks of
+RNG scheme block-v3: replicas are split into fixed blocks of
 max(1, BLOCK_DRAWS // n) rows, and block b draws its (rows, n) innovations
 in one call from the substream keyed SeedSequence([seed, b]); alpha = 1
 takes the tangent transform of uniforms and every other alpha Bailey's
-polar method (R. W. Bailey, Math. Comp. 62 (1994) 779-781).  The layout
-depends only on (replicas, n), so every statistic is a pure function of
-(seed, replicas, n) and results are bit-identical for any worker count and
-any block schedule.  The tail experiment spreads its blocks over a pool
-of worker_count() threads (HEAVYTAIL_THREADS, the one worker setting) and
-reduces each along its AR paths, as lagged products of X = A eps; the
-risk calibration runs its blocks serially (a pool on top measured slower)
-and tests every block against every grid alternative (common random
-numbers): with fewer path steps than alternatives, one GEMM of the stacked
-pair weights by the products eps_i eps_j gives every statistic of a block
-(of a chunk of it where the pair table would pass 16 BLOCK_DRAWS doubles;
-on the default grid, n = 3 to 31 take one GEMM per block), otherwise one
-matmul per alternative's form.
+polar method without rejection (R. W. Bailey, Math. Comp. 62 (1994)
+779-781), two uniforms per draw.  The layout depends only on (replicas,
+n), so on one numpy build at one CPU dispatch level every statistic is a
+pure function of (seed, replicas, n) and results are bit-identical for
+any worker count and any block schedule.  The tail experiment spreads its
+blocks over a pool of worker_count() threads (HEAVYTAIL_THREADS, the one
+worker setting) and reduces each along its AR paths, as lagged products of
+X = A eps; the risk calibration runs its blocks serially (a pool on top
+measured slower) and tests every block against every grid alternative
+(common random numbers): with fewer path steps than alternatives, one GEMM
+of the stacked pair weights by the products eps_i eps_j gives every
+statistic of a block (of a chunk of it where the pair table would pass 16
+BLOCK_DRAWS doubles; on the default grid, n = 3 to 31 take one GEMM per
+block), otherwise one matmul per alternative's form.
 Both end in the same OverflowError on a non-finite replica statistic.  The
 empirical survival function comes from exceedance counts: each pool task
 counts its own block's statistics past every threshold of the grid and

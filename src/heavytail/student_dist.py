@@ -13,10 +13,11 @@ Besides density / CDF / quantile / sampling, the module carries the large-x
 expansions of the compositions Phi_inv(S_alpha(x)) and log S_alpha_inv(Phi(x))
 (Phi is the standard normal CDF) that the tail formulas rely on.
 
-Sampling, part of the Monte Carlo RNG scheme block-v2: alpha = 1 is the
+Sampling, part of the Monte Carlo RNG scheme block-v3: alpha = 1 is the
 tangent transform of a uniform, every other alpha Bailey's polar method
 (R. W. Bailey, "Polar generation of random variates with the
-t-distribution", Math. Comp. 62 (1994) 779-781), which needs only uniforms.
+t-distribution", Math. Comp. 62 (1994) 779-781) in a form without
+rejection, which takes exactly two uniforms per draw.
 
 scipy is imported inside the functions that need it (survival, and through
 it cdf; upper_quantile, normal_quantile and the two compositions), never at
@@ -262,62 +263,55 @@ def s_inv_compose_phi_log(law, x):
 
 def _polar_draws(alpha, stream, m):
     """m draws by Bailey's polar method (R. W. Bailey, Math. Comp. 62 (1994)
-    779-781): for (U, V) uniform on the unit disc and W = U^2 + V^2,
+    779-781) without its rejection step.  Bailey's T = U sqrt(alpha
+    (W^(-2/alpha) - 1) / W), for (U, V) uniform on the unit disc and W =
+    U^2 + V^2, depends on (U, V) only through W and cos(Theta) = U / sqrt(W),
+    which are independent, W uniform on (0, 1] and Theta uniform (Devroye,
+    Non-Uniform Random Variate Generation, 1986, ch. IX).  So
 
-        T = U sqrt(alpha (W^(-2/alpha) - 1) / W)
+        T = cos(pi U1) sqrt(alpha (W^(-2/alpha) - 1)),   W = 1 - U2,
 
-    has the law exactly, for every alpha > 0.  Pairs come from one
-    stream.random((2, m + m // 3 + 64)) call mapped to [-1, 1)^2 (rows U and
-    V); the first m pairs with 0 < W <= 1 are kept in order, about pi/4 of
-    them, and the rare shortfall is topped up by the same rule.  expm1 and
-    log keep W^(-2/alpha) - 1 free of cancellation for large alpha.  For
-    alpha below about 0.23 a W near 0 can overflow T, with probability about
-    exp(-710 alpha / (2 + alpha)) per draw; that raises OverflowError.
+    has the law exactly, for every alpha > 0, from one stream.random((2, m))
+    call (rows U1 and U2).  log and expm1 keep W^(-2/alpha) - 1 free of
+    cancellation for large alpha.  cos(pi U1) is taken as 2 / (1 + tau^2) - 1
+    with tau = tan(pi U1 / 2), since numpy's tan is vectorized where its cos
+    is not; near U1 = 1/2, where T is near 0, that costs ~1e-16 absolute.
+    The uniforms are multiples of 2^-53, so W >= 2^-53 and T overflows only
+    for alpha below 106 log(2) / 709.78 = 0.1035, with probability about
+    exp(-354.9 alpha) per draw; that raises OverflowError.
     """
-    parts, have = [], 0
-    while have < m:
-        need = m - have
-        uv = stream.random((2, need + need // 3 + 64))
-        uv *= 2.0
-        uv -= 1.0
-        u, w = uv
-        w *= w  # W = V^2 + U^2 overwrites the V row
-        w += u * u
-        keep = w <= 1.0
-        keep &= w > 0.0
-        keep = np.flatnonzero(keep)[:need]
-        w = w[keep]
-        # the kept U go to the spent V row; mode="clip" skips a buffered copy
-        u = np.take(u, keep, out=uv[1, :keep.size], mode="clip")
-        del keep
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                t = np.log(w)
-                # a numpy division, so that a subnormal alpha, whose -2/alpha
-                # is already -inf, raises the overflow too
-                t *= np.divide(-2.0, alpha)
-                np.expm1(t, out=t)
-                t *= alpha
-                t /= w
-                np.sqrt(t, out=t)
-                t *= u
-        except FloatingPointError:
-            raise OverflowError("innovations overflow a double at alpha=%r"
-                                % alpha) from None
-        parts.append(t)
-        have += t.size
-    if len(parts) == 1:
-        return parts[0]  # the usual case, without a copy
-    return np.concatenate([np.empty(0)] + parts)
+    c, t = stream.random((2, m))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            np.subtract(1.0, t, out=t)
+            np.log(t, out=t)
+            # a numpy division, so that a subnormal alpha, whose -2/alpha
+            # is already -inf, raises the overflow too
+            t *= np.divide(-2.0, alpha)
+            np.expm1(t, out=t)
+            t *= alpha
+            np.sqrt(t, out=t)
+    except FloatingPointError:
+        raise OverflowError("innovations overflow a double at alpha=%r"
+                            % alpha) from None
+    c *= np.pi / 2.0
+    np.tan(c, out=c)
+    c *= c
+    c += 1.0
+    np.divide(2.0, c, out=c)
+    c -= 1.0
+    t *= c
+    return t
 
 
 def sample(law, stream, size=None):
     """Draw from the law using the numpy Generator `stream`.
 
-    alpha = 1 is the tangent transform of a uniform; other alpha use
-    Bailey's polar method (see _polar_draws).  Both are exact in
-    distribution, and the draws are a pure function of the generator state.
-    Returns an array of shape `size`, or a float when size is None.
+    alpha = 1 is the tangent transform of one uniform per draw; other alpha
+    use Bailey's polar method without rejection, two uniforms per draw (see
+    _polar_draws).  Both are exact in distribution, and the draws are a pure
+    function of the generator state.  Returns an array of shape `size`, or a
+    float when size is None.
     """
     if law.alpha == 1.0:
         u = stream.random(size)

@@ -335,45 +335,60 @@ def test_sample_cauchy_is_tangent_of_the_stream_uniforms():
     assert np.array_equal(got, np.tan(np.pi * (u - 0.5)))
 
 
-class _RejectFirst:
-    """Generator wrapper whose first random() call has every pair from
-    column `start` on mapped to the rejected corner (U, V) = (-1, -1)."""
+def _polar_formula(alpha, uniforms):
+    """Bailey's polar transform without rejection, out of place, in the
+    sampler's order of operations: T = cos(pi U1) sqrt(alpha (W^(-2/alpha)
+    - 1)) with W = 1 - U2 and cos(pi U1) = 2 / (1 + tan(pi U1 / 2)^2) - 1."""
+    u1, u2 = uniforms
+    radius = np.sqrt(np.expm1(np.log(1.0 - u2) * (-2.0 / alpha)) * alpha)
+    return radius * (2.0 / (1.0 + np.tan(u1 * (np.pi / 2.0)) ** 2) - 1.0)
 
-    def __init__(self, seed, start):
-        self.rng = np.random.default_rng(seed)
-        self.start = start
-        self.calls = []
+
+def test_sample_polar_is_bailey_without_rejection_of_the_stream_uniforms():
+    for alpha in (0.3, 1.5, 40.0):
+        law = make_law(alpha)
+        u = np.random.default_rng(21).random((2, 300))
+        stream = np.random.default_rng(21)
+        got = sample(law, stream, size=(50, 6))
+        assert np.array_equal(got.ravel(), _polar_formula(alpha, u))
+        # exactly two uniforms per draw: the stream goes on where one that
+        # drew 600 uniforms goes on
+        later = np.random.default_rng(21)
+        later.random(600)
+        assert stream.random() == later.random()
+
+
+class _SmallestW:
+    """Stream whose random((2, m)) has U1 = 0 and U2 = 1 - 2^-53 in every
+    column: cos(pi U1) = 1 and W = 2^-53, the smallest W a Generator gives."""
 
     def random(self, size):
-        out = self.rng.random(size)
-        if not self.calls:
-            out[:, self.start:] = 0.0
-        self.calls.append(size)
+        out = np.zeros(size)
+        out[1] = 1.0 - 2.0 ** -53
         return out
 
 
-def test_sample_polar_tops_up_a_short_draw():
-    law = make_law(1.5)
-    m = 1000
-    fresh = sample(law, np.random.default_rng(4), size=m)
-    # nothing accepted at first: the top-up asks for as many pairs again,
-    # so it returns what a stream one call further on returns
-    stream = _RejectFirst(4, 0)
-    got = sample(law, stream, size=m)
-    assert len(stream.calls) == 2 and stream.calls[0] == stream.calls[1]
-    later = np.random.default_rng(4)
-    later.random(stream.calls[0])
-    assert np.array_equal(got, sample(law, later, size=m))
-    # half the pairs rejected: the accepted prefix is kept in order, the
-    # rest comes from a second, smaller call
-    stream = _RejectFirst(4, m // 2)
-    got = sample(law, stream, size=m)
-    uv = 2.0 * np.random.default_rng(4).random(stream.calls[0])[:, :m // 2] - 1.0
-    w = uv[0] ** 2 + uv[1] ** 2
-    kept = np.count_nonzero((w <= 1.0) & (w > 0.0))
-    assert len(stream.calls) == 2 and stream.calls[1] == (2, (m - kept) + (m - kept) // 3 + 64)
-    assert got.shape == (m,) and np.all(np.isfinite(got))
-    assert np.array_equal(got[:kept], fresh[:kept])
+@pytest.mark.filterwarnings("error")
+def test_sample_overflow_boundary_at_the_smallest_w():
+    # W^(-2/alpha) = 2^(106/alpha) passes the largest double below
+    # alpha = 106 log(2) / 709.78 = 0.1035
+    got = sample(make_law(0.11), _SmallestW(), size=3)
+    want = math.sqrt(0.11 * math.expm1(106.0 * math.log(2.0) / 0.11))
+    assert got == pytest.approx(np.full(3, want), rel=1e-12)
+    with pytest.raises(OverflowError, match=r"^innovations overflow a double at alpha=0\.1$"):
+        sample(make_law(0.1), _SmallestW(), size=3)
+
+
+@pytest.mark.parametrize("alpha, seed", [(0.7, 11), (1.5, 12), (3.0, 13)])
+def test_sample_far_tail_matches_survival(alpha, seed):
+    # P(|T| > x) at 2 survival(x) = p = 1e-4 over 10^6 draws: about 100
+    # exceedances, whose ratio to n p has se 0.1; the bound is 4 se
+    law = make_law(alpha)
+    p, n = 1e-4, 1_000_000
+    x = upper_quantile(law, p / 2.0)
+    draws = sample(law, np.random.default_rng(seed), size=n)
+    ratio = np.count_nonzero(np.abs(draws) > x) / (n * p)
+    assert abs(ratio - 1.0) < 4.0 * math.sqrt((1.0 - p) / (n * p)), ratio
 
 
 @pytest.mark.filterwarnings("error")
