@@ -16,7 +16,8 @@ errors (the message names the violated precondition), on arithmetic
 failures such as overflow and on output files that cannot be written; a
 failed run leaves an earlier --out file as it was.
 HEAVYTAIL_THREADS, the one worker setting, caps the thread pool of
-simulate (calibrate runs serially); results do not depend on it.
+simulate and calibrate; results do not depend on it.  While calibrate's
+blocks run, numpy's OpenBLAS is held to one thread (process-wide).
 """
 
 import argparse

@@ -8,16 +8,19 @@ polar method without rejection (R. W. Bailey, Math. Comp. 62 (1994)
 779-781), two uniforms per draw.  The layout depends only on (replicas,
 n), so on one numpy build at one CPU dispatch level every statistic is a
 pure function of (seed, replicas, n) and results are bit-identical for
-any worker count and any block schedule.  The tail experiment spreads its
-blocks over a pool of worker_count() threads (HEAVYTAIL_THREADS, the one
-worker setting) and reduces each along its AR paths, as lagged products of
-X = A eps; the risk calibration runs its blocks serially (a pool on top
-measured slower) and tests every block against every grid alternative
-(common random numbers): with fewer path steps than alternatives, one GEMM
-of the stacked pair weights by the products eps_i eps_j gives every
-statistic of a block (of a chunk of it where the pair table would pass 16
-BLOCK_DRAWS doubles; on the default grid, n = 3 to 31 take one GEMM per
-block), otherwise one matmul per alternative's form.
+any worker count and any block schedule.  Both Monte Carlo routes map
+their blocks over one pool of worker_count() threads (HEAVYTAIL_THREADS,
+the one worker setting).  The tail experiment reduces each block along its
+AR paths, as lagged products of X = A eps; the risk calibration tests
+every block against every grid alternative (common random numbers): with
+fewer path steps than alternatives, GEMMs of the stacked pair weights by
+the products eps_i eps_j give every statistic of a block, in equal-width
+chunks whose pair table stays within 4 BLOCK_DRAWS doubles per worker,
+otherwise one matmul per alternative's form.  While its blocks run, the
+calibration holds the OpenBLAS bundled with numpy to one thread, a setting
+of the whole process, so that its workers do not oversubscribe the cores
+and the GEMMs' bits do not depend on the BLAS thread count; where that
+count cannot be set, its blocks run on one worker.
 Both end in the same OverflowError on a non-finite replica statistic.  The
 empirical survival function comes from exceedance counts: each pool task
 counts its own block's statistics past every threshold of the grid and
@@ -28,10 +31,15 @@ threshold grid.  The CSV writers take their number format and rows from
 _text.
 """
 
+import ctypes
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
@@ -145,6 +153,52 @@ def _check_draws(replicas, seed):
     return replicas, seed
 
 
+def _map_blocks(task, blocks, workers):
+    """[task(block) for block in blocks], on up to workers threads of one
+    pool (the calling thread alone when that is one)."""
+    workers = min(workers, len(blocks))
+    if workers <= 1:
+        return [task(block) for block in blocks]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(task, blocks))
+
+
+@lru_cache(maxsize=None)
+def _blas_thread_calls():
+    """(get, set) of the thread count of the OpenBLAS bundled with numpy,
+    or None where no such library or entry point is found."""
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*.so*"))
+    for path in libs:
+        lib = ctypes.CDLL(str(path))
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"),
+                               ("scipy_openblas", ""), ("openblas", "")):
+            get = getattr(lib, "%s_get_num_threads%s" % (prefix, suffix), None)
+            put = getattr(lib, "%s_set_num_threads%s" % (prefix, suffix), None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = (), ctypes.c_int
+                put.argtypes, put.restype = (ctypes.c_int,), None
+                return get, put
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold numpy's OpenBLAS to one thread (a process-wide setting) inside
+    the with statement and restore its count on exit; yields whether it
+    could."""
+    calls = _blas_thread_calls()
+    if calls is None:
+        yield False
+        return
+    get, put = calls
+    old = get()
+    put(1)
+    try:
+        yield True
+    finally:
+        put(old)
+
+
 def _finite_stats(stats, n):
     """stats as they are, or OverflowError if one is not finite (explosive model)."""
     if not np.isfinite(stats).all():
@@ -200,13 +254,7 @@ def collect_stats(cfg, t=None):
         stats.sort()
         return len(stats) - np.searchsorted(stats, t, side="left")
 
-    blocks = replica_blocks(cfg.replicas, n)
-    workers = min(worker_count(), len(blocks))
-    if workers <= 1:
-        stats = [block_stats(block) for block in blocks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            stats = list(pool.map(block_stats, blocks))
+    stats = _map_blocks(block_stats, replica_blocks(cfg.replicas, n), worker_count())
     if t is not None:
         return np.sum(stats, axis=0)
     return _finite_stats(np.concatenate(stats), n)
@@ -282,12 +330,17 @@ def calibrate_risk(a_grid, a0, n, alpha, eta, replicas=McConfig.replicas,
     grid value a > a0 is tested on it, counting the replicas whose statistic
     eps^T C_a eps reaches the threshold t_eta from critical_value; risk_hat
     is the total count over replicas.  With fewer path steps n than tested
-    values F, all F statistics of a block come from one GEMM of pair
-    weights and pair products (_pair_weights), in chunks of replicas only
-    where the pair table or the statistics buffer would pass 16 BLOCK_DRAWS
-    doubles; otherwise each form C_a reduces the block by one matmul.  The
-    two routes round differently, so a count can differ only by a replica
-    within rounding of t_eta.
+    values F, all F statistics of a block come from GEMMs of pair weights
+    and pair products (_pair_weights), one per chunk of the block, cut
+    equally so that each worker's pair table and statistics buffer hold at
+    most 4 BLOCK_DRAWS doubles; otherwise each form C_a reduces the block
+    by one matmul.  The two routes round differently, so a count can differ
+    only by a replica within rounding of t_eta.
+    The blocks run on worker_count() threads, each summing its own int64
+    hit counts, with numpy's OpenBLAS held to one thread for the whole
+    call (the BLAS thread count is process-wide, so other threads' BLAS
+    calls run on one thread meanwhile) and its count restored after; where
+    the count cannot be set, they run on one worker.
     Grid values with a <= a0 come back skipped, and with no other value no
     block is drawn.  A statistic that is not finite raises the
     OverflowError of collect_stats.
@@ -305,30 +358,44 @@ def calibrate_risk(a_grid, a0, n, alpha, eta, replicas=McConfig.replicas,
     forms = [test_matrix(a, a0, n).entries for a in alternatives]
 
     pairs = n < len(forms)
-    chunk = BLOCK_DRAWS
+    width = _block_rows(n)
     if pairs:
         halves = _pair_weights(forms, n)
-        # one GEMM per block while the pair table and the statistics buffer,
-        # reused by every chunk, hold at most 16 BLOCK_DRAWS doubles (8 MiB)
-        # each, or one replica's worth; on the default grid n = 3 to 31
-        chunk = min(_block_rows(n), max(1, 16 * BLOCK_DRAWS // max(halves.shape)))
-        table = np.empty(chunk * halves.shape[1])
-        out = np.empty(chunk * len(forms))
+        # each worker reuses its own pair table and statistics buffer of at
+        # most 4 BLOCK_DRAWS doubles (2 MiB) each, or one replica's worth:
+        # a block is cut into the fewest equal-width chunks that fit, a
+        # width that depends on (n, F) alone (n = 20, F = 37: 3 x 1092 rows)
+        chunks = -(-width // max(1, 4 * BLOCK_DRAWS // max(halves.shape)))
+        width = -(-width // chunks)
         thresholds = np.array(t_etas)[:, None]
-    counts = np.zeros(len(forms), dtype=np.int64)
-    for block in replica_blocks(replicas, n) if forms else ():
+        scratch = threading.local()
+
+    def block_hits(block):
         eps = block_innovations(law, n, seed, block)
-        for lo in range(0, len(eps), chunk):
-            part = eps[lo:lo + chunk]
-            # overflows reach _finite_stats unwarned
-            with np.errstate(over="ignore", invalid="ignore"):
-                stats = _pair_stats(part, halves, table, out) if pairs else None
+        if pairs and not hasattr(scratch, "table"):
+            scratch.table = np.empty(width * halves.shape[1])
+            scratch.out = np.empty(width * len(forms))
+        hits = np.zeros(len(forms), dtype=np.int64)
+        # numpy's error state is per thread; overflows reach _finite_stats
+        # unwarned
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo in range(0, len(eps), width):
+                part = eps[lo:lo + width]
+                stats = _pair_stats(part, halves, scratch.table, scratch.out) if pairs else None
                 if stats is not None and np.isfinite(stats).all():
-                    counts += np.count_nonzero(stats >= thresholds, axis=1)
+                    hits += np.count_nonzero(stats >= thresholds, axis=1)
                 else:
                     # one matmul per form, also where a pair product leaves
                     # the doubles but the form's own statistic does not
-                    counts += _form_hits(part, forms, t_etas, n)
+                    hits += _form_hits(part, forms, t_etas, n)
+        return hits
+
+    blocks = replica_blocks(replicas, n) if forms else []
+    # with OpenBLAS held to one thread, the GEMMs' bits do not depend on the
+    # BLAS thread count and the workers do not oversubscribe the cores
+    with _one_blas_thread() as pinned:
+        hits = _map_blocks(block_hits, blocks, worker_count() if pinned else 1)
+    counts = sum(hits, np.zeros(len(forms), dtype=np.int64))
     tested = iter(zip(t_etas, counts))
     rows = []
     for a in grid:

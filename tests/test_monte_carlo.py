@@ -1,6 +1,10 @@
 import io
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -454,35 +458,160 @@ def _pair_stats_calls(monkeypatch):
     return calls
 
 
-def test_calibrate_risk_takes_one_pair_gemm_per_block(monkeypatch):
-    # n = 20 < F = 37: three full 3276-row blocks and one of 172 rows, each
-    # reduced by one GEMM, counting what one form at a time counts
+def test_calibrate_risk_cuts_blocks_into_equal_chunks(monkeypatch):
+    # n = 20 < F = 37: P = 210 pairs, so the cap of 4 BLOCK_DRAWS doubles
+    # per table holds 1248 rows; each full 3276-row block takes three pair
+    # GEMMs of 1092 rows and the last block of 172 rows one, counting what
+    # one form at a time counts
     args = (0.5, 20, 1.5, 0.05)
     calls = _pair_stats_calls(monkeypatch)
     rows = calibrate_risk(DEFAULT_A_GRID, *args, replicas=10_000, seed=4)
     blocks = replica_blocks(10_000, 20)
-    assert [part for part, _ in calls] == [hi - lo for _, lo, hi in blocks]
     assert [hi - lo for _, lo, hi in blocks] == [3276] * 3 + [172]
+    assert sorted(part for part, _ in calls) == [172] + [1092] * 9
+    for part, table in calls:
+        assert table == 1092 * 210 <= 4 * BLOCK_DRAWS
     # one value at a time takes the per-form route, with no pair GEMM
     one_by_one = [calibrate_risk((a,), *args, replicas=10_000, seed=4)[0]
                   for a in DEFAULT_A_GRID]
-    assert len(calls) == 4
+    assert len(calls) == 10
     assert rows == one_by_one
 
 
 def test_calibrate_risk_caps_the_pair_table(monkeypatch):
     # n = 40 has P = 820 pairs, so a 1638-row block would need a table of
-    # 1.3M doubles; the cap of 16 BLOCK_DRAWS doubles splits it 1278 + 360
+    # 1.3M doubles; the cap of 4 BLOCK_DRAWS doubles (319 rows) cuts it
+    # into six chunks of 273 rows, whatever the worker count
     grid = np.linspace(0.51, 1.4, 60).tolist()
     args = (0.5, 40, 1.5, 0.05)
     calls = _pair_stats_calls(monkeypatch)
+    monkeypatch.setenv("HEAVYTAIL_THREADS", "1")
     rows = calibrate_risk(grid, *args, replicas=5000, seed=4)
-    assert [part for part, _ in calls] == [1278, 360] * 3 + [86]
+    assert [part for part, _ in calls] == [273] * 18 + [86]
     for part, table in calls:
-        assert part * 820 <= table <= 16 * BLOCK_DRAWS
+        assert part * 820 <= table == 273 * 820 <= 4 * BLOCK_DRAWS
+    monkeypatch.setenv("HEAVYTAIL_THREADS", "3")
+    assert calibrate_risk(grid, *args, replicas=5000, seed=4) == rows
+    assert sorted(part for part, _ in calls[19:]) == sorted(part for part, _ in calls[:19])
     one_by_one = [calibrate_risk((a,), *args, replicas=5000, seed=4)[0] for a in grid]
-    assert len(calls) == 7
+    assert len(calls) == 38
     assert rows == one_by_one
+
+
+def test_calibrate_risk_pair_route_is_worker_free(monkeypatch):
+    # the pair GEMMs run with OpenBLAS held to one thread, so the bits of
+    # every statistic, and the rows, depend only on (seed, replicas, n,
+    # grid): neither on the worker count nor on the BLAS thread count a
+    # call starts from (at two BLAS threads, a GEMM of these chunks rounds
+    # about 40 of its last columns' statistics otherwise); four workers,
+    # one per block, switching often, each fill their own pair table
+    blas = monte_carlo._blas_thread_calls()
+    pair_stats = monte_carlo._pair_stats
+    runs, stats = [], []
+
+    def recorded(eps, *args):
+        out = pair_stats(eps, *args)
+        stats[-1][eps[0].tobytes()] = out.copy()
+        return out
+
+    monkeypatch.setattr(monte_carlo, "_pair_stats", recorded)
+    before = blas[0]() if blas else None
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for workers, blas_threads in ((1, 2), (1, 1), (2, 2), (4, 1)):
+            monkeypatch.setenv("HEAVYTAIL_THREADS", str(workers))
+            if blas:
+                blas[1](blas_threads)
+            stats.append({})
+            runs.append(calibrate_risk(DEFAULT_A_GRID, 0.5, 20, 1.5, 0.05,
+                                       replicas=10_000, seed=6))
+    finally:
+        sys.setswitchinterval(interval)
+        if blas:
+            blas[1](before)
+    assert all(rows == runs[0] for rows in runs)
+    assert 0.0 < min(r.risk_hat for r in runs[0] if not r.skipped)
+    assert len(stats[0]) == 10
+    for other in stats[1:]:
+        assert other.keys() == stats[0].keys()
+        assert all(np.array_equal(other[key], stats[0][key]) for key in other)
+
+
+def _blas_threads_or_skip():
+    calls = monte_carlo._blas_thread_calls()
+    if calls is None:
+        pytest.skip("no OpenBLAS thread entry points in this numpy")
+    return calls
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
+def test_calibrate_risk_restores_the_blas_threads(monkeypatch, fails):
+    # OpenBLAS runs on one thread while the blocks do, and gets its own
+    # count back after the call, also when a worker raises
+    get, put = _blas_threads_or_skip()
+    seen = []
+    pair_stats = monte_carlo._pair_stats
+
+    def recorded(*args):
+        seen.append(get())
+        if fails:
+            raise ZeroDivisionError("worker failed")
+        return pair_stats(*args)
+
+    monkeypatch.setattr(monte_carlo, "_pair_stats", recorded)
+    monkeypatch.setenv("HEAVYTAIL_THREADS", "2")
+    before = get()
+    put(2)
+    try:
+        start = get()
+        if fails:
+            with pytest.raises(ZeroDivisionError):
+                calibrate_risk(PAIR_GRID, 0.5, 6, 1.5, 0.05, replicas=30_000, seed=1)
+        else:
+            calibrate_risk(PAIR_GRID, 0.5, 6, 1.5, 0.05, replicas=30_000, seed=1)
+        assert get() == start
+    finally:
+        put(before)
+    assert seen and set(seen) == {1}
+
+
+def test_calibrate_risk_without_blas_entry_points_runs_one_worker(monkeypatch):
+    # where the thread count cannot be set, the blocks run on the calling
+    # thread alone, to the rows of the pooled run
+    pools = []
+
+    class Pool(monte_carlo.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(monte_carlo, "ThreadPoolExecutor", Pool)
+    monkeypatch.setenv("HEAVYTAIL_THREADS", "3")
+    args = (DEFAULT_A_GRID, 0.5, 20, 1.5, 0.05)
+    if monte_carlo._blas_thread_calls() is not None:
+        pinned = calibrate_risk(*args, replicas=10_000, seed=8)
+        assert pools == [3]
+    else:
+        pinned = None
+    pools.clear()
+    monkeypatch.setattr(monte_carlo, "_blas_thread_calls", lambda: None)
+    rows = calibrate_risk(*args, replicas=10_000, seed=8)
+    assert pools == []
+    assert pinned is None or rows == pinned
+
+
+def test_blas_lookup_waits_for_calibrate(tmp_path):
+    # importing the package and running simulate never look up the BLAS
+    probe = ("import sys; from heavytail import cli, monte_carlo; "
+             "cli.main(['simulate', '--alpha', '1', '--a', '0.5', '--n', '5', "
+             "'--replicas', '100', '--out', sys.argv[1]]); "
+             "print(monte_carlo._blas_thread_calls.cache_info().misses)")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", probe, str(tmp_path / "out.txt")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"]
 
 
 def test_default_grid_shape():
