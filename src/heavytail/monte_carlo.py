@@ -181,22 +181,33 @@ def _blas_thread_calls():
     return None
 
 
+# holders of the one-thread pin, and the count the last of them restores
+_blas_pin = {"lock": threading.Lock(), "depth": 0, "old": None}
+
+
 @contextmanager
 def _one_blas_thread():
     """Hold numpy's OpenBLAS to one thread (a process-wide setting) inside
-    the with statement and restore its count on exit; yields whether it
-    could."""
+    the with statement; yields whether it could.  Concurrent holders share
+    the pin: the first sets one thread, the last restores the count the
+    first found."""
     calls = _blas_thread_calls()
     if calls is None:
         yield False
         return
     get, put = calls
-    old = get()
-    put(1)
+    with _blas_pin["lock"]:
+        if _blas_pin["depth"] == 0:
+            _blas_pin["old"] = get()
+            put(1)
+        _blas_pin["depth"] += 1
     try:
         yield True
     finally:
-        put(old)
+        with _blas_pin["lock"]:
+            _blas_pin["depth"] -= 1
+            if _blas_pin["depth"] == 0:
+                put(_blas_pin["old"])
 
 
 def _finite_stats(stats, n):
@@ -339,8 +350,9 @@ def calibrate_risk(a_grid, a0, n, alpha, eta, replicas=McConfig.replicas,
     The blocks run on worker_count() threads, each summing its own int64
     hit counts, with numpy's OpenBLAS held to one thread for the whole
     call (the BLAS thread count is process-wide, so other threads' BLAS
-    calls run on one thread meanwhile) and its count restored after; where
-    the count cannot be set, they run on one worker.
+    calls run on one thread meanwhile) and its count restored after, by
+    the last of concurrent calls; where the count cannot be set, they run
+    on one worker.
     Grid values with a <= a0 come back skipped, and with no other value no
     block is drawn.  A statistic that is not finite raises the
     OverflowError of collect_stats.

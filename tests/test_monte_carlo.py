@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -574,6 +575,50 @@ def test_calibrate_risk_restores_the_blas_threads(monkeypatch, fails):
     finally:
         put(before)
     assert seen and set(seen) == {1}
+
+
+def test_calibrate_risk_shares_the_blas_pin_between_calls(monkeypatch):
+    # two calls overlap on two threads: the one-block call pins first and
+    # ends while the two-block call still runs, whose second block still
+    # sees one BLAS thread, and the count the first call found comes back
+    # after both
+    get, put = _blas_threads_or_skip()
+    monkeypatch.setenv("HEAVYTAIL_THREADS", "1")
+    short_pinned = threading.Event()
+    both_pinned = threading.Barrier(2, timeout=60)
+    short_done = threading.Event()
+    seen = {}
+    draw = monte_carlo.block_innovations
+
+    def recorded(law, n, seed, block):
+        if block[0] == 0:
+            if threading.current_thread().name == "short":
+                short_pinned.set()
+            both_pinned.wait()
+        else:
+            short_done.wait(60)
+        seen.setdefault(threading.current_thread().name, []).append(get())
+        return draw(law, n, seed, block)
+
+    monkeypatch.setattr(monte_carlo, "block_innovations", recorded)
+    calls = [threading.Thread(target=calibrate_risk, name=name,
+                              args=(DEFAULT_A_GRID, 0.5, 20, 1.5, 0.05),
+                              kwargs=dict(replicas=replicas, seed=1))
+             for name, replicas in (("short", 100), ("long", 4000))]
+    before = get()
+    put(2)
+    try:
+        calls[0].start()
+        short_pinned.wait(60)
+        calls[1].start()
+        calls[0].join(60)
+        short_done.set()
+        calls[1].join(60)
+        after = get()
+    finally:
+        put(before)
+    assert seen == {"long": [1, 1], "short": [1]}
+    assert after == 2
 
 
 def test_calibrate_risk_without_blas_entry_points_runs_one_worker(monkeypatch):
